@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -101,11 +102,14 @@ def _attr_assignments(text: str) -> dict[str, float]:
         if not sep:
             raise argparse.ArgumentTypeError(f"expected name=value, got {part!r}")
         try:
-            attrs[name.strip()] = float(value)
+            number = float(value)
         except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
             raise argparse.ArgumentTypeError(
-                f"{value!r} is not a number (in {part!r})"
-            ) from None
+                f"{value!r} is not a finite number (in {part!r})"
+            )
+        attrs[name.strip()] = number
     if not attrs:
         raise argparse.ArgumentTypeError("at least one name=value pair is required")
     return attrs

@@ -86,6 +86,10 @@ class UnparsableNumberError(ProcexError):
     """A CSV cell expected to hold a number could not be parsed as one."""
 
 
+class MalformedLogError(ProcexError):
+    """A JSONL log line is not a JSON object of the trace shape, or lacks a field."""
+
+
 class BadLabelError(ProcexError):
     """A trace label is neither POSITIVE nor NEGATIVE."""
 

@@ -32,10 +32,10 @@ from .explainer import (
     PerturbationSet,
     explain_detailed,
 )
-from .features import build_schema, encode_trace, split_vector
+from .features import build_schema, encode_trace, split_columns
 from .predictor import LogisticModel
-from .process_model import NEGATIVE, ProcessDefinition
-from .simulation import EventLog, is_conformant
+from .process_model import NEGATIVE, ProcessDefinition, conformant_rows
+from .simulation import EventLog
 
 __all__ = [
     "conformance_rate",
@@ -73,11 +73,8 @@ def conformance_rate(
         raise EmptySamplesError("conformance rate over zero samples is undefined")
     if schema is None:
         schema = build_schema(defn)
-    hits = 0
-    for row in matrix:
-        attrs, indicators = split_vector(schema, row)
-        if is_conformant(defn, attrs, indicators):
-            hits += 1
+    columns, indicators = split_columns(schema, matrix, defn.activity_names)
+    hits = int(np.count_nonzero(conformant_rows(defn, columns, indicators)))
     return hits / matrix.shape[0]
 
 

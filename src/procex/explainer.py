@@ -38,7 +38,7 @@ from .errors import (
     SchemaMismatchError,
     SingularSystemError,
 )
-from .features import FeatureSchema, Scaler, build_schema, split_vector
+from .features import FeatureSchema, Scaler, build_schema, split_columns
 from .predictor import LogisticModel, predict_proba
 from .process_model import (
     Activity,
@@ -46,10 +46,11 @@ from .process_model import (
     EndNode,
     ProcessDefinition,
     XorGateway,
-    eval_guard_batch,
+    conformant_rows,
+    node_successors,
     topological_order,
+    xor_branch_rows,
 )
-from .simulation import is_conformant
 
 __all__ = [
     "VANILLA",
@@ -223,12 +224,9 @@ def propagate_indicators(
             out[mask, col[name]] = 1.0
             arrivals[node.successor] |= mask
         elif isinstance(node, XorGateway):
-            remaining = mask.copy()
-            for branch in node.branches:
-                take = remaining & eval_guard_batch(branch.guard, attr_columns)
-                arrivals[branch.target] |= take
-                remaining &= ~take
-            arrivals[node.otherwise] |= remaining
+            branch_rows = xor_branch_rows(node, attr_columns, n)
+            for target, rows in zip(node_successors(node), branch_rows):
+                arrivals[target] |= mask & rows
         elif isinstance(node, ChoiceGateway):
             u = rng.random(n)
             remaining = mask.copy()
@@ -274,23 +272,22 @@ def sample_process_aware(
         out[1:, bin_idx] = indicators
         return out
     if strategy == REJECT:
-        kept: list[np.ndarray] = []
+        kept = [instance[None, :]]
+        n_kept = 0
         attempts = 0
         budget = REJECT_BUDGET_FACTOR * n
-        while len(kept) < n and attempts < budget:
+        while n_kept < n and attempts < budget:
             batch = sample_vanilla(instance, schema, scaler, n, spread, flip_p, rng)[1:]
             attempts += n
-            for row in batch:
-                attrs, indicators_map = split_vector(schema, row)
-                if is_conformant(defn, attrs, indicators_map):
-                    kept.append(row)
-                    if len(kept) == n:
-                        break
-        if len(kept) < n:
+            columns, indicators = split_columns(schema, batch, defn.activity_names)
+            accepted = batch[conformant_rows(defn, columns, indicators)][: n - n_kept]
+            kept.append(accepted)
+            n_kept += len(accepted)
+        if n_kept < n:
             raise RejectionBudgetExhaustedError(
-                f"kept only {len(kept)} of {n} samples after {attempts} attempts"
+                f"kept only {n_kept} of {n} samples after {attempts} attempts"
             )
-        return np.vstack([instance[None, :], np.array(kept)])
+        return np.vstack(kept)
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -442,6 +439,9 @@ def explain_detailed(
         raise SchemaMismatchError(
             f"instance shape {instance.shape} does not fit schema arity {schema.arity}"
         )
+    if not np.isfinite(instance).all():
+        bad = [schema.names[i] for i in np.flatnonzero(~np.isfinite(instance))]
+        raise SchemaMismatchError(f"instance has non-finite value(s) for {bad}")
     scaler = model.scaler
     rng = np.random.default_rng(config.seed)
     if config.mode == VANILLA:

@@ -28,6 +28,7 @@ __all__ = [
     "encode_trace",
     "encode_log",
     "split_vector",
+    "split_columns",
     "fit_scaler",
     "scaler_from_matrix",
 ]
@@ -174,6 +175,39 @@ def split_vector(
         else:
             indicators[feature.name] = int(round(float(vector[feature_index])))
     return attrs, indicators
+
+
+def split_columns(
+    schema: FeatureSchema, matrix: np.ndarray, activities: tuple[str, ...]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Columnar :func:`split_vector` for a matrix of feature rows.
+
+    Returns the attribute columns by name, and a 0/1 indicator matrix with
+    one column per name in ``activities`` (cells rounded as in
+    :func:`split_vector`, non-zero meaning present).
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != schema.arity:
+        raise SchemaMismatchError(
+            f"matrix of shape {matrix.shape} does not fit schema arity {schema.arity}"
+        )
+    binary = {schema.names[i] for i in schema.binary_indices}
+    if binary != set(activities):
+        raise SchemaMismatchError(
+            f"indicator keys do not match declared activities "
+            f"(missing {sorted(set(activities) - binary)}, "
+            f"unexpected {sorted(binary - set(activities))})"
+        )
+    columns = {schema.names[i]: matrix[:, i] for i in schema.numeric_indices}
+    block = matrix[:, [schema.index(name) for name in activities]]
+    finite = np.isfinite(block)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise SchemaMismatchError(
+            f"indicator {activities[col]!r} holds the non-finite value "
+            f"{block[row, col]} in row {row}"
+        )
+    return columns, (np.rint(block) != 0).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)

@@ -320,10 +320,20 @@ def load_model(
                 f"model was trained for schema {schema.schema_hash} "
                 f"but the supplied definition implies {expected.schema_hash}"
             )
+    scaler = Scaler.from_json_dict(data["scaler"])
+    weights = np.asarray(data["weights"], dtype=float)
+    for what, values in (
+        ("weights", weights), ("scaler mean", scaler.mean), ("scaler std", scaler.std)
+    ):
+        if values.shape != (schema.arity,):
+            raise SchemaMismatchError(
+                f"model file {what} have shape {values.shape} but its schema has "
+                f"{schema.arity} features"
+            )
     return LogisticModel(
         schema=schema,
-        scaler=Scaler.from_json_dict(data["scaler"]),
-        weights=np.asarray(data["weights"], dtype=float),
+        scaler=scaler,
+        weights=weights,
         bias=float(data["bias"]),
         config=TrainConfig.from_json_dict(data["hyperparams"]),
         train_meta=data.get("train_meta", {}),

@@ -74,6 +74,9 @@ __all__ = [
     "eval_guard_batch",
     "guard_attributes",
     "derive_causality_graph",
+    "xor_branch_rows",
+    "route_signatures",
+    "conformant_rows",
     "reachable_indicators",
     "topological_order",
     "node_successors",
@@ -894,17 +897,59 @@ def derive_causality_graph(defn: ProcessDefinition) -> CausalityGraph:
 # Conformance support set
 # ---------------------------------------------------------------------------
 
-def reachable_indicators(
-    defn: ProcessDefinition, attrs: Mapping[str, float]
-) -> frozenset[tuple[int, ...]]:
-    """All activity-indicator vectors realizable under a fixed assignment.
+def xor_branch_rows(
+    gateway: XorGateway, attr_columns: Mapping[str, np.ndarray], n: int
+) -> list[np.ndarray]:
+    """Which of ``n`` rows take each successor of an xor gateway.
 
-    Xor gateways route deterministically by their guards under ``attrs``
-    (values outside declared bounds are evaluated literally); choice branches
-    remain free, so the result enumerates every root-to-end path the
-    assignment permits. Vector positions follow ``defn.activity_names``.
+    One boolean mask per entry of :func:`node_successors`: the first
+    ``when`` whose guard holds wins, and ``otherwise`` takes the rest, so
+    every row is in exactly one mask.
     """
+    remaining = np.ones(n, dtype=bool)
+    rows = []
+    for branch in gateway.branches:
+        take = remaining & eval_guard_batch(branch.guard, attr_columns)
+        rows.append(take)
+        remaining &= ~take
+    rows.append(remaining)
+    return rows
+
+
+def route_signatures(
+    defn: ProcessDefinition, attr_columns: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Branch index each row takes at every xor gateway.
+
+    Returns an integer matrix with one row per entry of the attribute columns
+    and one column per gateway of ``defn.xor_gateways``; entry ``k`` means
+    the row follows ``node_successors(gateway)[k]`` (see
+    :func:`xor_branch_rows`), so ``otherwise`` is ``len(branches)``.
+    """
+    n = len(next(iter(attr_columns.values()), ()))
+    routes = np.empty((n, len(defn.xor_gateways)), dtype=np.intp)
+    for j, gateway in enumerate(defn.xor_gateways):
+        for k, rows in enumerate(xor_branch_rows(gateway, attr_columns, n)):
+            routes[rows, j] = k
+    return routes
+
+
+def _routes_for(
+    defn: ProcessDefinition, attr_columns: Mapping[str, np.ndarray], n: int
+) -> np.ndarray:
+    # A process without attributes has no column to count rows by; it also
+    # has no xor gateway, so every row takes the same empty route.
+    return route_signatures(defn, attr_columns).reshape(n, len(defn.xor_gateways))
+
+
+def _route_indicators(
+    defn: ProcessDefinition, route: tuple[int, ...]
+) -> frozenset[tuple[int, ...]]:
+    """Indicator vectors of every root-to-end path when each xor gateway
+    takes the branch ``route`` gives it (aligned to ``defn.xor_gateways``);
+    choice branches stay free."""
     names = defn.activity_names
+    pinned = {g.name: node_successors(g)[k] for g, k in zip(defn.xor_gateways, route)}
     memo: dict[str, frozenset[frozenset[str]]] = {}
 
     def visit(name: str) -> frozenset[frozenset[str]]:
@@ -916,12 +961,7 @@ def reachable_indicators(
         elif isinstance(node, Activity):
             out = frozenset(s | {node.name} for s in visit(node.successor))
         elif isinstance(node, XorGateway):
-            target = node.otherwise
-            for branch in node.branches:
-                if eval_guard(branch.guard, attrs):
-                    target = branch.target
-                    break
-            out = visit(target)
+            out = visit(pinned[name])
         elif isinstance(node, ChoiceGateway):
             acc: frozenset[frozenset[str]] = frozenset()
             for branch in node.branches:
@@ -935,6 +975,76 @@ def reachable_indicators(
     return frozenset(
         tuple(1 if n in s else 0 for n in names) for s in visit(defn.start)
     )
+
+
+# Mixed-radix row keys stay below this bound, so int64 arithmetic is exact.
+_KEY_LIMIT = 1 << 62
+
+
+def _row_keys(digits: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
+    """One integer per row, equal for two rows iff all their digits are.
+
+    Each digit is a column of non-negative integers below its radix. When the
+    next digit would overflow, the keys so far are renumbered densely (below
+    ``n``) first, so the key stays exact for any number of columns.
+    """
+    keys = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for column, radix in digits:
+        if bound * radix > _KEY_LIMIT:
+            keys = np.unique(keys, return_inverse=True)[1]
+            bound = n
+        keys = keys * radix + column
+        bound *= radix
+    return keys
+
+
+def conformant_rows(
+    defn: ProcessDefinition,
+    attr_columns: Mapping[str, np.ndarray],
+    indicators: np.ndarray,
+) -> np.ndarray:
+    """For each row, whether some root-to-end path under its attributes
+    yields its indicator row.
+
+    ``indicators`` has one row per case and one column per entry of
+    ``defn.activity_names``; a non-zero cell means the activity occurred.
+    The paths are enumerated once per distinct xor route, and membership is
+    tested once per distinct (route, indicator row) pair.
+    """
+    present = (np.asarray(indicators) != 0).astype(np.int64)
+    n = len(present)
+    routes = _routes_for(defn, attr_columns, n)
+    digits = [
+        (routes[:, j], len(g.branches) + 1) for j, g in enumerate(defn.xor_gateways)
+    ]
+    digits.extend((column, 2) for column in present.T)
+    _, first, inverse = np.unique(
+        _row_keys(digits, n), return_index=True, return_inverse=True
+    )
+    reachable: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+    hits = np.empty(len(first), dtype=bool)
+    for j, row in enumerate(first):
+        route = tuple(routes[row].tolist())
+        if route not in reachable:
+            reachable[route] = _route_indicators(defn, route)
+        hits[j] = tuple(present[row].tolist()) in reachable[route]
+    return hits[inverse]
+
+
+def reachable_indicators(
+    defn: ProcessDefinition, attrs: Mapping[str, float]
+) -> frozenset[tuple[int, ...]]:
+    """All activity-indicator vectors realizable under a fixed assignment.
+
+    Xor gateways route deterministically by their guards under ``attrs``
+    (values outside declared bounds are evaluated literally); choice branches
+    remain free, so the result enumerates every root-to-end path the
+    assignment permits. Vector positions follow ``defn.activity_names``.
+    """
+    columns = {name: np.array([value]) for name, value in attrs.items()}
+    route = _routes_for(defn, columns, 1)[0]
+    return _route_indicators(defn, tuple(route.tolist()))
 
 
 # ---------------------------------------------------------------------------

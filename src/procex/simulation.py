@@ -1,4 +1,4 @@
-"""Case simulation, event logs, and the brute-force conformance oracle.
+"""Case simulation, event logs, and the one-case conformance check.
 
 Simulation draws case attributes from per-attribute distributions (uniform
 over the declared bounds by default), executes the process graph, and records
@@ -8,6 +8,10 @@ feeding a PCG64 generator, so trace ``i`` is byte-identical no matter how many
 cases surround it. Within a case the draw order is fixed: one variate per
 attribute in lexicographic name order, then one uniform variate per choice
 gateway encountered on the walk, then one label-noise variate.
+
+``is_conformant`` checks one case with the batch oracle
+:func:`~procex.process_model.conformant_rows`, which enumerates the
+reachable paths once per distinct xor route rather than once per case.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import (
     BadLabelError,
     ConfigError,
     EmptyLogError,
+    MalformedLogError,
     MissingColumnError,
     SchemaMismatchError,
     UnknownAttributeError,
@@ -38,8 +43,8 @@ from .process_model import (
     POSITIVE,
     ProcessDefinition,
     XorGateway,
+    conformant_rows,
     eval_guard,
-    reachable_indicators,
 )
 
 __all__ = [
@@ -302,7 +307,10 @@ def is_conformant(
     attrs: Mapping[str, float],
     indicators: Mapping[str, int],
 ) -> bool:
-    """True iff some root-to-end path under ``attrs`` yields these indicators."""
+    """True iff some root-to-end path under ``attrs`` yields these indicators.
+
+    A one-row call of :func:`~procex.process_model.conformant_rows`.
+    """
     names = defn.activity_names
     if set(indicators) != set(names):
         missing = sorted(set(names) - set(indicators))
@@ -311,8 +319,9 @@ def is_conformant(
             f"indicator keys do not match declared activities "
             f"(missing {missing}, unexpected {extra})"
         )
-    vector = tuple(1 if indicators[name] else 0 for name in names)
-    return vector in reachable_indicators(defn, attrs)
+    row = np.array([[1 if indicators[name] else 0 for name in names]])
+    columns = {name: np.array([value]) for name, value in attrs.items()}
+    return bool(conformant_rows(defn, columns, row)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +347,9 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
             fh.write("\n")
 
 
+_RECORD_FIELDS = ("case_id", "attrs", "activities", "label")
+
+
 def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
     """Read a JSONL event log; the format does not carry the process name."""
     traces: list[Trace] = []
@@ -346,17 +358,42 @@ def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise MalformedLogError(
+                    f"line {line_no}: expected a JSON object, got {type(record).__name__}"
+                )
+            missing = [key for key in _RECORD_FIELDS if key not in record]
+            if missing:
+                raise MalformedLogError(
+                    f"line {line_no}: missing field(s) {', '.join(map(repr, missing))}"
+                )
             label = record["label"]
             if label not in LABELS:
                 raise BadLabelError(
                     f"line {line_no}: label {label!r} is neither POSITIVE nor NEGATIVE"
                 )
+            try:
+                attrs = {k: float(v) for k, v in sorted(record["attrs"].items())}
+            except (AttributeError, TypeError, ValueError):
+                raise MalformedLogError(
+                    f"line {line_no}: 'attrs' is not an object of numbers"
+                ) from None
+            activities = record["activities"]
+            if not isinstance(activities, list) or not all(
+                isinstance(a, str) for a in activities
+            ):
+                raise MalformedLogError(
+                    f"line {line_no}: 'activities' is not a list of names"
+                )
             traces.append(
                 Trace(
                     case_id=str(record["case_id"]),
-                    attrs={k: float(v) for k, v in sorted(record["attrs"].items())},
-                    activities=tuple(record["activities"]),
+                    attrs=attrs,
+                    activities=tuple(activities),
                     label=label,
                 )
             )

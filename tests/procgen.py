@@ -13,7 +13,9 @@ branches, so the two notions would diverge there.
 The sweep oracle re-implements everything it needs (guard evaluation and
 path enumeration) so it shares no code with the derivation under test.
 ``decisive_attribute`` reads the same guard comparisons to tell which
-attribute of a conjunctive guard an instance sits nearest to.
+attribute of a conjunctive guard an instance sits nearest to, and
+``path_indicators`` enumerates root-to-end paths one at a time as the
+reference for the conformance oracle.
 """
 
 from __future__ import annotations
@@ -215,6 +217,40 @@ def _possible_activities(defn: ProcessDefinition, assign: dict[str, float]) -> f
         raise TypeError(node)
 
     return walk(defn.start)
+
+
+def path_indicators(
+    defn: ProcessDefinition, assign: dict[str, float]
+) -> frozenset[tuple[int, ...]]:
+    """Indicator vectors of every root-to-end path under ``assign``.
+
+    Walks each path separately, without memoisation, pinning xor gateways by
+    this module's own guard evaluation and trying every choice branch.
+    Vector positions follow ``defn.activity_names``.
+    """
+    found: set[tuple[int, ...]] = set()
+
+    def walk(name: str, visited: frozenset) -> None:
+        node = defn.node(name)
+        if isinstance(node, EndNode):
+            found.add(tuple(int(a in visited) for a in defn.activity_names))
+        elif isinstance(node, Activity):
+            walk(node.successor, visited | {node.name})
+        elif isinstance(node, XorGateway):
+            target = node.otherwise
+            for branch in node.branches:
+                if _eval(branch.guard, assign):
+                    target = branch.target
+                    break
+            walk(target, visited)
+        elif isinstance(node, ChoiceGateway):
+            for branch in node.branches:
+                walk(branch.target, visited)
+        else:
+            raise TypeError(node)
+
+    walk(defn.start, frozenset())
+    return frozenset(found)
 
 
 def sweep_oracle_edges(defn: ProcessDefinition) -> frozenset[tuple[str, str]]:

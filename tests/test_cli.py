@@ -198,6 +198,19 @@ class TestTrain:
         assert code == 1
         assert "FileNotFoundError" in err
 
+    def test_record_without_label_fails(self, run, workspace, tmp_path):
+        lines = workspace["log"].read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["label"]
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+        code, out, err = run(
+            "train", LOAN, "--log", str(log), "--out", str(tmp_path / "m.json")
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "MalformedLogError: line 2: missing field(s) 'label'\n"
+
 
 class TestExplain:
     def test_case_from_log(self, run, workspace):
@@ -280,6 +293,19 @@ class TestExplain:
             "--mode", "vanilla",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_attrs_usage_error(self, run, workspace, value):
+        code, out, err = run(
+            "explain", LOAN,
+            "--model", str(workspace["model"]),
+            "--attrs", f"credit_score={value},loan_amount=300000",
+            "--mode", "process-aware",
+            "--strategy", "reject",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a finite number" in err
 
     def test_top_truncates_both_lists(self, run, workspace):
         code, out, _ = run(

@@ -1,0 +1,183 @@
+"""The batch conformance oracle against its one-row wrappers, against an
+independent path enumerator, and the reject sampler against a row-by-row
+filter."""
+
+import numpy as np
+import pytest
+
+from procex.explainer import REJECT, sample_process_aware, sample_vanilla
+from procex.features import build_schema, encode_trace, fit_scaler, split_columns, split_vector
+from procex.process_model import (
+    conformant_rows,
+    parse_process,
+    reachable_indicators,
+    route_signatures,
+)
+from procex.simulation import SimulationConfig, generate_log, is_conformant
+
+from procgen import path_indicators, random_process
+
+# Branches rejoin (review, escalate, merge have several parents), the triage
+# xor has three ``when`` branches whose guards overlap, a second xor sits
+# downstream of the first, and choices nest.
+REJOINING = parse_process(
+    """
+    process rejoin
+    attr a: numeric in [0, 10]
+    attr b: numeric in [0, 10]
+    start -> intake
+    activity intake -> triage
+    gateway triage {
+        when a < 3 -> fast
+        when a < 6 && b > 5 -> review
+        when b > 8 -> audit
+        otherwise -> review
+    }
+    activity fast -> merge
+    activity review -> second
+    gateway second choice { 0.5 -> deep 0.5 -> merge }
+    activity deep -> nested
+    gateway nested choice { 0.3 -> escalate 0.7 -> merge }
+    activity audit -> recheck
+    gateway recheck { when b > 9 -> escalate otherwise -> merge }
+    activity escalate -> merge
+    activity merge -> outcome
+    gateway outcome choice { 0.6 -> ok 0.4 -> no }
+    end ok label POSITIVE
+    end no label NEGATIVE
+    """
+)
+
+
+def long_chain(arm: int = 35, tail: int = 10):
+    """Two arms of ``arm`` activities chosen by an xor, rejoining into a tail
+    of ``tail`` activities with one optional step: 2 * arm + tail + 1
+    activities in all."""
+    lines = ["process chain", "attr x: numeric in [0, 1]", "start -> route"]
+    lines.append("gateway route { when x < 0.5 -> p0 otherwise -> q0 }")
+    for prefix in ("p", "q"):
+        for i in range(arm):
+            nxt = f"{prefix}{i + 1}" if i + 1 < arm else "t0"
+            lines.append(f"activity {prefix}{i} -> {nxt}")
+    for i in range(tail):
+        nxt = f"t{i + 1}" if i + 1 < tail else "opt"
+        lines.append(f"activity t{i} -> {nxt}")
+    lines.append("gateway opt choice { 0.5 -> extra 0.5 -> done }")
+    lines.append("activity extra -> done")
+    lines.append("end done label POSITIVE")
+    return parse_process("\n".join(lines) + "\n")
+
+
+CHAIN = long_chain()
+
+
+def vanilla_rows(defn, n, flip_p, seed):
+    """Vanilla perturbations of a simulated case: a mix of conformant and
+    non-conformant rows."""
+    schema = build_schema(defn)
+    log = generate_log(defn, SimulationConfig(n_cases=200, seed=seed))
+    scaler = fit_scaler(schema, log)
+    instance = encode_trace(schema, log.traces[0])
+    rng = np.random.default_rng(seed)
+    return schema, sample_vanilla(instance, schema, scaler, n, 1.0, flip_p, rng)
+
+
+def check_agreement(defn, n, flip_p, seed=0):
+    """Batch oracle, one-row wrappers and path enumeration agree on every
+    row; returns the batch verdicts."""
+    schema, rows = vanilla_rows(defn, n, flip_p, seed)
+    columns, indicators = split_columns(schema, rows, defn.activity_names)
+    verdicts = conformant_rows(defn, columns, indicators)
+    assert verdicts.shape == (len(rows),)
+    for row, verdict in zip(rows, verdicts):
+        attrs, indicator_map = split_vector(schema, row)
+        vector = tuple(indicator_map[name] for name in defn.activity_names)
+        paths = path_indicators(defn, attrs)
+        assert reachable_indicators(defn, attrs) == paths
+        assert is_conformant(defn, attrs, indicator_map) == (vector in paths)
+        assert bool(verdict) == (vector in paths)
+    return verdicts
+
+
+def test_loan_rows_agree(loan):
+    verdicts = check_agreement(loan, 600, 0.5)
+    assert verdicts.any() and not verdicts.all()
+
+
+def test_random_process_rows_agree():
+    verdicts = np.concatenate(
+        [
+            check_agreement(random_process(np.random.default_rng(500 + i), i), 150, 0.2, i)
+            for i in range(25)
+        ]
+    )
+    assert verdicts.any() and not verdicts.all()
+
+
+def test_rejoining_dag_rows_agree():
+    verdicts = check_agreement(REJOINING, 600, 0.2)
+    assert verdicts.any() and not verdicts.all()
+
+
+def test_chain_beyond_64_activities_rows_agree():
+    assert len(CHAIN.activity_names) > 64
+    verdicts = check_agreement(CHAIN, 400, 0.01)
+    assert verdicts.any() and not verdicts.all()
+
+
+def test_chain_key_tells_apart_rows_differing_past_column_63():
+    names = CHAIN.activity_names
+    paths = sorted(path_indicators(CHAIN, {"x": 0.2}))
+    rows = []
+    for vector in paths:
+        for j in (0, 63, 64, len(names) - 1):
+            flipped = list(vector)
+            flipped[j] = 1 - flipped[j]
+            rows.extend([vector, tuple(flipped)])
+    columns = {"x": np.full(len(rows), 0.2)}
+    verdicts = conformant_rows(CHAIN, columns, np.array(rows))
+    np.testing.assert_array_equal(verdicts, [row in paths for row in rows])
+
+
+def test_route_signatures_first_match_wins():
+    columns = {
+        "a": np.array([1.0, 4.0, 4.0, 7.0, 7.0, 7.0]),
+        "b": np.array([9.5, 6.0, 9.0, 9.0, 9.5, 1.0]),
+    }
+    # columns: triage, recheck (declaration order); otherwise is len(branches)
+    expected = [[0, 0], [1, 1], [1, 1], [2, 1], [2, 0], [3, 1]]
+    np.testing.assert_array_equal(route_signatures(REJOINING, columns), expected)
+
+
+def reference_reject(instance, defn, schema, scaler, n, rng, flip_p):
+    """Rejection sampling filtered one row at a time with ``is_conformant``."""
+    kept = []
+    attempts = 0
+    while len(kept) < n and attempts < 100 * n:
+        batch = sample_vanilla(instance, schema, scaler, n, 1.0, flip_p, rng)[1:]
+        attempts += n
+        for row in batch:
+            attrs, indicators = split_vector(schema, row)
+            if is_conformant(defn, attrs, indicators):
+                kept.append(row)
+                if len(kept) == n:
+                    break
+    return np.vstack([instance[None, :], np.array(kept)])
+
+
+@pytest.mark.parametrize("which", ["loan", "rejoining"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_reject_matches_row_by_row_filter(loan, which, seed):
+    defn = loan if which == "loan" else REJOINING
+    schema = build_schema(defn)
+    log = generate_log(defn, SimulationConfig(n_cases=300, seed=seed))
+    scaler = fit_scaler(schema, log)
+    instance = encode_trace(schema, log.traces[seed])
+    got = sample_process_aware(
+        instance, defn, schema, scaler, 300, 1.0, REJECT,
+        np.random.default_rng(seed), flip_p=0.5,
+    )
+    want = reference_reject(
+        instance, defn, schema, scaler, 300, np.random.default_rng(seed), 0.5
+    )
+    assert got.tobytes() == want.tobytes()

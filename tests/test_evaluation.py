@@ -30,6 +30,7 @@ from procex.explainer import (
     explain,
     explain_detailed,
 )
+from procex.process_model import parse_process
 
 SKILLED_VEC = np.array([580.0, 300000.0, 1.0, 0.0, 1.0])
 
@@ -86,6 +87,34 @@ class TestConformanceRate:
     def test_zero_rows_raise(self, loan, loan_schema):
         with pytest.raises(EmptySamplesError):
             conformance_rate(loan, np.empty((0, 5)), loan_schema)
+
+    def test_indicator_cells_are_rounded(self, loan, loan_schema):
+        # skilled_agent_review, standard_review, submit_application round
+        # to 1, 0, 1 (a conformant skilled row) and to 0, 0, 1 (not).
+        matrix = np.array(
+            [[580.0, 300000.0, 0.9, 0.2, 1.4], [580.0, 300000.0, 0.5, -0.4, 0.6]]
+        )
+        assert conformance_rate(loan, matrix, loan_schema) == 0.5
+
+    def test_non_finite_indicator_names_the_column(self, loan, loan_schema):
+        matrix = np.array([SKILLED_VEC, SKILLED_VEC])
+        matrix[1, loan_schema.index("standard_review")] = np.nan
+        with pytest.raises(SchemaMismatchError, match="'standard_review'"):
+            conformance_rate(loan, matrix, loan_schema)
+
+    def test_wrong_width_raises(self, loan, loan_schema):
+        with pytest.raises(SchemaMismatchError, match="arity"):
+            conformance_rate(loan, np.zeros((3, 4)), loan_schema)
+
+    def test_indicators_of_another_process_raise(self, loan, loan_schema):
+        other = parse_process(
+            "process other\nattr credit_score: numeric in [300, 850]\n"
+            "attr loan_amount: numeric in [1000, 500000]\nstart -> a\n"
+            "activity a -> b\nactivity b -> c\nactivity c -> fin\n"
+            "end fin label POSITIVE\n"
+        )
+        with pytest.raises(SchemaMismatchError, match="indicator keys"):
+            conformance_rate(other, np.array([SKILLED_VEC]), loan_schema)
 
 
 class TestTopKOverlap:

@@ -398,6 +398,13 @@ class TestExplain:
         with pytest.raises(SchemaMismatchError):
             explain(loan_model, loan, np.zeros(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_instance(self, loan_model, loan, value):
+        instance = SKILLED_VEC.copy()
+        instance[0] = value
+        with pytest.raises(SchemaMismatchError, match="credit_score"):
+            explain(loan_model, loan, instance)
+
     def test_model_definition_mismatch(self, loan_model):
         other = parse_process(
             "process tiny\nattr a: numeric in [-2, 2]\nstart -> fin\n"

@@ -236,6 +236,16 @@ class TestModelFiles:
         with pytest.raises(SchemaMismatchError):
             load_model(path, definition=TINY)
 
+    @pytest.mark.parametrize("field", ["weights", "mean", "std"])
+    def test_length_mismatch_is_refused(self, tmp_path, loan_model, field):
+        path = tmp_path / "model.json"
+        data = model_to_json_dict(loan_model)
+        values = data["weights"] if field == "weights" else data["scaler"][field]
+        values.pop()
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaMismatchError, match="5 features"):
+            load_model(path)
+
     def test_tampered_schema_is_refused(self, tmp_path, loan_model):
         path = tmp_path / "model.json"
         data = model_to_json_dict(loan_model)

@@ -9,6 +9,7 @@ from procex.errors import (
     BadLabelError,
     ConfigError,
     EmptyLogError,
+    MalformedLogError,
     MissingColumnError,
     SchemaMismatchError,
     UnknownAttributeError,
@@ -204,6 +205,30 @@ class TestJsonl:
             '{"case_id": "c1", "attrs": {}, "activities": [], "label": "MAYBE"}\n'
         )
         with pytest.raises(BadLabelError):
+            read_log_jsonl(path)
+
+    @pytest.mark.parametrize("key", ["case_id", "attrs", "activities", "label"])
+    def test_missing_field_names_line_and_key(self, tmp_path, key):
+        record = {"case_id": "c1", "attrs": {}, "activities": [], "label": "POSITIVE"}
+        del record[key]
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"case_id": "c0", "attrs": {}, "activities": [], '
+                        '"label": "NEGATIVE"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(MalformedLogError, match=f"line 2: .*'{key}'"):
+            read_log_jsonl(path)
+
+    @pytest.mark.parametrize("line", [
+        '[1, 2]',
+        '"c1"',
+        "{not json",
+        '{"case_id": "c1", "attrs": [], "activities": [], "label": "POSITIVE"}',
+        '{"case_id": "c1", "attrs": {"a": "x"}, "activities": [], "label": "POSITIVE"}',
+        '{"case_id": "c1", "attrs": {}, "activities": "submit", "label": "POSITIVE"}',
+    ])
+    def test_malformed_line_is_refused(self, tmp_path, line):
+        path = tmp_path / "log.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(MalformedLogError, match="line 1"):
             read_log_jsonl(path)
 
     def test_empty_file_reads_as_empty_log(self, tmp_path):
