@@ -233,6 +233,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if test_log is not None and test_log.traces:
         metrics["test"] = evaluate(model, test_log).to_json_dict()
     _log(args, f"wrote model to {args.out}")
+    if not model.train_meta["converged"]:
+        epochs = model.train_meta["epochs_run"]
+        note = f"note: training unconverged after epochs_run={epochs}"
+        _log(args, f"{note} (--tol {config.tol})")
     _emit(
         {
             "command": "train",
@@ -280,6 +284,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     defn = _read_definition(args.process)
     model = load_model(args.model, definition=defn)
     vector, instance_id = _resolve_instance(args, defn, model.schema)
+    for name, (lower, upper) in sorted(defn.attribute_bounds.items()):
+        value = float(vector[model.schema.index(name)])
+        if not lower <= value <= upper:
+            bounds = f"[{lower}, {upper}]"
+            _log(args, f"warning: {name}={value} outside declared bounds {bounds}")
     config = ExplainConfig(
         mode=PROCESS_AWARE if args.mode == "process-aware" else VANILLA,
         strategy=args.strategy,

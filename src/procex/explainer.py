@@ -16,8 +16,9 @@ samples are produced:
 
 RNG draw order is part of the reproducibility contract. Vanilla: one normal
 matrix for numeric noise, then one uniform matrix for indicator flips.
-Propagate: one normal matrix, then one uniform vector per choice gateway in
-topological order (drawn whether or not any sample reaches the gateway).
+Propagate: one normal matrix, then the simulator's executor
+:func:`~procex.process_model.execute_rows` reads one uniform vector per choice
+gateway in topological order (drawn whether or not any sample reaches it).
 Reject: vanilla-shaped batches of size n until enough samples are kept.
 """
 
@@ -40,17 +41,7 @@ from .errors import (
 )
 from .features import FeatureSchema, Scaler, build_schema, split_columns
 from .predictor import LogisticModel, predict_proba
-from .process_model import (
-    Activity,
-    ChoiceGateway,
-    EndNode,
-    ProcessDefinition,
-    XorGateway,
-    conformant_rows,
-    node_successors,
-    topological_order,
-    xor_branch_rows,
-)
+from .process_model import ProcessDefinition, conformant_rows, execute_rows
 
 __all__ = [
     "VANILLA",
@@ -204,42 +195,12 @@ def propagate_indicators(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Execute the process on every row at once; returns indicator rows
-    aligned to ``defn.activity_names``.
-
-    Xor gateways evaluate their guards on the attribute columns; each choice
-    gateway consumes exactly one uniform vector of length n (in topological
-    order), so the stream layout never depends on routing.
-    """
+    aligned to ``defn.activity_names``. Rows are counted from the columns;
+    without attributes, call ``execute_rows`` with the count."""
+    if not attr_columns:
+        raise SchemaMismatchError("no attribute column to count rows by")
     n = len(next(iter(attr_columns.values())))
-    arrivals: dict[str, np.ndarray] = {
-        node.name: np.zeros(n, dtype=bool) for node in defn.nodes
-    }
-    arrivals[defn.start][:] = True
-    col = {name: i for i, name in enumerate(defn.activity_names)}
-    out = np.zeros((n, len(col)))
-    for name in topological_order(defn):
-        node = defn.node(name)
-        mask = arrivals[name]
-        if isinstance(node, Activity):
-            out[mask, col[name]] = 1.0
-            arrivals[node.successor] |= mask
-        elif isinstance(node, XorGateway):
-            branch_rows = xor_branch_rows(node, attr_columns, n)
-            for target, rows in zip(node_successors(node), branch_rows):
-                arrivals[target] |= mask & rows
-        elif isinstance(node, ChoiceGateway):
-            u = rng.random(n)
-            remaining = mask.copy()
-            cumulative = 0.0
-            for branch in node.branches:
-                cumulative += branch.probability
-                take = remaining & (u < cumulative)
-                arrivals[branch.target] |= take
-                remaining &= ~take
-            arrivals[node.branches[-1].target] |= remaining
-        elif not isinstance(node, EndNode):
-            raise TypeError(f"not a node: {node!r}")
-    return out
+    return execute_rows(defn, attr_columns, n, lambda arrived: rng.random(n))[0]
 
 
 def sample_process_aware(
@@ -266,7 +227,7 @@ def sample_process_aware(
         numeric = _numeric_noise(instance, schema, scaler, n, spread, rng)
         numeric_names = [f.name for f in schema.features if f.kind == "numeric"]
         columns = {name: numeric[:, j] for j, name in enumerate(numeric_names)}
-        indicators = propagate_indicators(defn, columns, rng)
+        indicators, _ = execute_rows(defn, columns, n, lambda arrived: rng.random(n))
         out = np.tile(instance, (n + 1, 1))
         out[1:, num_idx] = numeric
         out[1:, bin_idx] = indicators

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 from importlib import resources
@@ -75,6 +75,7 @@ __all__ = [
     "guard_attributes",
     "derive_causality_graph",
     "xor_branch_rows",
+    "execute_rows",
     "route_signatures",
     "conformant_rows",
     "reachable_indicators",
@@ -153,23 +154,10 @@ _CMP_FUNCS = {
 
 
 def eval_guard(guard: GuardExpr, attrs: Mapping[str, float]) -> bool:
-    """Evaluate a guard against a single attribute assignment."""
-    if isinstance(guard, Comparison):
-        try:
-            value = attrs[guard.attribute]
-        except KeyError:
-            raise MissingAttributeError(
-                f"guard references attribute {guard.attribute!r} "
-                "which is absent from the assignment"
-            ) from None
-        return bool(_CMP_FUNCS[guard.op](value, guard.value))
-    if isinstance(guard, Not):
-        return not eval_guard(guard.operand, attrs)
-    if isinstance(guard, And):
-        return eval_guard(guard.left, attrs) and eval_guard(guard.right, attrs)
-    if isinstance(guard, Or):
-        return eval_guard(guard.left, attrs) or eval_guard(guard.right, attrs)
-    raise TypeError(f"not a guard expression: {guard!r}")
+    """Evaluate a guard against a single attribute assignment: a one-row
+    view of :func:`eval_guard_batch`, so every comparison is evaluated."""
+    columns = {name: np.array([value]) for name, value in attrs.items()}
+    return bool(eval_guard_batch(guard, columns)[0])
 
 
 def eval_guard_batch(guard: GuardExpr, attrs: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -894,7 +882,7 @@ def derive_causality_graph(defn: ProcessDefinition) -> CausalityGraph:
 
 
 # ---------------------------------------------------------------------------
-# Conformance support set
+# Execution and the conformance support set
 # ---------------------------------------------------------------------------
 
 def xor_branch_rows(
@@ -914,6 +902,52 @@ def xor_branch_rows(
         remaining &= ~take
     rows.append(remaining)
     return rows
+
+
+def execute_rows(
+    defn: ProcessDefinition,
+    attr_columns: Mapping[str, np.ndarray],
+    n: int,
+    draw: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Execute the process on ``n`` cases at once; the only executor.
+
+    Xor gateways route by :func:`xor_branch_rows`. Each choice gateway, in
+    topological order, calls ``draw(arrived_mask)`` once and sends each
+    arrived row to the first branch whose cumulative probability exceeds the
+    row's entry of the result (the last branch if none does). Returns the
+    0/1 indicator matrix over ``defn.activity_names`` and each end node's
+    arrival mask by name.
+    """
+    arrivals: dict[str, np.ndarray] = {
+        node.name: np.zeros(n, dtype=bool) for node in defn.nodes
+    }
+    arrivals[defn.start][:] = True
+    col = {name: i for i, name in enumerate(defn.activity_names)}
+    out = np.zeros((n, len(col)))
+    for name in topological_order(defn):
+        node = defn.node(name)
+        mask = arrivals[name]
+        if isinstance(node, Activity):
+            out[mask, col[name]] = 1.0
+            arrivals[node.successor] |= mask
+        elif isinstance(node, XorGateway):
+            branch_rows = xor_branch_rows(node, attr_columns, n)
+            for target, rows in zip(node_successors(node), branch_rows):
+                arrivals[target] |= mask & rows
+        elif isinstance(node, ChoiceGateway):
+            u = draw(mask)
+            remaining = mask.copy()
+            cumulative = 0.0
+            for branch in node.branches:
+                cumulative += branch.probability
+                take = remaining & (u < cumulative)
+                arrivals[branch.target] |= take
+                remaining &= ~take
+            arrivals[node.branches[-1].target] |= remaining
+        elif not isinstance(node, EndNode):
+            raise TypeError(f"not a node: {node!r}")
+    return out, {end.name: arrivals[end.name] for end in defn.end_nodes}
 
 
 def route_signatures(

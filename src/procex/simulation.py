@@ -2,12 +2,15 @@
 
 Simulation draws case attributes from per-attribute distributions (uniform
 over the declared bounds by default), executes the process graph, and records
-one trace per case. Reproducibility contract: every case gets its own RNG
-substream built as ``SeedSequence(entropy=seed, spawn_key=(case_ordinal,))``
-feeding a PCG64 generator, so trace ``i`` is byte-identical no matter how many
-cases surround it. Within a case the draw order is fixed: one variate per
-attribute in lexicographic name order, then one uniform variate per choice
-gateway encountered on the walk, then one label-noise variate.
+one trace per case, through the executor the explainer also uses,
+:func:`~procex.process_model.execute_rows`. Reproducibility contract: every
+case gets its own RNG substream built as
+``SeedSequence(entropy=seed, spawn_key=(case_ordinal,))`` feeding a PCG64
+generator, so trace ``i`` is byte-identical no matter how many cases surround
+it. The substream is read as ``A + C + 1`` uniform variates (``A``
+attributes, ``C`` choice gateways): one per attribute in lexicographic name
+order, then one per choice gateway on the case's path in path order, then
+one for label noise; a shorter path leaves the last columns unread.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, which enumerates the
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
 
@@ -35,16 +39,13 @@ from .errors import (
     UnparsableNumberError,
 )
 from .process_model import (
-    Activity,
-    ChoiceGateway,
-    EndNode,
     LABELS,
     NEGATIVE,
     POSITIVE,
     ProcessDefinition,
-    XorGateway,
     conformant_rows,
-    eval_guard,
+    execute_rows,
+    topological_order,
 )
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "Trace",
     "EventLog",
     "case_rng",
-    "sample_attrs",
     "execute_case",
     "generate_log",
     "trace_indicators",
@@ -202,24 +202,42 @@ def case_rng(seed: int, ordinal: int) -> np.random.Generator:
     )
 
 
-def sample_attrs(
+def _variates(dist: Distribution, u: np.ndarray) -> np.ndarray:
+    """What ``rng.uniform`` or ``truncnorm.rvs`` makes of the variates ``u``."""
+    if isinstance(dist, Uniform):
+        return dist.lower + (dist.upper - dist.lower) * u
+    a = (dist.lower - dist.mean) / dist.std
+    b = (dist.upper - dist.mean) / dist.std
+    return stats.truncnorm.ppf(u, a, b, loc=dist.mean, scale=dist.std)
+
+
+def _run(
     defn: ProcessDefinition,
-    distributions: Mapping[str, Distribution],
-    rng: np.random.Generator,
-) -> dict[str, float]:
-    """Draw one assignment, one variate per attribute in name order."""
-    attrs: dict[str, float] = {}
-    for name in defn.attribute_names:
-        dist = distributions[name]
-        if isinstance(dist, Uniform):
-            attrs[name] = float(rng.uniform(dist.lower, dist.upper))
-        else:
-            a = (dist.lower - dist.mean) / dist.std
-            b = (dist.upper - dist.mean) / dist.std
-            attrs[name] = float(
-                stats.truncnorm.rvs(a, b, loc=dist.mean, scale=dist.std, random_state=rng)
-            )
-    return attrs
+    attr_columns: Mapping[str, np.ndarray],
+    stream: np.ndarray,
+    label_noise: float,
+) -> list[tuple[tuple[str, ...], str]]:
+    """Execute one case per row of ``stream``, shape ``(n, C + 1)``; returns
+    each case's activities, in path order, and its label."""
+    n = len(stream)
+    rows = np.arange(n)
+    cursor = np.zeros(n, dtype=np.intp)
+
+    def draw(arrived: np.ndarray) -> np.ndarray:
+        u = stream[rows, cursor]
+        cursor[arrived] += 1
+        return u
+
+    indicators, ends = execute_rows(defn, attr_columns, n, draw)
+    ends_positive = [ends[e.name] for e in defn.end_nodes if e.label == POSITIVE]
+    positive = np.logical_or.reduce(ends_positive, initial=False, axis=0)
+    flip = stream[rows, cursor] < label_noise
+    labels = np.where(positive ^ flip, POSITIVE, NEGATIVE).tolist()
+    # A path visits its activities in topological order.
+    col = {name: j for j, name in enumerate(defn.activity_names)}
+    order = [name for name in topological_order(defn) if name in col]
+    visited = indicators[:, [col[name] for name in order]].tolist()
+    return [(tuple(compress(order, row)), label) for row, label in zip(visited, labels)]
 
 
 def execute_case(
@@ -229,59 +247,33 @@ def execute_case(
     label_noise: float = 0.0,
     case_id: str = "",
 ) -> Trace:
-    """Walk the graph once: guards route xors, the rng routes choices."""
-    activities: list[str] = []
-    current = defn.start
-    while True:
-        node = defn.node(current)
-        if isinstance(node, Activity):
-            activities.append(node.name)
-            current = node.successor
-        elif isinstance(node, XorGateway):
-            current = node.otherwise
-            for branch in node.branches:
-                if eval_guard(branch.guard, attrs):
-                    current = branch.target
-                    break
-        elif isinstance(node, ChoiceGateway):
-            u = rng.random()
-            cumulative = 0.0
-            current = node.branches[-1].target
-            for branch in node.branches:
-                cumulative += branch.probability
-                if u < cumulative:
-                    current = branch.target
-                    break
-        elif isinstance(node, EndNode):
-            label = node.label
-            if rng.random() < label_noise:
-                label = NEGATIVE if label == POSITIVE else POSITIVE
-            return Trace(
-                case_id=case_id,
-                attrs=dict(sorted(attrs.items())),
-                activities=tuple(activities),
-                label=label,
-            )
-        else:
-            raise TypeError(f"not a node: {node!r}")
+    """Execute one case: guards route xors, the rng routes choices.
+
+    A one-row run on ``rng.random((1, C + 1))`` for ``C`` choice gateways.
+    """
+    columns = {name: np.array([value]) for name, value in attrs.items()}
+    stream = rng.random((1, len(defn.choice_gateways) + 1))
+    [(activities, label)] = _run(defn, columns, stream, label_noise)
+    return Trace(case_id, dict(sorted(attrs.items())), activities, label)
 
 
 def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
     """Simulate ``config.n_cases`` cases; pure function of its arguments."""
     distributions = _resolve_distributions(defn, config)
-    traces: list[Trace] = []
-    for ordinal in range(config.n_cases):
-        rng = case_rng(config.seed, ordinal)
-        attrs = sample_attrs(defn, distributions, rng)
-        traces.append(
-            execute_case(
-                defn,
-                attrs,
-                rng,
-                label_noise=config.label_noise,
-                case_id=f"c{ordinal + 1:06d}",
-            )
-        )
+    names = defn.attribute_names
+    width = len(names) + len(defn.choice_gateways) + 1
+    stream = np.array(
+        [case_rng(config.seed, i).random(width) for i in range(config.n_cases)]
+    ).reshape(config.n_cases, width)
+    values = np.empty((config.n_cases, len(names)))
+    for j, name in enumerate(names):
+        values[:, j] = _variates(distributions[name], stream[:, j])
+    columns = {name: values[:, j] for j, name in enumerate(names)}
+    runs = _run(defn, columns, stream[:, len(names):], config.label_noise)
+    traces = tuple(
+        Trace(f"c{i + 1:06d}", dict(zip(names, row)), activities, label)
+        for i, (row, (activities, label)) in enumerate(zip(values.tolist(), runs))
+    )
     provenance: dict[str, Any] = {
         "kind": "simulated",
         "process": defn.name,
@@ -289,7 +281,7 @@ def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
     }
     if config.n_cases == 0:
         provenance["warnings"] = ["n_cases is 0; log is empty"]
-    return EventLog(process_name=defn.name, traces=tuple(traces), provenance=provenance)
+    return EventLog(process_name=defn.name, traces=traces, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ branches, so the two notions would diverge there.
 The sweep oracle re-implements everything it needs (guard evaluation and
 path enumeration) so it shares no code with the derivation under test.
 ``decisive_attribute`` reads the same guard comparisons to tell which
-attribute of a conjunctive guard an instance sits nearest to, and
+attribute of a conjunctive guard an instance sits nearest to,
 ``path_indicators`` enumerates root-to-end paths one at a time as the
-reference for the conformance oracle.
+reference for the conformance oracle, and ``simulate_reference`` walks one
+case at a time with sequential draws as the reference for the simulator.
+``REJOINING``, ``CHAIN`` and ``NO_ATTRIBUTES`` are hand-written processes
+outside the tree family: a DAG whose branches rejoin, one with more than 64
+activities, and one without attributes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import itertools
 import operator
 
 import numpy as np
+from scipy import stats
 
 from procex.features import FeatureSchema, Scaler
 from procex.process_model import (
@@ -40,6 +45,7 @@ from procex.process_model import (
     ProcessDefinition,
     XorBranch,
     XorGateway,
+    parse_process,
     validate,
 )
 
@@ -140,6 +146,69 @@ def random_process(rng: np.random.Generator, index: int = 0) -> ProcessDefinitio
     report = validate(defn)
     assert report.ok, f"generator produced an invalid process: {report.findings}"
     return defn
+
+
+# Branches rejoin (review, escalate, merge have several parents), the triage
+# xor has three ``when`` branches whose guards overlap, a second xor sits
+# downstream of the first, and choices nest.
+REJOINING = parse_process(
+    """
+    process rejoin
+    attr a: numeric in [0, 10]
+    attr b: numeric in [0, 10]
+    start -> intake
+    activity intake -> triage
+    gateway triage {
+        when a < 3 -> fast
+        when a < 6 && b > 5 -> review
+        when b > 8 -> audit
+        otherwise -> review
+    }
+    activity fast -> merge
+    activity review -> second
+    gateway second choice { 0.5 -> deep 0.5 -> merge }
+    activity deep -> nested
+    gateway nested choice { 0.3 -> escalate 0.7 -> merge }
+    activity audit -> recheck
+    gateway recheck { when b > 9 -> escalate otherwise -> merge }
+    activity escalate -> merge
+    activity merge -> outcome
+    gateway outcome choice { 0.6 -> ok 0.4 -> no }
+    end ok label POSITIVE
+    end no label NEGATIVE
+    """
+)
+
+
+def long_chain(arm: int = 35, tail: int = 10):
+    """Two arms of ``arm`` activities chosen by an xor, rejoining into a tail
+    of ``tail`` activities with one optional step: 2 * arm + tail + 1
+    activities in all."""
+    lines = ["process chain", "attr x: numeric in [0, 1]", "start -> route"]
+    lines.append("gateway route { when x < 0.5 -> p0 otherwise -> q0 }")
+    for prefix in ("p", "q"):
+        for i in range(arm):
+            nxt = f"{prefix}{i + 1}" if i + 1 < arm else "t0"
+            lines.append(f"activity {prefix}{i} -> {nxt}")
+    for i in range(tail):
+        nxt = f"t{i + 1}" if i + 1 < tail else "opt"
+        lines.append(f"activity t{i} -> {nxt}")
+    lines.append("gateway opt choice { 0.5 -> extra 0.5 -> done }")
+    lines.append("activity extra -> done")
+    lines.append("end done label POSITIVE")
+    return parse_process("\n".join(lines) + "\n")
+
+
+CHAIN = long_chain()
+
+# No attributes, hence no xor gateway and no column to count cases by.
+NO_ATTRIBUTES_SOURCE = (
+    "process p\nstart -> a\nactivity a -> g\n"
+    "gateway g choice { 0.5 -> x 0.5 -> y }\n"
+    "activity x -> ok\nactivity y -> bad\n"
+    "end ok label POSITIVE\nend bad label NEGATIVE\n"
+)
+NO_ATTRIBUTES = parse_process(NO_ATTRIBUTES_SOURCE)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +320,75 @@ def path_indicators(
 
     walk(defn.start, frozenset())
     return frozenset(found)
+
+
+def simulate_reference(
+    defn: ProcessDefinition,
+    n_cases: int,
+    seed: int,
+    label_noise: float = 0.0,
+    distributions: dict | None = None,
+) -> list[tuple[dict[str, float], tuple[str, ...], str]]:
+    """Walk each case on its own, one draw at a time: the simulator reference.
+
+    Case ``i`` draws from ``SeedSequence(entropy=seed, spawn_key=(i,))``:
+    first one variate per attribute in name order (``rng.uniform`` over the
+    declared bounds or a uniform override, ``truncnorm.rvs`` for an override
+    with a ``mean``), then one ``rng.random()`` per choice gateway as the walk
+    reaches it, then one ``rng.random()`` for label noise. Xor gateways route
+    by this module's own guard evaluation. Returns ``(attrs, activities,
+    label)`` per case.
+    """
+    distributions = distributions or {}
+    cases = []
+    for ordinal in range(n_cases):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(ordinal,))
+        )
+        attrs: dict[str, float] = {}
+        for decl in sorted(defn.attributes, key=lambda d: d.name):
+            dist = distributions.get(decl.name)
+            if dist is None:
+                attrs[decl.name] = float(rng.uniform(decl.lower, decl.upper))
+            elif not hasattr(dist, "mean"):
+                attrs[decl.name] = float(rng.uniform(dist.lower, dist.upper))
+            else:
+                a = (dist.lower - dist.mean) / dist.std
+                b = (dist.upper - dist.mean) / dist.std
+                attrs[decl.name] = float(
+                    stats.truncnorm.rvs(
+                        a, b, loc=dist.mean, scale=dist.std, random_state=rng
+                    )
+                )
+        activities: list[str] = []
+        node = defn.node(defn.start)
+        while not isinstance(node, EndNode):
+            if isinstance(node, Activity):
+                activities.append(node.name)
+                target = node.successor
+            elif isinstance(node, XorGateway):
+                target = node.otherwise
+                for branch in node.branches:
+                    if _eval(branch.guard, attrs):
+                        target = branch.target
+                        break
+            elif isinstance(node, ChoiceGateway):
+                u = rng.random()
+                target = node.branches[-1].target
+                cumulative = 0.0
+                for branch in node.branches:
+                    cumulative += branch.probability
+                    if u < cumulative:
+                        target = branch.target
+                        break
+            else:
+                raise TypeError(node)
+            node = defn.node(target)
+        label = node.label
+        if rng.random() < label_noise:
+            label = "NEGATIVE" if label == "POSITIVE" else "POSITIVE"
+        cases.append((attrs, tuple(activities), label))
+    return cases
 
 
 def sweep_oracle_edges(defn: ProcessDefinition) -> frozenset[tuple[str, str]]:

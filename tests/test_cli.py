@@ -10,6 +10,8 @@ import pytest
 from procex.cli import dispatch
 from procex.process_model import fixture_path
 
+from procgen import NO_ATTRIBUTES_SOURCE
+
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 LOAN = str(fixture_path())
 
@@ -212,6 +214,28 @@ class TestTrain:
         assert err == "MalformedLogError: line 2: missing field(s) 'label'\n"
 
 
+    def test_unconverged_training_notes_on_stderr(self, run, workspace, tmp_path):
+        argv = ["train", LOAN, "--log", str(workspace["log"]), "--epochs", "5"]
+        code, out, err = run(*argv, "--out", str(tmp_path / "a.json"))
+        assert code == 0
+        assert json.loads(out)["train_meta"]["converged"] is False
+        assert "unconverged after epochs_run=5" in err
+        assert "--tol 1e-06" in err
+        quiet = run("-q", *argv, "--out", str(tmp_path / "b.json"))
+        assert quiet[0] == 0 and quiet[2] == ""
+        assert quiet[1].replace("b.json", "a.json") == out
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_converged_training_has_no_note(self, run, workspace, tmp_path):
+        code, out, err = run(
+            "train", LOAN, "--log", str(workspace["log"]),
+            "--out", str(tmp_path / "m.json"), "--tol", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["train_meta"]["converged"] is True
+        assert "unconverged" not in err
+
+
 class TestExplain:
     def test_case_from_log(self, run, workspace):
         case_id = json.loads(workspace["log"].read_text().splitlines()[0])["case_id"]
@@ -306,6 +330,52 @@ class TestExplain:
         assert code == 2
         assert out == ""
         assert "not a finite number" in err
+
+    def test_out_of_bounds_attribute_warns(self, run, workspace):
+        argv = [
+            "explain", LOAN,
+            "--model", str(workspace["model"]),
+            "--attrs", "credit_score=-5000,loan_amount=300000",
+            "--mode", "process-aware",
+            "--samples", "300",
+        ]
+        code, out, err = run(*argv)
+        assert code == 0
+        assert "credit_score=-5000.0" in err
+        assert "[300.0, 850.0]" in err
+        assert "loan_amount" not in err
+        quiet = run("-q", *argv)
+        assert quiet == (0, out, "")
+
+    def test_in_bounds_attributes_do_not_warn(self, run, workspace):
+        code, _, err = run(
+            "explain", LOAN,
+            "--model", str(workspace["model"]),
+            "--attrs", "credit_score=300,loan_amount=500000",
+            "--mode", "vanilla",
+            "--samples", "200",
+        )
+        assert code == 0
+        assert "warning" not in err
+
+    def test_process_without_attributes(self, run, tmp_path):
+        process = tmp_path / "p.bp"
+        process.write_text(NO_ATTRIBUTES_SOURCE)
+        log, model = tmp_path / "log.jsonl", tmp_path / "model.json"
+        assert run("simulate", str(process), "--n", "200", "--seed", "2", "--out", str(log))[0] == 0
+        assert run("train", str(process), "--log", str(log), "--out", str(model))[0] == 0
+        for strategy in ("propagate", "reject"):
+            code, out, err = run(
+                "explain", str(process),
+                "--model", str(model),
+                "--log", str(log),
+                "--case-id", "c000001",
+                "--mode", "process-aware",
+                "--strategy", strategy,
+                "--samples", "300",
+            )
+            assert code == 0, err
+            assert {a["feature"] for a in json.loads(out)["attributions"]} == {"a", "x", "y"}
 
     def test_top_truncates_both_lists(self, run, workspace):
         code, out, _ = run(

@@ -7,68 +7,10 @@ import pytest
 
 from procex.explainer import REJECT, sample_process_aware, sample_vanilla
 from procex.features import build_schema, encode_trace, fit_scaler, split_columns, split_vector
-from procex.process_model import (
-    conformant_rows,
-    parse_process,
-    reachable_indicators,
-    route_signatures,
-)
+from procex.process_model import conformant_rows, reachable_indicators, route_signatures
 from procex.simulation import SimulationConfig, generate_log, is_conformant
 
-from procgen import path_indicators, random_process
-
-# Branches rejoin (review, escalate, merge have several parents), the triage
-# xor has three ``when`` branches whose guards overlap, a second xor sits
-# downstream of the first, and choices nest.
-REJOINING = parse_process(
-    """
-    process rejoin
-    attr a: numeric in [0, 10]
-    attr b: numeric in [0, 10]
-    start -> intake
-    activity intake -> triage
-    gateway triage {
-        when a < 3 -> fast
-        when a < 6 && b > 5 -> review
-        when b > 8 -> audit
-        otherwise -> review
-    }
-    activity fast -> merge
-    activity review -> second
-    gateway second choice { 0.5 -> deep 0.5 -> merge }
-    activity deep -> nested
-    gateway nested choice { 0.3 -> escalate 0.7 -> merge }
-    activity audit -> recheck
-    gateway recheck { when b > 9 -> escalate otherwise -> merge }
-    activity escalate -> merge
-    activity merge -> outcome
-    gateway outcome choice { 0.6 -> ok 0.4 -> no }
-    end ok label POSITIVE
-    end no label NEGATIVE
-    """
-)
-
-
-def long_chain(arm: int = 35, tail: int = 10):
-    """Two arms of ``arm`` activities chosen by an xor, rejoining into a tail
-    of ``tail`` activities with one optional step: 2 * arm + tail + 1
-    activities in all."""
-    lines = ["process chain", "attr x: numeric in [0, 1]", "start -> route"]
-    lines.append("gateway route { when x < 0.5 -> p0 otherwise -> q0 }")
-    for prefix in ("p", "q"):
-        for i in range(arm):
-            nxt = f"{prefix}{i + 1}" if i + 1 < arm else "t0"
-            lines.append(f"activity {prefix}{i} -> {nxt}")
-    for i in range(tail):
-        nxt = f"t{i + 1}" if i + 1 < tail else "opt"
-        lines.append(f"activity t{i} -> {nxt}")
-    lines.append("gateway opt choice { 0.5 -> extra 0.5 -> done }")
-    lines.append("activity extra -> done")
-    lines.append("end done label POSITIVE")
-    return parse_process("\n".join(lines) + "\n")
-
-
-CHAIN = long_chain()
+from procgen import CHAIN, REJOINING, path_indicators, random_process
 
 
 def vanilla_rows(defn, n, flip_p, seed):

@@ -30,7 +30,9 @@ from procex.explainer import (
 from procex.features import build_schema, encode_trace, split_vector
 from procex.predictor import TrainConfig, predict_proba, train
 from procex.process_model import parse_process
-from procex.simulation import Trace, is_conformant
+from procex.simulation import SimulationConfig, Trace, generate_log, is_conformant
+
+from procgen import NO_ATTRIBUTES
 
 SKILLED_VEC = np.array([580.0, 300000.0, 1.0, 0.0, 1.0])
 STANDARD_VEC = np.array([700.0, 50000.0, 0.0, 1.0, 1.0])
@@ -127,6 +129,25 @@ class TestPropagate:
         took_y = b[:, names.index("y")]
         assert 0.3 < took_y.mean() < 0.7
         np.testing.assert_array_equal(took_y + b[:, names.index("z")], 1.0)
+
+    def test_process_without_attributes(self):
+        # Rows are counted from the sample count, not from an attribute column.
+        schema = build_schema(NO_ATTRIBUTES)
+        log = generate_log(NO_ATTRIBUTES, SimulationConfig(n_cases=200, seed=2))
+        model = train(log, schema)
+        config = ExplainConfig(mode=PROCESS_AWARE, strategy=PROPAGATE, n_samples=300)
+        instance = encode_trace(schema, log.traces[0])
+        explanation, perturbations = explain_detailed(
+            model, NO_ATTRIBUTES, instance, config
+        )
+        assert perturbations.samples.shape == (301, 3)
+        for row in perturbations.samples:
+            attrs, indicators = split_vector(schema, row)
+            assert is_conformant(NO_ATTRIBUTES, attrs, indicators)
+        assert 0.3 < perturbations.samples[:, schema.index("x")].mean() < 0.7
+        assert {name for name, _ in explanation.attributions} == set(schema.names)
+        with pytest.raises(SchemaMismatchError):
+            propagate_indicators(NO_ATTRIBUTES, {}, np.random.default_rng(0))
 
 
 class TestReject:

@@ -33,6 +33,8 @@ from procex.process_model import (
     validate,
 )
 
+from procgen import _eval
+
 MINIMAL = """
 process minimal
 attr a: numeric in [0, 1]
@@ -136,7 +138,7 @@ class TestGuards:
         batch = eval_guard_batch(g, cols)
         for i in range(64):
             attrs = {k: float(v[i]) for k, v in cols.items()}
-            assert bool(batch[i]) == eval_guard(g, attrs)
+            assert bool(batch[i]) == _eval(g, attrs)
 
     def test_format_round_trip(self):
         texts = [

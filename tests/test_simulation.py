@@ -1,5 +1,6 @@
 """Simulation determinism, conformance, and log serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,8 @@ from procex.simulation import (
     trace_indicators,
     write_log_jsonl,
 )
+
+from procgen import CHAIN, NO_ATTRIBUTES, REJOINING, random_process, simulate_reference
 
 SKILLED = {"credit_score": 580.0, "loan_amount": 300000.0}
 STANDARD = {"credit_score": 700.0, "loan_amount": 50000.0}
@@ -127,6 +130,52 @@ class TestGenerateLog:
         scores = np.array([t.attrs["credit_score"] for t in log.traces])
         assert scores.min() >= 500.0 and scores.max() <= 700.0
         assert abs(scores.mean() - 600.0) < 10.0
+
+
+class TestReferenceWalk:
+    """``generate_log`` against ``procgen.simulate_reference``, which walks
+    one case at a time with sequential draws."""
+
+    @staticmethod
+    def check(defn, config):
+        log = generate_log(defn, config)
+        want = simulate_reference(
+            defn, config.n_cases, config.seed, config.label_noise,
+            dict(config.distributions),
+        )
+        assert [(t.attrs, t.activities, t.label) for t in log.traces] == want
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_loan(self, loan, noise):
+        self.check(loan, SimulationConfig(n_cases=2000, seed=42, label_noise=noise))
+
+    def test_loan_with_overrides(self, loan):
+        distributions = {
+            "credit_score": TruncatedNormal(600.0, 30.0, 500.0, 700.0),
+            "loan_amount": Uniform(5000.0, 400000.0),
+        }
+        config = SimulationConfig(
+            n_cases=500, seed=3, label_noise=0.1, distributions=distributions
+        )
+        self.check(loan, config)
+
+    def test_random_processes(self):
+        for i in range(30):
+            defn = random_process(np.random.default_rng(700 + i), i)
+            self.check(defn, SimulationConfig(n_cases=100, seed=i, label_noise=0.2))
+
+    @pytest.mark.parametrize(
+        "defn", [REJOINING, CHAIN, NO_ATTRIBUTES], ids=["rejoining", "chain", "no_attributes"]
+    )
+    def test_hand_written_processes(self, defn):
+        self.check(defn, SimulationConfig(n_cases=300, seed=4, label_noise=0.2))
+
+
+def test_seed_42_log_bytes_are_pinned(loan, tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_log_jsonl(generate_log(loan, SimulationConfig(n_cases=10000, seed=42)), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "07a4bbb438356b29d1a3e2267684d930643da41f3d1a6ed57a9703b4b86dc0e2"
 
 
 class TestConfigValidation:
