@@ -20,6 +20,9 @@ Propagate: one normal matrix, then the simulator's executor
 :func:`~procex.process_model.execute_rows` reads one uniform vector per choice
 gateway in topological order (drawn whether or not any sample reaches it).
 Reject: vanilla-shaped batches of size n until enough samples are kept.
+
+``scipy.linalg`` is imported by the surrogate fit itself, so importing this
+module loads no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     ConfigError,
@@ -289,6 +291,8 @@ def fit_surrogate(
             f"need at least {k + 1} positively weighted samples, "
             f"got {int(np.count_nonzero(weights > 0))}"
         )
+    from scipy import linalg
+
     augmented = np.hstack([np.ones((n, 1)), design])
     weighted = augmented * weights[:, None]
     gram = augmented.T @ weighted

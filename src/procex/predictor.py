@@ -4,6 +4,8 @@ The model predicts the probability of the NEGATIVE outcome (a rejection),
 which is encoded as target 1. Training is deterministic full-batch gradient
 descent from zero-initialized weights over standardized features, so a given
 (log, hyperparameters) pair always yields byte-identical model files.
+``expit`` is imported where it is used, so importing this module loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import rankdata
 
 from .errors import (
     DivergedError,
@@ -111,6 +111,8 @@ def loss_and_gradient(
         np.mean(np.logaddexp(0.0, logits) - targets * logits)
         + 0.5 * l2 * float(weights @ weights)
     )
+    from scipy.special import expit
+
     residual = expit(logits) - targets
     grad_w = design.T @ residual / n + l2 * weights
     grad_b = float(residual.mean())
@@ -195,6 +197,8 @@ def predict_proba(model: LogisticModel, vectors: np.ndarray) -> np.ndarray | flo
             f"vector arity {vectors.shape[-1]} does not match "
             f"schema arity {model.schema.arity}"
         )
+    from scipy.special import expit
+
     design = model.scaler.apply(vectors)
     probs = expit(design @ model.weights + model.bias)
     return float(probs) if single else probs
@@ -219,6 +223,21 @@ class EvalMetrics:
         }
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of finite ``values``, ties sharing their mean rank.
+
+    Equal to ``scipy.stats.rankdata(values)``, whose import alone costs more
+    than a second of start-up.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def evaluate(model: LogisticModel, log: EventLog) -> EvalMetrics:
     """Accuracy at threshold 0.5, confusion counts, and rank-statistic AUC.
 
@@ -241,7 +260,7 @@ def evaluate(model: LogisticModel, log: EventLog) -> EvalMetrics:
     if n_pos == 0 or n_neg == 0:
         auc = math.nan
     else:
-        ranks = rankdata(scores)
+        ranks = _average_ranks(scores)
         auc = float(
             (ranks[targets == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
         )

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     BadLabelError,
@@ -206,6 +205,10 @@ def _variates(dist: Distribution, u: np.ndarray) -> np.ndarray:
     """What ``rng.uniform`` or ``truncnorm.rvs`` makes of the variates ``u``."""
     if isinstance(dist, Uniform):
         return dist.lower + (dist.upper - dist.lower) * u
+    # Imported here: scipy.stats costs over a second of start-up, and only
+    # truncated normals need it.
+    from scipy import stats
+
     a = (dist.lower - dist.mean) / dist.std
     b = (dist.upper - dist.mean) / dist.std
     return stats.truncnorm.ppf(u, a, b, loc=dist.mean, scale=dist.std)

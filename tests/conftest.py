@@ -1,7 +1,13 @@
 """Shared fixtures and the acceptance-summary reporting hook."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import procex
 from procex.features import build_schema
 from procex.predictor import train
 from procex.process_model import load_fixture
@@ -53,3 +59,22 @@ def rejected_skilled(model_log):
         for t in model_log.traces
         if t.label == "NEGATIVE" and "skilled_agent_review" in t.activities
     ]
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python source in a new interpreter that imports this checkout's
+    procex; returns its stdout and fails the test on a non-zero exit."""
+    src = str(Path(procex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(source: str) -> str:
+        result = subprocess.run(
+            [sys.executable, "-c", source],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    return run

@@ -501,3 +501,37 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["findings"] == []
+
+
+def test_start_up_path_loads_no_scipy(fresh_python, tmp_path):
+    """validate, causal-graph and simulate run without scipy; train loads
+    scipy.special for ``expit`` but not scipy.stats."""
+    source = f"""
+import json, sys
+import procex, procex.cli
+
+def run(*argv):
+    sys.argv = ["procex", "-q", *argv]
+    try:
+        procex.cli.main()
+    except SystemExit as exc:
+        return exc.code
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loan, log = {LOAN!r}, {str(tmp_path / "log.jsonl")!r}
+codes = [
+    run("validate", loan),
+    run("causal-graph", loan),
+    run("simulate", loan, "--n", "200", "--out", log),
+]
+before = scipy_modules()
+codes.append(run("train", loan, "--log", log, "--out", {str(tmp_path / "model.json")!r}))
+print(json.dumps({{"codes": codes, "before": before, "after": scipy_modules()}}))
+"""
+    result = json.loads(fresh_python(source).splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["before"] == []
+    assert "scipy.special" in result["after"]
+    assert "scipy.stats" not in result["after"]

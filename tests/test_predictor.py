@@ -14,6 +14,7 @@ from procex.errors import (
 from procex.features import build_schema, encode_log
 from procex.predictor import (
     TrainConfig,
+    _average_ranks,
     evaluate,
     labels_to_targets,
     load_model,
@@ -169,13 +170,20 @@ class TestPrediction:
 
 class TestEvaluate:
     def test_constant_model_has_half_auc(self):
-        log = tiny_log([(-1.0, POSITIVE), (1.0, NEGATIVE)])
-        model = train(log, TINY_SCHEMA, TrainConfig(epochs=0))
-        assert model.weights[0] == 0.0
-        metrics = evaluate(model, log)
-        assert metrics.auc == 0.5
-        # At exactly 0.5 every case is called NEGATIVE.
-        assert metrics.tp == 1 and metrics.fp == 1
+        balanced = [(-1.0, POSITIVE), (1.0, NEGATIVE)]
+        unbalanced = [
+            (-1.5, POSITIVE), (-0.5, NEGATIVE), (0.0, POSITIVE), (0.5, POSITIVE),
+            (1.0, NEGATIVE), (1.2, POSITIVE), (1.5, POSITIVE), (2.0, NEGATIVE),
+        ]
+        for points in (balanced, unbalanced):
+            log = tiny_log(points)
+            model = train(log, TINY_SCHEMA, TrainConfig(epochs=0))
+            assert model.weights[0] == 0.0
+            metrics = evaluate(model, log)
+            assert metrics.auc == 0.5
+            # At exactly 0.5 every case is called NEGATIVE.
+            n_negative = sum(label == NEGATIVE for _, label in points)
+            assert metrics.tp == n_negative and metrics.fp == len(points) - n_negative
 
     def test_single_class_auc_is_nan(self):
         model = train(SEPARABLE, TINY_SCHEMA, TrainConfig(epochs=1))
@@ -186,6 +194,37 @@ class TestEvaluate:
     def test_confusion_counts_sum_to_n(self, loan_model, small_log):
         m = evaluate(loan_model, small_log)
         assert m.tp + m.fp + m.tn + m.fn == m.n == len(small_log)
+
+
+class TestAverageRanks:
+    """The AUC's ranks against ``scipy.stats.rankdata``, bit for bit."""
+
+    @staticmethod
+    def check(values):
+        from scipy.stats import rankdata
+
+        got = _average_ranks(values)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, rankdata(values))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_untied(self, seed):
+        values = np.random.default_rng(seed).normal(size=500)
+        assert len(np.unique(values)) == len(values)
+        self.check(values)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_heavy_ties(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        values = np.round(rng.normal(size=int(rng.integers(50, 600))), 1)
+        assert len(np.unique(values)) < len(values)
+        self.check(values)
+
+    def test_all_equal(self):
+        self.check(np.full(37, 0.5))
+
+    def test_single_value(self):
+        self.check(np.array([0.25]))
 
 
 class TestSplit:

@@ -131,6 +131,31 @@ class TestGenerateLog:
         assert scores.min() >= 500.0 and scores.max() <= 700.0
         assert abs(scores.mean() - 600.0) < 10.0
 
+    def test_truncated_normal_in_fresh_interpreter(self, loan, fresh_python):
+        """scipy.stats is imported on first use; a process that has not
+        loaded it yet draws the same traces."""
+        source = """
+import json, sys
+from procex.process_model import load_fixture
+from procex.simulation import SimulationConfig, TruncatedNormal, generate_log
+
+assert "scipy.stats" not in sys.modules
+config = SimulationConfig(
+    n_cases=300,
+    seed=3,
+    distributions={"credit_score": TruncatedNormal(600.0, 30.0, 500.0, 700.0)},
+)
+log = generate_log(load_fixture(), config)
+print(json.dumps([[t.attrs, list(t.activities), t.label] for t in log.traces]))
+"""
+        config = SimulationConfig(
+            n_cases=300,
+            seed=3,
+            distributions={"credit_score": TruncatedNormal(600.0, 30.0, 500.0, 700.0)},
+        )
+        want = [[t.attrs, list(t.activities), t.label] for t in generate_log(loan, config).traces]
+        assert json.loads(fresh_python(source)) == want
+
 
 class TestReferenceWalk:
     """``generate_log`` against ``procgen.simulate_reference``, which walks
