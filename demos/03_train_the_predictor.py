@@ -28,8 +28,8 @@ schema = build_schema(loan)
 log = generate_log(loan, SimulationConfig(n_cases=10000, seed=42))
 train_log, test_log = split_log(log, test_fraction=0.2, seed=42)
 
-# Full-batch gradient descent from zero weights; features are standardized
-# with training statistics, the bias stays unpenalized.
+# Damped Newton steps from zero weights; features are standardized with
+# training statistics, the bias stays unpenalized.
 model = train(train_log, schema, TrainConfig())
 meta = model.train_meta
 print(f"epochs run: {meta['epochs_run']}, converged: {meta['converged']}")

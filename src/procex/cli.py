@@ -213,16 +213,10 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    config = TrainConfig(l2=args.l2, epochs=args.epochs, tol=args.tol, seed=args.seed)
     defn = _read_definition(args.process)
     schema = build_schema(defn)
     log = read_log_jsonl(args.log, process_name=defn.name)
-    config = TrainConfig(
-        learning_rate=args.lr,
-        l2=args.l2,
-        epochs=args.epochs,
-        tol=args.tol,
-        seed=args.seed,
-    )
     if args.split > 0:
         train_log, test_log = split_log(log, args.split, args.seed)
     else:
@@ -406,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("process", help="path to a .bp process definition")
     p.add_argument("--log", required=True, help="training log (JSONL)")
     p.add_argument("--out", required=True, help="output model path (JSON)")
-    p.add_argument("--lr", type=float, default=0.1, help="learning rate")
     p.add_argument("--l2", type=float, default=1e-3, help="L2 penalty")
-    p.add_argument("--epochs", type=_pos_int, default=2000, help="epoch limit")
+    p.add_argument(
+        "--epochs", type=_pos_int, default=2000, help="Newton iteration limit"
+    )
     p.add_argument("--tol", type=float, default=1e-6, help="gradient stop tolerance")
     p.add_argument(
         "--split", type=float, default=0.2,

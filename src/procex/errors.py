@@ -103,7 +103,7 @@ class SingleClassLogError(ProcexError):
 
 
 class DivergedError(ProcexError):
-    """Gradient descent produced a non-finite loss."""
+    """Training met a non-finite loss."""
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,7 @@ class ComparisonConfig:
             raise ConfigError(f"n_instances must be positive, got {self.n_instances}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        self.explain_config(PROCESS_AWARE, self.seeds[0])  # checks the shared settings
 
     def to_json_dict(self) -> dict:
         return {

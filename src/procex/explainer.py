@@ -20,9 +20,6 @@ Propagate: one normal matrix, then the simulator's executor
 :func:`~procex.process_model.execute_rows` reads one uniform vector per choice
 gateway in topological order (drawn whether or not any sample reaches it).
 Reject: vanilla-shaped batches of size n until enough samples are kept.
-
-``scipy.linalg`` is imported by the surrogate fit itself, so importing this
-module loads no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -56,7 +52,6 @@ __all__ = [
     "default_kernel_width",
     "sample_vanilla",
     "sample_process_aware",
-    "propagate_indicators",
     "kernel_weights",
     "fit_surrogate",
     "explain",
@@ -96,14 +91,16 @@ class ExplainConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be at least 1, got {self.n_samples}")
-        if self.spread < 0:
-            raise ConfigError(f"spread must be non-negative, got {self.spread}")
+        for name in ("spread", "ridge"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be a finite non-negative number, got {value}"
+                )
         if not 0.0 <= self.flip_p <= 1.0:
             raise ConfigError(f"flip_p must lie in [0, 1], got {self.flip_p}")
         if self.kernel_width is not None and not self.kernel_width > 0:
             raise ConfigError(f"kernel_width must be positive, got {self.kernel_width}")
-        if self.ridge < 0:
-            raise ConfigError(f"ridge must be non-negative, got {self.ridge}")
         if self.collapse_derived and self.mode != PROCESS_AWARE:
             raise ConfigError("collapse_derived applies to process_aware mode only")
 
@@ -189,20 +186,6 @@ def sample_vanilla(
     out[1:, num_idx] = numeric
     out[1:, bin_idx] = indicators
     return out
-
-
-def propagate_indicators(
-    defn: ProcessDefinition,
-    attr_columns: Mapping[str, np.ndarray],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Execute the process on every row at once; returns indicator rows
-    aligned to ``defn.activity_names``. Rows are counted from the columns;
-    without attributes, call ``execute_rows`` with the count."""
-    if not attr_columns:
-        raise SchemaMismatchError("no attribute column to count rows by")
-    n = len(next(iter(attr_columns.values())))
-    return execute_rows(defn, attr_columns, n, lambda arrived: rng.random(n))[0]
 
 
 def sample_process_aware(
@@ -291,20 +274,19 @@ def fit_surrogate(
             f"need at least {k + 1} positively weighted samples, "
             f"got {int(np.count_nonzero(weights > 0))}"
         )
-    from scipy import linalg
-
     augmented = np.hstack([np.ones((n, 1)), design])
     weighted = augmented * weights[:, None]
     gram = augmented.T @ weighted
     gram[1:, 1:] += ridge * np.eye(k)
     rhs = weighted.T @ targets
     try:
-        beta = linalg.cho_solve(linalg.cho_factor(gram), rhs)
-    except linalg.LinAlgError:
+        np.linalg.cholesky(gram)  # succeeds only if gram is positive definite
+    except np.linalg.LinAlgError:
         raise SingularSystemError(
             "normal equations are singular; the design is rank-deficient "
             "and ridge is 0"
         ) from None
+    beta = np.linalg.solve(gram, rhs)
     fitted = augmented @ beta
     total_weight = weights.sum()
     target_mean = float(weights @ targets) / total_weight

@@ -1,11 +1,10 @@
 """Binary outcome predictor: L2-regularized logistic regression.
 
 The model predicts the probability of the NEGATIVE outcome (a rejection),
-which is encoded as target 1. Training is deterministic full-batch gradient
-descent from zero-initialized weights over standardized features, so a given
-(log, hyperparameters) pair always yields byte-identical model files.
-``expit`` is imported where it is used, so importing this module loads no
-scipy.
+which is encoded as target 1. Training minimizes the penalized mean logistic
+loss exactly, by damped Newton steps from zero-initialized weights over
+standardized features, so a given (log, hyperparameters) pair always yields
+byte-identical model files. Only numpy is used.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DivergedError,
     EmptyLogError,
     SchemaMismatchError,
@@ -29,7 +29,7 @@ from .features import (
     Scaler,
     build_schema,
     encode_log,
-    fit_scaler,
+    scaler_from_matrix,
 )
 from .process_model import NEGATIVE, ProcessDefinition
 from .simulation import EventLog
@@ -50,15 +50,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.1
+    """``epochs`` caps the Newton iterations; training stops earlier once the
+    gradient's max norm falls below ``tol``."""
+
     l2: float = 1e-3
     epochs: int = 2000
     tol: float = 1e-6
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        for name in ("l2", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be a finite non-negative number, got {value}"
+                )
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+
     def to_json_dict(self) -> dict:
         return {
-            "learning_rate": self.learning_rate,
             "l2": self.l2,
             "epochs": self.epochs,
             "tol": self.tol,
@@ -67,8 +78,9 @@ class TrainConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TrainConfig":
+        # Files written by the gradient-descent trainer also carry a
+        # ``learning_rate``; it no longer means anything and is not read.
         return TrainConfig(
-            learning_rate=data["learning_rate"],
             l2=data["l2"],
             epochs=data["epochs"],
             tol=data["tol"],
@@ -93,6 +105,12 @@ def labels_to_targets(labels: tuple[str, ...]) -> np.ndarray:
     return np.array([1.0 if label == NEGATIVE else 0.0 for label in labels])
 
 
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    """Logistic function via ``tanh``, which saturates instead of
+    overflowing, so every finite logit is safe."""
+    return 0.5 * (1.0 + np.tanh(0.5 * logits))
+
+
 def loss_and_gradient(
     weights: np.ndarray,
     bias: float,
@@ -111,12 +129,13 @@ def loss_and_gradient(
         np.mean(np.logaddexp(0.0, logits) - targets * logits)
         + 0.5 * l2 * float(weights @ weights)
     )
-    from scipy.special import expit
-
-    residual = expit(logits) - targets
+    residual = _sigmoid(logits) - targets
     grad_w = design.T @ residual / n + l2 * weights
     grad_b = float(residual.mean())
     return loss, grad_w, grad_b
+
+
+_MAX_HALVINGS = 50
 
 
 def train(
@@ -125,11 +144,15 @@ def train(
     config: TrainConfig = TrainConfig(),
     track_loss: bool = False,
 ) -> LogisticModel:
-    """Fit the predictor by full-batch gradient descent.
+    """Fit the predictor by damped Newton steps on the penalized loss.
 
-    Stops at the epoch limit or as soon as the gradient's max norm drops
-    below ``config.tol``. Raises ``EmptyLogError``, ``SingleClassLogError``,
-    or ``DivergedError`` (non-finite loss).
+    Each step solves the Hessian system for weights and bias together, taking
+    the minimum-norm solution, so a constant or duplicated feature at
+    ``l2 = 0`` (a singular Hessian) still gets a step; the step is halved
+    while the loss rises. Stops after ``config.epochs`` steps, as soon as the
+    gradient's max norm drops below ``config.tol``, or when no halving lowers
+    the loss. Raises ``EmptyLogError``, ``SingleClassLogError``, or
+    ``DivergedError`` (non-finite loss).
     """
     matrix, labels = encode_log(schema, log)
     targets = labels_to_targets(labels)
@@ -137,48 +160,58 @@ def train(
         raise SingleClassLogError(
             f"training needs both outcome labels, got only {labels[0]!r}"
         )
-    scaler = fit_scaler(schema, log)
+    scaler = scaler_from_matrix(matrix)
     design = scaler.apply(matrix)
+    n, k = design.shape
+    # The bias is the last parameter, and the only unpenalized one.
+    augmented = np.hstack([design, np.ones((n, 1))])
+    penalty = np.diag(np.r_[np.full(k, config.l2), 0.0])
 
-    weights = np.zeros(schema.arity)
-    bias = 0.0
-    history: list[float] = []
-    epochs_run = 0
-    converged = False
-    for epoch in range(config.epochs):
+    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
         loss, grad_w, grad_b = loss_and_gradient(
-            weights, bias, design, targets, config.l2
+            params[:k], params[k], design, targets, config.l2
         )
-        if not math.isfinite(loss):
-            raise DivergedError(f"loss became non-finite at epoch {epoch}")
-        if track_loss:
-            history.append(loss)
-        grad_norm = max(float(np.max(np.abs(grad_w))), abs(grad_b))
-        if grad_norm < config.tol:
-            converged = True
-            break
-        weights = weights - config.learning_rate * grad_w
-        bias = bias - config.learning_rate * grad_b
-        epochs_run = epoch + 1
+        return loss, np.r_[grad_w, grad_b]
 
-    final_loss, _, _ = loss_and_gradient(weights, bias, design, targets, config.l2)
-    if not math.isfinite(final_loss):
-        raise DivergedError("loss became non-finite after the final step")
-    if track_loss:
-        history.append(final_loss)
+    params = np.zeros(k + 1)
+    loss, grad = objective(params)
+    if not math.isfinite(loss):
+        # Accepted steps never raise the loss, so only the start can fail.
+        raise DivergedError("loss is non-finite at the zero-weight start")
+    history = [loss]
+    epochs_run = 0
+    converged = float(np.max(np.abs(grad))) < config.tol
+    while not converged and epochs_run < config.epochs:
+        probs = _sigmoid(augmented @ params)
+        hessian = (augmented.T * (probs * (1.0 - probs))) @ augmented / n + penalty
+        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        rate = 1.0
+        for _ in range(_MAX_HALVINGS):
+            candidate = params - rate * step
+            candidate_loss, candidate_grad = objective(candidate)
+            if candidate_loss <= loss:
+                break
+            rate /= 2
+        else:
+            break  # no halving lowers the loss: the fit is as close as it gets
+        params, loss, grad = candidate, candidate_loss, candidate_grad
+        history.append(loss)
+        epochs_run += 1
+        converged = float(np.max(np.abs(grad))) < config.tol
+
     train_meta: dict[str, Any] = {
         "n_cases": len(log.traces),
         "epochs_run": epochs_run,
         "converged": converged,
-        "final_loss": final_loss,
+        "final_loss": loss,
     }
     if track_loss:
         train_meta["loss_history"] = history
     return LogisticModel(
         schema=schema,
         scaler=scaler,
-        weights=weights,
-        bias=bias,
+        weights=params[:k],
+        bias=float(params[k]),
         config=config,
         train_meta=train_meta,
     )
@@ -197,10 +230,8 @@ def predict_proba(model: LogisticModel, vectors: np.ndarray) -> np.ndarray | flo
             f"vector arity {vectors.shape[-1]} does not match "
             f"schema arity {model.schema.arity}"
         )
-    from scipy.special import expit
-
     design = model.scaler.apply(vectors)
-    probs = expit(design @ model.weights + model.bias)
+    probs = _sigmoid(design @ model.weights + model.bias)
     return float(probs) if single else probs
 
 

@@ -407,10 +407,19 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest guard the parser accepts: a syntax tree at most this many levels
+# deep (a comparison is one level; `&&`, `||` and `!` each add one above their
+# operands) inside at most this many nested parentheses. The guard helpers
+# recurse on the tree and the parser on parentheses, so the bound keeps both
+# far from Python's recursion limit.
+GUARD_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        self._open_parens = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -532,7 +541,7 @@ class _Parser:
             tok = self._peek()
             if tok.kind == "word" and tok.text == "when":
                 self._next()
-                guard = self._parse_or()
+                guard, _ = self._parse_or()
                 self._expect_sym("->")
                 whens.append(XorBranch(guard, self._ident()))
             elif tok.kind == "word" and tok.text == "otherwise":
@@ -547,44 +556,60 @@ class _Parser:
 
     # -- guard expressions -------------------------------------------------
 
-    def _parse_or(self) -> GuardExpr:
-        expr = self._parse_and()
+    # The _parse_* methods below return the expression and its tree depth
+    # (a comparison is 1).
+
+    def _guard_depth(self, depth: int, tok: _Token) -> int:
+        """``depth``, unless it passes the limit at ``tok``."""
+        if depth > GUARD_MAX_DEPTH:
+            raise self._error(f"a guard at most {GUARD_MAX_DEPTH} levels deep", tok)
+        return depth
+
+    def _parse_or(self) -> tuple[GuardExpr, int]:
+        expr, depth = self._parse_and()
         while self._peek().kind == "sym" and self._peek().text == "||":
-            self._next()
-            expr = Or(expr, self._parse_and())
-        return expr
+            tok = self._next()
+            right, right_depth = self._parse_and()
+            expr = Or(expr, right)
+            depth = self._guard_depth(1 + max(depth, right_depth), tok)
+        return expr, depth
 
-    def _parse_and(self) -> GuardExpr:
-        expr = self._parse_unary()
+    def _parse_and(self) -> tuple[GuardExpr, int]:
+        expr, depth = self._parse_unary()
         while self._peek().kind == "sym" and self._peek().text == "&&":
-            self._next()
-            expr = And(expr, self._parse_unary())
-        return expr
+            tok = self._next()
+            right, right_depth = self._parse_unary()
+            expr = And(expr, right)
+            depth = self._guard_depth(1 + max(depth, right_depth), tok)
+        return expr, depth
 
-    def _parse_unary(self) -> GuardExpr:
+    def _parse_unary(self) -> tuple[GuardExpr, int]:
         if self._peek().kind == "sym" and self._peek().text == "!":
-            self._next()
-            return Not(self._parse_primary())
+            tok = self._next()
+            operand, depth = self._parse_primary()
+            return Not(operand), self._guard_depth(1 + depth, tok)
         return self._parse_primary()
 
-    def _parse_primary(self) -> GuardExpr:
+    def _parse_primary(self) -> tuple[GuardExpr, int]:
         tok = self._peek()
         if tok.kind == "sym" and tok.text == "(":
             self._next()
-            expr = self._parse_or()
+            self._open_parens = self._guard_depth(self._open_parens + 1, tok)
+            parsed = self._parse_or()
             self._expect_sym(")")
-            return expr
+            self._open_parens -= 1
+            return parsed
         attribute = self._ident()
         tok = self._next()
         if tok.kind != "sym" or tok.text not in _CMP_FUNCS:
             raise self._error("a comparison operator", tok)
-        return Comparison(attribute, tok.text, self._number())
+        return Comparison(attribute, tok.text, self._number()), 1
 
 
 def parse_guard(text: str) -> GuardExpr:
     """Parse a standalone guard expression (mainly for tests and tooling)."""
     parser = _Parser(_tokenize(text))
-    expr = parser._parse_or()
+    expr, _ = parser._parse_or()
     trailing = parser._peek()
     if trailing.kind != "eof":
         raise parser._error("end of input", trailing)

@@ -20,6 +20,7 @@ reachable paths once per distinct xor route rather than once per case.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -377,6 +378,12 @@ def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
                 raise MalformedLogError(
                     f"line {line_no}: 'attrs' is not an object of numbers"
                 ) from None
+            for name, value in attrs.items():
+                if not math.isfinite(value):
+                    raise MalformedLogError(
+                        f"line {line_no}: attribute {name!r} is {value}, "
+                        "not a finite number"
+                    )
             activities = record["activities"]
             if not isinstance(activities, list) or not all(
                 isinstance(a, str) for a in activities
@@ -434,12 +441,15 @@ def import_log_csv(
                 for column in attr_columns:
                     cell = row[column]
                     try:
-                        attrs[column] = float(cell)
+                        value = float(cell)
                     except (TypeError, ValueError):
+                        value = math.nan
+                    if not math.isfinite(value):
                         raise UnparsableNumberError(
                             f"row {row_no}, column {column!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        ) from None
+                            f"cannot parse {cell!r} as a finite number"
+                        )
+                    attrs[column] = value
                 attrs_by_case[case_id] = dict(sorted(attrs.items()))
                 label = (row[label_column] or "").strip().upper()
                 if label not in LABELS:

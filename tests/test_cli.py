@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON payloads, help texts."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,54 @@ class TestValidate:
         code, _, err = run("validate", str(tmp_path / "nope.bp"))
         assert code == 1
         assert "FileNotFoundError" in err
+
+
+def _guard_process(tmp_path, guard):
+    """A one-gateway process routing on ``guard``; returns the path and the
+    1-based column where the guard starts on its line (line 4)."""
+    prefix = "gateway g { when "
+    path = tmp_path / "deep.bp"
+    path.write_text(
+        "process deep\nattr a: numeric in [0, 10]\nstart -> g\n"
+        f"{prefix}{guard} -> x otherwise -> y }}\n"
+        "end x label POSITIVE\nend y label NEGATIVE\n"
+    )
+    return str(path), len(prefix) + 1
+
+
+DEEP_GUARDS = {
+    # A comparison chain: the && tree goes past 100 levels at its 100th &&.
+    "chain": (" && ".join(["a < 5"] * 1500), len(" && ".join(["a < 5"] * 100)) + 1, "&&"),
+    # One comparison in nested parentheses: the 101st ( goes past 100.
+    "parentheses": ("(" * 1200 + "a < 5" + ")" * 1200, 100, "("),
+}
+
+
+class TestDeepGuards:
+    @pytest.mark.parametrize("shape", sorted(DEEP_GUARDS))
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["causal-graph"], ["simulate", "--n", "5", "--out", "x.jsonl"]]
+    )
+    def test_too_deep_is_a_syntax_error(self, run, tmp_path, shape, argv):
+        guard, offset, token = DEEP_GUARDS[shape]
+        path, col = _guard_process(tmp_path, guard)
+        argv = [str(tmp_path / a) if a.endswith(".jsonl") else a for a in argv]
+        code, out, err = run(argv[0], path, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"DslSyntaxError: line 4, col {col + offset}: expected a guard at most "
+            f"100 levels deep, found '{token}'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "guard", [" && ".join(["a < 5"] * 100), "(" * 100 + "a < 5" + ")" * 100]
+    )
+    def test_at_the_limit_runs(self, run, tmp_path, guard):
+        path, _ = _guard_process(tmp_path, guard)
+        assert run("validate", path)[0] == 0
+        code, out, _ = run("simulate", path, "--n", "20", "--out", str(tmp_path / "x.jsonl"))
+        assert code == 0
+        assert sum(json.loads(out)["label_counts"].values()) == 20
 
 
 class TestCausalGraph:
@@ -161,6 +210,26 @@ class TestImport:
         assert "MissingColumnError" in err
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_fails(self, run, tmp_path, cell):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text(CSV_TEXT.replace("c2,700,", f"c2,{cell},"))
+        out_path = tmp_path / "log.jsonl"
+        code, out, err = run(
+            "import",
+            "--csv", str(csv_path),
+            "--attrs", "credit_score,loan_amount",
+            "--label", "label",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"UnparsableNumberError: row 4, column 'credit_score': "
+            f"cannot parse '{cell}' as a finite number\n"
+        )
+        assert not out_path.exists()
+
+
 class TestTrain:
     def test_model_file_and_metrics(self, workspace):
         data = json.loads(workspace["model"].read_text())
@@ -215,16 +284,70 @@ class TestTrain:
 
 
     def test_unconverged_training_notes_on_stderr(self, run, workspace, tmp_path):
-        argv = ["train", LOAN, "--log", str(workspace["log"]), "--epochs", "5"]
+        argv = ["train", LOAN, "--log", str(workspace["log"]), "--epochs", "1"]
         code, out, err = run(*argv, "--out", str(tmp_path / "a.json"))
         assert code == 0
         assert json.loads(out)["train_meta"]["converged"] is False
-        assert "unconverged after epochs_run=5" in err
+        assert "unconverged after epochs_run=1" in err
         assert "--tol 1e-06" in err
         quiet = run("-q", *argv, "--out", str(tmp_path / "b.json"))
         assert quiet[0] == 0 and quiet[2] == ""
         assert quiet[1].replace("b.json", "a.json") == out
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_default_training_converges_without_a_note(self, run, workspace, tmp_path):
+        code, out, err = run(
+            "train", LOAN, "--log", str(workspace["log"]), "--out", str(tmp_path / "m.json")
+        )
+        assert code == 0
+        meta = json.loads(out)["train_meta"]
+        assert meta["converged"] is True and meta["epochs_run"] <= 10
+        assert "note:" not in err
+
+    def test_zero_penalty_trains(self, run, workspace, tmp_path):
+        # The loan log's Hessian is exactly singular without a penalty.
+        model = tmp_path / "m.json"
+        code, out, _ = run(
+            "train", LOAN, "--log", str(workspace["log"]), "--out", str(model), "--l2", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["train_meta"]["converged"] is True
+        data = json.loads(model.read_text())
+        assert all(math.isfinite(w) for w in [*data["weights"], data["bias"]])
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--l2", "-1", "l2 must be a finite non-negative number, got -1.0"),
+            ("--l2", "nan", "l2 must be a finite non-negative number, got nan"),
+            ("--tol", "-1e-6", "tol must be a finite non-negative number, got -1e-06"),
+            ("--tol", "nan", "tol must be a finite non-negative number, got nan"),
+        ],
+    )
+    def test_bad_numbers_are_config_errors(self, run, workspace, tmp_path, flag, value, message):
+        model = tmp_path / "m.json"
+        code, out, err = run(
+            "train", LOAN, "--log", str(workspace["log"]), "--out", str(model),
+            f"{flag}={value}",
+        )
+        assert (code, out, err) == (1, "", f"ConfigError: {message}\n")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_attribute_in_log_fails(self, run, workspace, tmp_path, value):
+        lines = workspace["log"].read_text().splitlines()
+        lines[2] = lines[2].replace('"credit_score": ', f'"credit_score": {value}, "x": ', 1)
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            "train", LOAN, "--log", str(log), "--out", str(tmp_path / "m.json")
+        )
+        shown = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[value]
+        assert (code, out) == (1, "")
+        assert err == (
+            f"MalformedLogError: line 3: attribute 'credit_score' is {shown}, "
+            "not a finite number\n"
+        )
 
     def test_converged_training_has_no_note(self, run, workspace, tmp_path):
         code, out, err = run(
@@ -416,6 +539,25 @@ class TestExplain:
         assert json.loads(out_path.read_text()) == json.loads(out)
 
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--ridge", "nan"), ("--spread", "nan"), ("--ridge", "inf")]
+    )
+    def test_non_finite_numbers_are_config_errors(self, run, workspace, flag, value):
+        code, out, err = run(
+            "explain", LOAN,
+            "--model", str(workspace["model"]),
+            "--attrs", "credit_score=700,loan_amount=50000",
+            "--mode", "process-aware",
+            flag, value,
+        )
+        name = flag.lstrip("-")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"ConfigError: {name} must be a finite non-negative number, "
+            f"got {float(value)}\n"
+        )
+
+
 class TestEvaluate:
     def test_end_to_end(self, run, workspace, tmp_path):
         report = tmp_path / "report.json"
@@ -504,8 +646,8 @@ def test_console_entry_point():
 
 
 def test_start_up_path_loads_no_scipy(fresh_python, tmp_path):
-    """validate, causal-graph and simulate run without scipy; train loads
-    scipy.special for ``expit`` but not scipy.stats."""
+    """validate, causal-graph, simulate, train and process-aware explain
+    (propagate and reject) all run without loading any scipy module."""
     source = f"""
 import json, sys
 import procex, procex.cli
@@ -521,17 +663,27 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 loan, log = {LOAN!r}, {str(tmp_path / "log.jsonl")!r}
+model = {str(tmp_path / "model.json")!r}
 codes = [
     run("validate", loan),
     run("causal-graph", loan),
     run("simulate", loan, "--n", "200", "--out", log),
 ]
 before = scipy_modules()
-codes.append(run("train", loan, "--log", log, "--out", {str(tmp_path / "model.json")!r}))
-print(json.dumps({{"codes": codes, "before": before, "after": scipy_modules()}}))
+codes.append(run("train", loan, "--log", log, "--out", model))
+after_train = scipy_modules()
+for strategy in ("propagate", "reject"):
+    codes.append(run(
+        "explain", loan, "--model", model, "--attrs", "credit_score=580,loan_amount=300000",
+        "--mode", "process-aware", "--strategy", strategy, "--samples", "300",
+    ))
+print(json.dumps({{
+    "codes": codes, "before": before, "after_train": after_train,
+    "after_explain": scipy_modules(),
+}}))
 """
     result = json.loads(fresh_python(source).splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0] * 6
     assert result["before"] == []
-    assert "scipy.special" in result["after"]
-    assert "scipy.stats" not in result["after"]
+    assert result["after_train"] == []
+    assert result["after_explain"] == []

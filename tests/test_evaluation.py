@@ -235,6 +235,11 @@ class TestRunComparison:
             ComparisonConfig(n_instances=0)
         with pytest.raises(ConfigError):
             ComparisonConfig(seeds=())
+        # The explainer settings are checked when the config is built.
+        with pytest.raises(ConfigError, match="ridge"):
+            ComparisonConfig(ridge=float("nan"))
+        with pytest.raises(ConfigError, match="spread"):
+            ComparisonConfig(spread=-1.0)
 
 
 class TestReportFiles:

@@ -23,13 +23,12 @@ from procex.explainer import (
     explain_detailed,
     fit_surrogate,
     kernel_weights,
-    propagate_indicators,
     sample_process_aware,
     sample_vanilla,
 )
 from procex.features import build_schema, encode_trace, split_vector
 from procex.predictor import TrainConfig, predict_proba, train
-from procex.process_model import parse_process
+from procex.process_model import execute_rows, parse_process
 from procex.simulation import SimulationConfig, Trace, generate_log, is_conformant
 
 from procgen import NO_ATTRIBUTES
@@ -121,8 +120,9 @@ class TestPropagate:
         defn = parse_process(text)
         low = {"a": np.full(100, 1.0)}
         high = {"a": np.full(100, 9.0)}
-        a = propagate_indicators(defn, low, np.random.default_rng(8))
-        b = propagate_indicators(defn, high, np.random.default_rng(8))
+        rngs = np.random.default_rng(8), np.random.default_rng(8)
+        a, _ = execute_rows(defn, low, 100, lambda arrived: rngs[0].random(100))
+        b, _ = execute_rows(defn, high, 100, lambda arrived: rngs[1].random(100))
         names = defn.activity_names
         assert np.all(a[:, names.index("x")] == 1.0)
         assert np.all(b[:, names.index("x")] == 0.0)
@@ -146,8 +146,6 @@ class TestPropagate:
             assert is_conformant(NO_ATTRIBUTES, attrs, indicators)
         assert 0.3 < perturbations.samples[:, schema.index("x")].mean() < 0.7
         assert {name for name, _ in explanation.attributions} == set(schema.names)
-        with pytest.raises(SchemaMismatchError):
-            propagate_indicators(NO_ATTRIBUTES, {}, np.random.default_rng(0))
 
 
 class TestReject:
@@ -283,6 +281,12 @@ class TestExplainConfig:
             ExplainConfig(kernel_width=0.0)
         with pytest.raises(ConfigError):
             ExplainConfig(ridge=-0.1)
+
+    @pytest.mark.parametrize("name", ["spread", "ridge"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be a finite"):
+            ExplainConfig(**{name: value})
 
 
 class TestExplain:

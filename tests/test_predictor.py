@@ -1,11 +1,14 @@
 """Logistic predictor: optimization, metrics, and model files."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from procex.errors import (
+    ConfigError,
     DivergedError,
     EmptyLogError,
     SchemaMismatchError,
@@ -56,9 +59,7 @@ class TestTraining:
         assert metrics.auc == 1.0
 
     def test_heavy_regularization_shrinks_weights(self):
-        # The step size must shrink with l2 to keep plain gradient descent
-        # stable (lr * l2 < 2).
-        config = TrainConfig(learning_rate=1e-5, l2=1e4)
+        config = TrainConfig(l2=1e4)
         model = train(SEPARABLE, TINY_SCHEMA, config)
         assert abs(model.weights[0]) < 1e-3
         # With the weight gone, the unpenalized bias settles at the base rate.
@@ -86,10 +87,48 @@ class TestTraining:
         assert converged.train_meta["converged"] is True
         assert converged.train_meta["epochs_run"] < 2000
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_diverging_rate_raises(self):
-        with pytest.raises(DivergedError):
-            train(SEPARABLE, TINY_SCHEMA, TrainConfig(learning_rate=1e200))
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_loss_raises(self):
+        # Log files refuse such values; an in-process log can still hold one.
+        log = tiny_log([(-1.0, POSITIVE), (np.inf, NEGATIVE)])
+        with pytest.raises(DivergedError, match="non-finite"):
+            train(log, TINY_SCHEMA)
+
+    def test_fit_is_optimal_at_the_saved_weights(self, model_log, loan_schema):
+        config = TrainConfig()
+        model = train(model_log, loan_schema, config)
+        assert model.train_meta["converged"] is True
+        matrix, labels = encode_log(loan_schema, model_log)
+        loss, grad_w, grad_b = loss_and_gradient(
+            model.weights, model.bias, model.scaler.apply(matrix),
+            labels_to_targets(labels), config.l2,
+        )
+        assert max(np.max(np.abs(grad_w)), abs(grad_b)) < config.tol
+        assert loss == model.train_meta["final_loss"]
+
+    def test_zero_penalty_with_singular_hessian(self, model_log, loan_schema):
+        # The constant submit_application column and the two complementary
+        # review columns leave the unpenalized Hessian exactly singular.
+        model = train(model_log, loan_schema, TrainConfig(l2=0.0))
+        assert model.train_meta["converged"] is True
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert model.weights[loan_schema.index("submit_application")] == 0.0
+
+    def test_zero_penalty_on_separable_data(self):
+        # No finite minimum exists; the fit stops with finite weights.
+        model = train(SEPARABLE, TINY_SCHEMA, TrainConfig(l2=0.0))
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert math.isfinite(model.train_meta["final_loss"])
+        assert evaluate(model, SEPARABLE).accuracy == 1.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"l2": -1.0}, {"l2": math.nan}, {"l2": math.inf},
+         {"tol": -1e-6}, {"tol": math.nan}, {"epochs": -1}],
+    )
+    def test_bad_settings_are_refused(self, kwargs):
+        with pytest.raises(ConfigError):
+            TrainConfig(**kwargs)
 
     def test_single_class_log_raises(self):
         log = tiny_log([(0.1, POSITIVE), (0.2, POSITIVE)])
@@ -284,6 +323,15 @@ class TestModelFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaMismatchError, match="5 features"):
             load_model(path)
+
+    def test_gradient_descent_model_file_still_loads(self, loan):
+        # Written by the gradient-descent trainer (procex train on a 300-case
+        # log); its hyperparams still carry a learning_rate.
+        path = Path(__file__).parent / "goldens" / "model_gradient_descent.json"
+        assert "learning_rate" in json.loads(path.read_text())["hyperparams"]
+        model = load_model(path, definition=loan)
+        assert model.config == TrainConfig()
+        assert 0.5 < predict_proba(model, np.array([580.0, 300000.0, 1.0, 0.0, 1.0]))
 
     def test_tampered_schema_is_refused(self, tmp_path, loan_model):
         path = tmp_path / "model.json"

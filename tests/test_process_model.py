@@ -14,6 +14,7 @@ from procex.errors import (
     UnreachableNodeError,
 )
 from procex.process_model import (
+    GUARD_MAX_DEPTH,
     And,
     Comparison,
     Not,
@@ -151,6 +152,36 @@ class TestGuards:
         for text in texts:
             g = parse_guard(text)
             assert parse_guard(format_guard(g)) == g
+
+
+class TestGuardDepth:
+    def test_chain_past_the_limit(self):
+        text = " && ".join(["a < 1"] * 1500)
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_guard(text)
+        # Raised at the 100th &&, which would make the tree 101 levels deep.
+        assert exc.value.col == len(" && ".join(["a < 1"] * GUARD_MAX_DEPTH)) + 2
+        assert exc.value.found == "'&&'"
+
+    def test_parentheses_past_the_limit(self):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_guard("(" * 1200 + "a < 1" + ")" * 1200)
+        assert exc.value.col == GUARD_MAX_DEPTH + 1
+        assert exc.value.found == "'('"
+
+    def test_not_and_or_count_as_levels(self):
+        deep = "!(" * 50 + " || ".join(["a < 1"] * 51) + ")" * 50
+        with pytest.raises(DslSyntaxError):
+            parse_guard(deep)
+        parse_guard("!(" * 50 + " || ".join(["a < 1"] * 50) + ")" * 50)
+
+    def test_at_the_limit_parses_and_evaluates(self):
+        chain = parse_guard(" && ".join(f"a < {i + 1}" for i in range(GUARD_MAX_DEPTH)))
+        assert guard_attributes(chain) == {"a"}
+        assert eval_guard(chain, {"a": 0.5}) and not eval_guard(chain, {"a": 1.0})
+        assert parse_guard(format_guard(chain)) == chain
+        nested = parse_guard("(" * GUARD_MAX_DEPTH + "a < 1" + ")" * GUARD_MAX_DEPTH)
+        assert nested == Comparison("a", "<", 1.0)
 
 
 class TestDiagnostics:

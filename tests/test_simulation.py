@@ -305,6 +305,17 @@ class TestJsonl:
         with pytest.raises(MalformedLogError, match="line 1"):
             read_log_jsonl(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"', '"inf"'])
+    def test_non_finite_attribute_is_refused(self, tmp_path, value):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            '{"case_id": "c0", "attrs": {"a": 1.0}, "activities": [], "label": "NEGATIVE"}\n'
+            f'{{"case_id": "c1", "attrs": {{"a": {value}}}, "activities": [], '
+            '"label": "POSITIVE"}\n'
+        )
+        with pytest.raises(MalformedLogError, match=r"line 2: attribute 'a' is -?(inf|nan), not a finite number"):
+            read_log_jsonl(path)
+
     def test_empty_file_reads_as_empty_log(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text("")
@@ -352,6 +363,15 @@ class TestCsvImport:
             import_log_csv(self._write(tmp_path, text), ["credit_score", "loan_amount"])
         assert "row 2" in str(exc.value)
         assert "credit_score" in str(exc.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_number_names_the_cell(self, tmp_path, cell):
+        text = self.HEADER + self.BODY.replace("c2,700,", f"c2,{cell},")
+        with pytest.raises(UnparsableNumberError) as exc:
+            import_log_csv(self._write(tmp_path, text), ["credit_score", "loan_amount"])
+        assert str(exc.value) == (
+            f"row 4, column 'credit_score': cannot parse '{cell}' as a finite number"
+        )
 
     def test_bad_label(self, tmp_path):
         text = self.HEADER + "c1,580,300000,submit_application,UNKNOWN\n"
