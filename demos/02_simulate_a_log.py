@@ -21,8 +21,8 @@ from procex.simulation import (
 
 loan = load_fixture()
 
-# Each case gets its own RNG substream, so trace i never depends on how many
-# cases were requested. Identical configs give identical logs.
+# Cases draw from per-chunk RNG substreams, always drawn in full, so trace i
+# never depends on how many cases were requested. Identical configs give identical logs.
 log = generate_log(loan, SimulationConfig(n_cases=5000, seed=42))
 print("cases:", len(log))
 print("first case:", log.traces[0])

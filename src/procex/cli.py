@@ -17,37 +17,22 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
+    ConfigError,
     MissingAttributeError,
     NoMatchingInstancesError,
     ProcexError,
     UnknownAttributeError,
 )
-from .evaluation import (
-    ComparisonConfig,
-    run_comparison,
-    write_figdata_csv,
-    write_report_json,
-)
-from .explainer import PROCESS_AWARE, PROPAGATE, REJECT, VANILLA, ExplainConfig, explain
-from .features import build_schema, encode_trace
-from .predictor import TrainConfig, evaluate, load_model, save_model, split_log, train
 from .process_model import (
     derive_causality_graph,
     parse_process,
     parse_process_structure,
     validate,
 )
-from .simulation import (
-    SimulationConfig,
-    execute_case,
-    generate_log,
-    import_log_csv,
-    read_log_jsonl,
-    write_log_jsonl,
-)
+
+# The pipeline modules, and numpy with them, are imported by the commands
+# that use them, so `validate` and `causal-graph` start without them.
 
 __all__ = ["build_parser", "dispatch", "main"]
 
@@ -170,6 +155,8 @@ def _cmd_causal_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulation import SimulationConfig, generate_log, write_log_jsonl
+
     defn = _read_definition(args.process)
     config = SimulationConfig(
         n_cases=args.n, seed=args.seed, label_noise=args.noise
@@ -190,6 +177,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
+    from .simulation import import_log_csv, write_log_jsonl
+
     log = import_log_csv(
         args.csv,
         attr_columns=args.attrs,
@@ -213,7 +202,13 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .features import build_schema
+    from .predictor import TrainConfig, evaluate, save_model, split_log, train
+    from .simulation import read_log_jsonl
+
     config = TrainConfig(l2=args.l2, epochs=args.epochs, tol=args.tol, seed=args.seed)
+    if args.split != 0 and not 0.0 < args.split < 1.0:
+        raise ConfigError(f"split must be 0 or lie in (0, 1), got {args.split}")
     defn = _read_definition(args.process)
     schema = build_schema(defn)
     log = read_log_jsonl(args.log, process_name=defn.name)
@@ -247,6 +242,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _resolve_instance(args: argparse.Namespace, defn, schema):
     """Build (vector, instance_id) from --case-id/--log or --attrs."""
+    import numpy as np
+
+    from .features import encode_trace
+    from .simulation import execute_case, read_log_jsonl
+
     if args.case_id is not None:
         log = read_log_jsonl(args.log, process_name=defn.name)
         for trace in log.traces:
@@ -272,6 +272,9 @@ def _resolve_instance(args: argparse.Namespace, defn, schema):
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .explainer import PROCESS_AWARE, VANILLA, ExplainConfig, explain
+    from .predictor import load_model
+
     if args.case_id is not None and args.log is None:
         print("error: --case-id requires --log", file=sys.stderr)
         return 2
@@ -309,6 +312,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import (
+        ComparisonConfig,
+        run_comparison,
+        write_figdata_csv,
+        write_report_json,
+    )
+    from .predictor import load_model
+    from .simulation import read_log_jsonl
+
     defn = _read_definition(args.process)
     model = load_model(args.model, definition=defn)
     log = read_log_jsonl(args.log, process_name=defn.name)
@@ -427,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling mode",
     )
     p.add_argument(
-        "--strategy", choices=[PROPAGATE, REJECT], default=PROPAGATE,
+        "--strategy", choices=["propagate", "reject"], default="propagate",
         help="process-aware sampling strategy",
     )
     p.add_argument("--samples", type=_pos_int, default=5000, help="perturbation count")
@@ -465,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=None, help="kernel width override")
     p.add_argument("--ridge", type=float, default=1.0, help="surrogate ridge penalty")
     p.add_argument(
-        "--strategy", choices=[PROPAGATE, REJECT], default=PROPAGATE,
+        "--strategy", choices=["propagate", "reject"], default="propagate",
         help="process-aware sampling strategy",
     )
     p.add_argument(

@@ -149,9 +149,9 @@ def train(
     Each step solves the Hessian system for weights and bias together, taking
     the minimum-norm solution, so a constant or duplicated feature at
     ``l2 = 0`` (a singular Hessian) still gets a step; the step is halved
-    while the loss rises. Stops after ``config.epochs`` steps, as soon as the
-    gradient's max norm drops below ``config.tol``, or when no halving lowers
-    the loss. Raises ``EmptyLogError``, ``SingleClassLogError``, or
+    until it strictly lowers the loss. Stops after ``config.epochs`` steps,
+    as soon as the gradient's max norm drops below ``config.tol``, or when
+    no halving lowers the loss (``converged`` then stays false). Raises ``EmptyLogError``, ``SingleClassLogError``, or
     ``DivergedError`` (non-finite loss).
     """
     matrix, labels = encode_log(schema, log)
@@ -189,7 +189,7 @@ def train(
         for _ in range(_MAX_HALVINGS):
             candidate = params - rate * step
             candidate_loss, candidate_grad = objective(candidate)
-            if candidate_loss <= loss:
+            if candidate_loss < loss:
                 break
             rate /= 2
         else:
@@ -308,7 +308,7 @@ def split_log(
     if not log.traces:
         raise EmptyLogError("cannot split an empty event log")
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+        raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n = len(log.traces)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)

@@ -28,11 +28,13 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Union
 
-import numpy as np
-from importlib import resources
+# numpy is imported inside the batch functions that use it: parsing,
+# validation and the causal graph run without it, and `validate` and
+# `causal-graph` then start without paying its import.
 
 from .errors import (
     BadProbabilitySumError,
@@ -156,12 +158,14 @@ _CMP_FUNCS = {
 def eval_guard(guard: GuardExpr, attrs: Mapping[str, float]) -> bool:
     """Evaluate a guard against a single attribute assignment: a one-row
     view of :func:`eval_guard_batch`, so every comparison is evaluated."""
+    import numpy as np
     columns = {name: np.array([value]) for name, value in attrs.items()}
     return bool(eval_guard_batch(guard, columns)[0])
 
 
 def eval_guard_batch(guard: GuardExpr, attrs: Mapping[str, np.ndarray]) -> np.ndarray:
     """Vectorized :func:`eval_guard` over column arrays of equal length."""
+    import numpy as np
     if isinstance(guard, Comparison):
         try:
             col = attrs[guard.attribute]
@@ -919,6 +923,7 @@ def xor_branch_rows(
     ``when`` whose guard holds wins, and ``otherwise`` takes the rest, so
     every row is in exactly one mask.
     """
+    import numpy as np
     remaining = np.ones(n, dtype=bool)
     rows = []
     for branch in gateway.branches:
@@ -944,6 +949,7 @@ def execute_rows(
     0/1 indicator matrix over ``defn.activity_names`` and each end node's
     arrival mask by name.
     """
+    import numpy as np
     arrivals: dict[str, np.ndarray] = {
         node.name: np.zeros(n, dtype=bool) for node in defn.nodes
     }
@@ -985,6 +991,7 @@ def route_signatures(
     the row follows ``node_successors(gateway)[k]`` (see
     :func:`xor_branch_rows`), so ``otherwise`` is ``len(branches)``.
     """
+    import numpy as np
     n = len(next(iter(attr_columns.values()), ()))
     routes = np.empty((n, len(defn.xor_gateways)), dtype=np.intp)
     for j, gateway in enumerate(defn.xor_gateways):
@@ -1047,6 +1054,7 @@ def _row_keys(digits: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
     next digit would overflow, the keys so far are renumbered densely (below
     ``n``) first, so the key stays exact for any number of columns.
     """
+    import numpy as np
     keys = np.zeros(n, dtype=np.int64)
     bound = 1
     for column, radix in digits:
@@ -1071,6 +1079,7 @@ def conformant_rows(
     The paths are enumerated once per distinct xor route, and membership is
     tested once per distinct (route, indicator row) pair.
     """
+    import numpy as np
     present = (np.asarray(indicators) != 0).astype(np.int64)
     n = len(present)
     routes = _routes_for(defn, attr_columns, n)
@@ -1101,6 +1110,7 @@ def reachable_indicators(
     remain free, so the result enumerates every root-to-end path the
     assignment permits. Vector positions follow ``defn.activity_names``.
     """
+    import numpy as np
     columns = {name: np.array([value]) for name, value in attrs.items()}
     route = _routes_for(defn, columns, 1)[0]
     return _route_indicators(defn, tuple(route.tolist()))

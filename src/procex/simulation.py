@@ -3,14 +3,17 @@
 Simulation draws case attributes from per-attribute distributions (uniform
 over the declared bounds by default), executes the process graph, and records
 one trace per case, through the executor the explainer also uses,
-:func:`~procex.process_model.execute_rows`. Reproducibility contract: every
-case gets its own RNG substream built as
-``SeedSequence(entropy=seed, spawn_key=(case_ordinal,))`` feeding a PCG64
-generator, so trace ``i`` is byte-identical no matter how many cases surround
-it. The substream is read as ``A + C + 1`` uniform variates (``A``
-attributes, ``C`` choice gateways): one per attribute in lexicographic name
-order, then one per choice gateway on the case's path in path order, then
-one for label noise; a shorter path leaves the last columns unread.
+:func:`~procex.process_model.execute_rows`. Reproducibility contract: cases
+are drawn in chunks of :data:`CHUNK`, and chunk ``k`` has its own RNG
+substream built as ``SeedSequence(entropy=seed, spawn_key=(k,))`` feeding a
+PCG64 generator, which draws one ``(CHUNK, A + C + 1)`` matrix of uniform
+variates (``A`` attributes, ``C`` choice gateways). Case ``i`` reads row
+``i % CHUNK`` of chunk ``i // CHUNK``. Every chunk is drawn in full and then
+truncated, so trace ``i`` is byte-identical no matter how many cases
+surround it. A case reads its row as one variate per attribute in
+lexicographic name order, then one per choice gateway on the case's path in
+path order, then one for label noise; a shorter path leaves the last
+columns unread.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, which enumerates the
@@ -55,7 +58,6 @@ __all__ = [
     "SimulationConfig",
     "Trace",
     "EventLog",
-    "case_rng",
     "execute_case",
     "generate_log",
     "trace_indicators",
@@ -195,11 +197,19 @@ class EventLog:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def case_rng(seed: int, ordinal: int) -> np.random.Generator:
-    """The dedicated RNG substream for one case, independent of all others."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(ordinal,))
-    )
+CHUNK = 1024
+"""Cases per RNG substream; fixed, because it shapes every simulated log."""
+
+
+def _uniform_rows(seed: int, n: int, width: int) -> np.ndarray:
+    """Rows ``0..n-1`` of the chunked variate stream, shape ``(n, width)``."""
+    chunks = [
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        ).random((CHUNK, width))
+        for k in range(-(-n // CHUNK))
+    ]
+    return np.concatenate(chunks)[:n] if chunks else np.empty((0, width))
 
 
 def _variates(dist: Distribution, u: np.ndarray) -> np.ndarray:
@@ -266,9 +276,7 @@ def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
     distributions = _resolve_distributions(defn, config)
     names = defn.attribute_names
     width = len(names) + len(defn.choice_gateways) + 1
-    stream = np.array(
-        [case_rng(config.seed, i).random(width) for i in range(config.n_cases)]
-    ).reshape(config.n_cases, width)
+    stream = _uniform_rows(config.seed, config.n_cases, width)
     values = np.empty((config.n_cases, len(names)))
     for j, name in enumerate(names):
         values[:, j] = _variates(distributions[name], stream[:, j])

@@ -331,34 +331,42 @@ def simulate_reference(
 ) -> list[tuple[dict[str, float], tuple[str, ...], str]]:
     """Walk each case on its own, one draw at a time: the simulator reference.
 
-    Case ``i`` draws from ``SeedSequence(entropy=seed, spawn_key=(i,))``:
-    first one variate per attribute in name order (``rng.uniform`` over the
-    declared bounds or a uniform override, ``truncnorm.rvs`` for an override
-    with a ``mean``), then one ``rng.random()`` per choice gateway as the walk
-    reaches it, then one ``rng.random()`` for label noise. Xor gateways route
-    by this module's own guard evaluation. Returns ``(attrs, activities,
-    label)`` per case.
+    Case ``i`` reads row ``i % 1024`` of chunk ``i // 1024``; chunk ``k`` is
+    ``rng.random((1024, A + C + 1))`` from ``SeedSequence(entropy=seed,
+    spawn_key=(k,))``, for ``A`` attributes and ``C`` choice gateways. The
+    row is read left to right: first one variate per attribute in name order
+    (scaled onto the declared bounds or a uniform override as
+    ``rng.uniform`` scales it, through ``truncnorm.ppf`` for an override
+    with a ``mean``), then one per choice gateway as the walk reaches it,
+    then one for label noise. Xor gateways route by this module's own guard
+    evaluation. Returns ``(attrs, activities, label)`` per case.
     """
     distributions = distributions or {}
+    n_choices = sum(isinstance(node, ChoiceGateway) for node in defn.nodes)
+    width = len(defn.attributes) + n_choices + 1
+    chunks: dict[int, np.ndarray] = {}
     cases = []
     for ordinal in range(n_cases):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(ordinal,))
-        )
+        chunk, offset = divmod(ordinal, 1024)
+        if chunk not in chunks:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
+            )
+            chunks[chunk] = rng.random((1024, width))
+        row = iter(chunks[chunk][offset].tolist())
         attrs: dict[str, float] = {}
         for decl in sorted(defn.attributes, key=lambda d: d.name):
             dist = distributions.get(decl.name)
+            u = next(row)
             if dist is None:
-                attrs[decl.name] = float(rng.uniform(decl.lower, decl.upper))
+                attrs[decl.name] = decl.lower + (decl.upper - decl.lower) * u
             elif not hasattr(dist, "mean"):
-                attrs[decl.name] = float(rng.uniform(dist.lower, dist.upper))
+                attrs[decl.name] = dist.lower + (dist.upper - dist.lower) * u
             else:
                 a = (dist.lower - dist.mean) / dist.std
                 b = (dist.upper - dist.mean) / dist.std
                 attrs[decl.name] = float(
-                    stats.truncnorm.rvs(
-                        a, b, loc=dist.mean, scale=dist.std, random_state=rng
-                    )
+                    stats.truncnorm.ppf(u, a, b, loc=dist.mean, scale=dist.std)
                 )
         activities: list[str] = []
         node = defn.node(defn.start)
@@ -373,7 +381,7 @@ def simulate_reference(
                         target = branch.target
                         break
             elif isinstance(node, ChoiceGateway):
-                u = rng.random()
+                u = next(row)
                 target = node.branches[-1].target
                 cumulative = 0.0
                 for branch in node.branches:
@@ -385,7 +393,7 @@ def simulate_reference(
                 raise TypeError(node)
             node = defn.node(target)
         label = node.label
-        if rng.random() < label_noise:
+        if next(row) < label_noise:
             label = "NEGATIVE" if label == "POSITIVE" else "POSITIVE"
         cases.append((attrs, tuple(activities), label))
     return cases

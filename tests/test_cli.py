@@ -260,6 +260,18 @@ class TestTrain:
         assert payload["train_meta"]["n_cases"] == 300
         assert "test" not in payload["metrics"]
 
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1"])
+    def test_bad_split_is_a_config_error(self, run, tmp_path, value):
+        # Checked before the log is read, so a missing log does not matter.
+        model = tmp_path / "m.json"
+        code, out, err = run(
+            "train", LOAN, "--log", str(tmp_path / "nope.jsonl"), "--out", str(model),
+            f"--split={value}",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"ConfigError: split must be 0 or lie in (0, 1), got {value}\n"
+        assert not model.exists()
+
     def test_missing_log_fails(self, run, tmp_path):
         code, _, err = run(
             "train", LOAN,
@@ -687,3 +699,34 @@ print(json.dumps({{
     assert result["before"] == []
     assert result["after_train"] == []
     assert result["after_explain"] == []
+
+
+def test_definition_commands_load_no_numpy(fresh_python, run):
+    """validate and causal-graph load neither numpy nor any pipeline module,
+    and print the same payloads as in this process, which has them all."""
+    source = f"""
+import io, json, sys
+from contextlib import redirect_stdout
+import procex, procex.cli
+
+def run(*argv):
+    sys.argv = ["procex", "-q", *argv]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            procex.cli.main()
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+
+results = [run("validate", {LOAN!r}), run("causal-graph", {LOAN!r})]
+loaded = sorted(
+    m for m in sys.modules
+    if m == "numpy" or m.startswith("numpy.") or m.startswith("procex.")
+)
+print(json.dumps({{"results": results, "loaded": loaded}}))
+"""
+    result = json.loads(fresh_python(source).splitlines()[-1])
+    assert result["loaded"] == ["procex.cli", "procex.errors", "procex.process_model"]
+    expected = [run("-q", "validate", LOAN), run("-q", "causal-graph", LOAN)]
+    assert result["results"] == [[code, out] for code, out, _ in expected]
+    assert all(code == 0 for code, _ in result["results"])

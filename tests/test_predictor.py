@@ -29,7 +29,7 @@ from procex.predictor import (
     train,
 )
 from procex.process_model import NEGATIVE, POSITIVE, parse_process
-from procex.simulation import EventLog, Trace
+from procex.simulation import EventLog, SimulationConfig, Trace, generate_log
 
 TINY = parse_process(
     "process tiny\nattr a: numeric in [-2, 2]\nstart -> fin\nend fin label POSITIVE\n"
@@ -105,6 +105,19 @@ class TestTraining:
         )
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) < config.tol
         assert loss == model.train_meta["final_loss"]
+
+    def test_zero_tolerance_stops_when_the_loss_stops_falling(self, loan, loan_schema):
+        # No gradient reaches 0 exactly, so only the strict-decrease rule ends
+        # this run before the iteration cap.
+        log = generate_log(loan, SimulationConfig(n_cases=10000, seed=42))
+        train_part, _ = split_log(log, 0.2, seed=42)
+        default = train(train_part, loan_schema)
+        exact = train(train_part, loan_schema, TrainConfig(tol=0.0), track_loss=True)
+        assert len(train_part) == 8000
+        assert exact.train_meta["converged"] is False
+        assert exact.train_meta["epochs_run"] <= 50
+        assert exact.train_meta["final_loss"] <= default.train_meta["final_loss"]
+        assert np.all(np.diff(exact.train_meta["loss_history"]) < 0)
 
     def test_zero_penalty_with_singular_hessian(self, model_log, loan_schema):
         # The constant submit_application column and the two complementary
@@ -287,8 +300,9 @@ class TestSplit:
         assert test_part.provenance["split"]["seed"] == 7
 
     def test_bad_fraction_rejected(self, small_log):
-        with pytest.raises(ValueError):
-            split_log(small_log, 1.5)
+        for fraction in (1.5, 0.0, -0.1, math.nan):
+            with pytest.raises(ConfigError, match="test_fraction must lie in"):
+                split_log(small_log, fraction)
 
 
 class TestModelFiles:

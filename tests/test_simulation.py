@@ -80,8 +80,12 @@ class TestGenerateLog:
         assert again.traces == small_log.traces
 
     def test_traces_do_not_depend_on_n_cases(self, loan):
-        short = generate_log(loan, SimulationConfig(n_cases=50, seed=5))
-        assert short.traces == generate_log(loan, SimulationConfig(n_cases=100, seed=5)).traces[:50]
+        # Cases are drawn in chunks of 1024; prefixes that end inside the
+        # first chunk, just before, at and just after a chunk boundary read
+        # the same rows as a longer log.
+        full = generate_log(loan, SimulationConfig(n_cases=3000, seed=5)).traces
+        for n in (0, 50, 1023, 1024, 1025, 2049):
+            assert generate_log(loan, SimulationConfig(n_cases=n, seed=5)).traces == full[:n]
 
     def test_different_seeds_differ(self, loan):
         a = generate_log(loan, SimulationConfig(n_cases=20, seed=0))
@@ -200,7 +204,7 @@ def test_seed_42_log_bytes_are_pinned(loan, tmp_path):
     path = tmp_path / "log.jsonl"
     write_log_jsonl(generate_log(loan, SimulationConfig(n_cases=10000, seed=42)), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "07a4bbb438356b29d1a3e2267684d930643da41f3d1a6ed57a9703b4b86dc0e2"
+    assert digest == "82ae78779f8dd1c49cf7891c6c7339b1facb0e4efae3424e4343a221d90bfc16"
 
 
 class TestConfigValidation:
