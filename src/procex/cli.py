@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from collections import Counter
+from contextlib import closing
 from pathlib import Path
 
 from .errors import (
@@ -245,13 +246,14 @@ def _resolve_instance(args: argparse.Namespace, defn, schema):
     import numpy as np
 
     from .features import encode_trace
-    from .simulation import execute_case, read_log_jsonl
+    from .simulation import execute_case, iter_log_jsonl
 
     if args.case_id is not None:
-        log = read_log_jsonl(args.log, process_name=defn.name)
-        for trace in log.traces:
-            if trace.case_id == args.case_id:
-                return encode_trace(schema, trace), trace.case_id
+        # Stops at the first match: later lines are neither read nor checked.
+        with closing(iter_log_jsonl(args.log)) as traces:
+            for trace in traces:
+                if trace.case_id == args.case_id:
+                    return encode_trace(schema, trace), trace.case_id
         raise NoMatchingInstancesError(
             f"log {args.log} has no case {args.case_id!r}"
         )

@@ -244,7 +244,7 @@ class Scaler:
 
 def scaler_from_matrix(matrix: np.ndarray) -> Scaler:
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
+    if len(matrix) == 0:
         raise EmptyLogError("cannot fit a scaler on zero rows")
     return Scaler(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Union
@@ -338,32 +338,37 @@ class ProcessDefinition:
     def end_nodes(self) -> tuple[EndNode, ...]:
         return tuple(n for n in self.nodes if isinstance(n, EndNode))
 
+    @cached_property
+    def _topological_order(self) -> tuple[str, ...]:
+        """See :func:`topological_order`."""
+        successors = {n.name: node_successors(n) for n in self.nodes}
+        indeg = dict.fromkeys(successors, 0)
+        for targets in successors.values():
+            for succ in targets:
+                if succ in indeg:
+                    indeg[succ] += 1
+        # The order doubles as the FIFO queue: the loop reaches appended names.
+        order = [name for name, d in indeg.items() if d == 0]
+        for name in order:
+            for succ in successors[name]:
+                if succ in indeg:
+                    indeg[succ] -= 1
+                    if indeg[succ] == 0:
+                        order.append(succ)
+        if len(order) != len(self.nodes):
+            stuck = sorted(set(indeg) - set(order))
+            raise CyclicGraphError(f"cycle through nodes {stuck}")
+        return tuple(order)
+
 
 def topological_order(defn: ProcessDefinition) -> tuple[str, ...]:
     """Node names ordered so every node appears after all its predecessors.
 
     Deterministic (Kahn's algorithm seeded in declaration order). Requires an
-    acyclic graph; raises ``CyclicGraphError`` otherwise.
+    acyclic graph; raises ``CyclicGraphError`` otherwise. Computed once per
+    definition, like its other derived views.
     """
-    indeg = {n.name: 0 for n in defn.nodes}
-    for node in defn.nodes:
-        for succ in node_successors(node):
-            if succ in indeg:
-                indeg[succ] += 1
-    queue = [n.name for n in defn.nodes if indeg[n.name] == 0]
-    order: list[str] = []
-    while queue:
-        name = queue.pop(0)
-        order.append(name)
-        for succ in node_successors(defn.node(name)):
-            if succ in indeg:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    queue.append(succ)
-    if len(order) != len(defn.nodes):
-        stuck = sorted(set(indeg) - set(order))
-        raise CyclicGraphError(f"cycle through nodes {stuck}")
-    return tuple(order)
+    return defn._topological_order
 
 
 # ---------------------------------------------------------------------------
@@ -868,45 +873,62 @@ class CausalityGraph:
         return {"edges": [[s, t] for s, t in self.edges]}
 
 
-def _reachable_activity_sets(defn: ProcessDefinition) -> dict[str, frozenset[str]]:
-    """For each node, the activities reachable from it along any branch."""
-    reach: dict[str, frozenset[str]] = {}
+def _path_masks(
+    defn: ProcessDefinition,
+    pinned: Mapping[str, str],
+    join: Callable[..., frozenset[int]] = frozenset.union,
+) -> dict[str, frozenset[int]]:
+    """Activity masks of the paths from each node to an end, by node name.
+
+    One fold over :func:`topological_order` from the ends back. Bit ``i``
+    of a mask stands for ``defn.activity_names[i]``. An end node yields
+    ``{0}``, an activity ORs its bit into every mask of its successor, an
+    xor gateway in ``pinned`` takes the successor it maps to, and any other
+    gateway joins its successors' sets with ``join``.
+    """
+    bit = {name: 1 << i for i, name in enumerate(defn.activity_names)}
+    masks: dict[str, frozenset[int]] = {}
     for name in reversed(topological_order(defn)):
         node = defn.node(name)
-        acc: frozenset[str] = frozenset()
-        for succ in node_successors(node):
-            acc |= reach[succ]
-        if isinstance(node, Activity):
-            acc |= {node.name}
-        reach[name] = acc
-    return reach
+        if isinstance(node, EndNode):
+            masks[name] = frozenset({0})
+        elif isinstance(node, Activity):
+            masks[name] = frozenset(m | bit[name] for m in masks[node.successor])
+        elif name in pinned:
+            masks[name] = masks[pinned[name]]
+        else:
+            masks[name] = join(*(masks[s] for s in node_successors(node)))
+    return masks
 
 
 def derive_causality_graph(defn: ProcessDefinition) -> CausalityGraph:
     """Read attribute-to-activity causal edges off the routing structure.
 
-    An edge (attr, activity) exists iff attr occurs in some guard of an xor
-    gateway and the activity is reachable downstream of a strict, non-empty
-    subset of that gateway's branches (``when`` branches and ``otherwise``
-    alike). Activities reachable on every branch, or on none, are not
-    influenced by how the gateway routes.
+    An edge (attr, activity) exists iff attr occurs in the guard of some
+    ``when`` branch of an xor gateway and the activity is reachable
+    downstream of that branch but not of some later one (a later ``when``
+    or ``otherwise``), or the reverse. Under first-match routing those are
+    the pairs of branches the guard's value chooses between. Reachability
+    is one mask per node: :func:`_path_masks` with no xor pinned and every
+    gateway OR-ing its successors' masks, so no path is enumerated.
     """
-    reach = _reachable_activity_sets(defn)
+    def or_join(*sets: frozenset[int]) -> frozenset[int]:
+        return frozenset({reduce(operator.or_, frozenset.union(*sets))})
+
+    reach = _path_masks(defn, {}, or_join)
+    names = defn.activity_names
     edges: set[tuple[str, str]] = set()
-    for node in defn.nodes:
-        if not isinstance(node, XorGateway):
-            continue
-        attrs: frozenset[str] = frozenset()
-        for branch in node.branches:
-            attrs |= guard_attributes(branch.guard)
-        if not attrs:
-            continue
-        branch_sets = [reach[b.target] for b in node.branches]
-        branch_sets.append(reach[node.otherwise])
-        for activity in frozenset().union(*branch_sets):
-            hits = sum(activity in s for s in branch_sets)
-            if 0 < hits < len(branch_sets):
-                edges.update((attr, activity) for attr in attrs)
+    for node in defn.xor_gateways:
+        masks = [next(iter(reach[succ])) for succ in node_successors(node)]
+        for k, branch in enumerate(node.branches):
+            flips = 0
+            for later in masks[k + 1:]:
+                flips |= masks[k] ^ later
+            edges.update(
+                (attr, name)
+                for i, name in enumerate(names) if flips >> i & 1
+                for attr in guard_attributes(branch.guard)
+            )
     return CausalityGraph(edges=tuple(sorted(edges)))
 
 
@@ -982,17 +1004,16 @@ def execute_rows(
 
 
 def route_signatures(
-    defn: ProcessDefinition, attr_columns: Mapping[str, np.ndarray]
+    defn: ProcessDefinition, attr_columns: Mapping[str, np.ndarray], n: int
 ) -> np.ndarray:
-    """Branch index each row takes at every xor gateway.
+    """Branch index each of ``n`` rows takes at every xor gateway.
 
-    Returns an integer matrix with one row per entry of the attribute columns
-    and one column per gateway of ``defn.xor_gateways``; entry ``k`` means
-    the row follows ``node_successors(gateway)[k]`` (see
-    :func:`xor_branch_rows`), so ``otherwise`` is ``len(branches)``.
+    Returns an integer matrix with one row per case and one column per
+    gateway of ``defn.xor_gateways``; entry ``k`` means the row follows
+    ``node_successors(gateway)[k]`` (see :func:`xor_branch_rows`), so
+    ``otherwise`` is ``len(branches)``.
     """
     import numpy as np
-    n = len(next(iter(attr_columns.values()), ()))
     routes = np.empty((n, len(defn.xor_gateways)), dtype=np.intp)
     for j, gateway in enumerate(defn.xor_gateways):
         for k, rows in enumerate(xor_branch_rows(gateway, attr_columns, n)):
@@ -1000,47 +1021,12 @@ def route_signatures(
     return routes
 
 
-def _routes_for(
-    defn: ProcessDefinition, attr_columns: Mapping[str, np.ndarray], n: int
-) -> np.ndarray:
-    # A process without attributes has no column to count rows by; it also
-    # has no xor gateway, so every row takes the same empty route.
-    return route_signatures(defn, attr_columns).reshape(n, len(defn.xor_gateways))
-
-
-def _route_indicators(
-    defn: ProcessDefinition, route: tuple[int, ...]
-) -> frozenset[tuple[int, ...]]:
-    """Indicator vectors of every root-to-end path when each xor gateway
-    takes the branch ``route`` gives it (aligned to ``defn.xor_gateways``);
-    choice branches stay free."""
-    names = defn.activity_names
+def _route_masks(defn: ProcessDefinition, route: tuple[int, ...]) -> frozenset[int]:
+    """Activity masks of every root-to-end path when each xor gateway takes
+    the branch ``route`` gives it (aligned to ``defn.xor_gateways``); choice
+    branches stay free."""
     pinned = {g.name: node_successors(g)[k] for g, k in zip(defn.xor_gateways, route)}
-    memo: dict[str, frozenset[frozenset[str]]] = {}
-
-    def visit(name: str) -> frozenset[frozenset[str]]:
-        if name in memo:
-            return memo[name]
-        node = defn.node(name)
-        if isinstance(node, EndNode):
-            out: frozenset[frozenset[str]] = frozenset({frozenset()})
-        elif isinstance(node, Activity):
-            out = frozenset(s | {node.name} for s in visit(node.successor))
-        elif isinstance(node, XorGateway):
-            out = visit(pinned[name])
-        elif isinstance(node, ChoiceGateway):
-            acc: frozenset[frozenset[str]] = frozenset()
-            for branch in node.branches:
-                acc |= visit(branch.target)
-            out = acc
-        else:
-            raise TypeError(f"not a node: {node!r}")
-        memo[name] = out
-        return out
-
-    return frozenset(
-        tuple(1 if n in s else 0 for n in names) for s in visit(defn.start)
-    )
+    return _path_masks(defn, pinned)[defn.start]
 
 
 # Mixed-radix row keys stay below this bound, so int64 arithmetic is exact.
@@ -1076,13 +1062,14 @@ def conformant_rows(
 
     ``indicators`` has one row per case and one column per entry of
     ``defn.activity_names``; a non-zero cell means the activity occurred.
-    The paths are enumerated once per distinct xor route, and membership is
-    tested once per distinct (route, indicator row) pair.
+    The path masks are folded once per distinct xor route, and membership
+    is tested once per distinct (route, indicator row) pair, on the row
+    packed into one int.
     """
     import numpy as np
-    present = (np.asarray(indicators) != 0).astype(np.int64)
+    present = np.asarray(indicators) != 0
     n = len(present)
-    routes = _routes_for(defn, attr_columns, n)
+    routes = route_signatures(defn, attr_columns, n)
     digits = [
         (routes[:, j], len(g.branches) + 1) for j, g in enumerate(defn.xor_gateways)
     ]
@@ -1090,13 +1077,14 @@ def conformant_rows(
     _, first, inverse = np.unique(
         _row_keys(digits, n), return_index=True, return_inverse=True
     )
-    reachable: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+    packed = np.packbits(present[first], axis=1, bitorder="little")
+    reachable: dict[tuple[int, ...], frozenset[int]] = {}
     hits = np.empty(len(first), dtype=bool)
     for j, row in enumerate(first):
         route = tuple(routes[row].tolist())
         if route not in reachable:
-            reachable[route] = _route_indicators(defn, route)
-        hits[j] = tuple(present[row].tolist()) in reachable[route]
+            reachable[route] = _route_masks(defn, route)
+        hits[j] = int.from_bytes(packed[j].tobytes(), "little") in reachable[route]
     return hits[inverse]
 
 
@@ -1112,8 +1100,12 @@ def reachable_indicators(
     """
     import numpy as np
     columns = {name: np.array([value]) for name, value in attrs.items()}
-    route = _routes_for(defn, columns, 1)[0]
-    return _route_indicators(defn, tuple(route.tolist()))
+    route = tuple(route_signatures(defn, columns, 1)[0].tolist())
+    positions = range(len(defn.activity_names))
+    return frozenset(
+        tuple(mask >> i & 1 for i in positions)
+        for mask in _route_masks(defn, route)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ path order, then one for label noise; a shorter path leaves the last
 columns unread.
 
 ``is_conformant`` checks one case with the batch oracle
-:func:`~procex.process_model.conformant_rows`, which enumerates the
-reachable paths once per distinct xor route rather than once per case.
+:func:`~procex.process_model.conformant_rows`, which folds the reachable
+path masks once per distinct xor route rather than once per case.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +63,7 @@ __all__ = [
     "trace_indicators",
     "is_conformant",
     "write_log_jsonl",
+    "iter_log_jsonl",
     "read_log_jsonl",
     "import_log_csv",
 ]
@@ -354,9 +355,9 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
 _RECORD_FIELDS = ("case_id", "attrs", "activities", "label")
 
 
-def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
-    """Read a JSONL event log; the format does not carry the process name."""
-    traces: list[Trace] = []
+def iter_log_jsonl(path: str | Path) -> Iterator[Trace]:
+    """Yield the traces of a JSONL event log in file order, each validated
+    when it is reached."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -399,17 +400,19 @@ def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
                 raise MalformedLogError(
                     f"line {line_no}: 'activities' is not a list of names"
                 )
-            traces.append(
-                Trace(
-                    case_id=str(record["case_id"]),
-                    attrs=attrs,
-                    activities=tuple(activities),
-                    label=label,
-                )
+            yield Trace(
+                case_id=str(record["case_id"]),
+                attrs=attrs,
+                activities=tuple(activities),
+                label=label,
             )
+
+
+def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
+    """Read a JSONL event log; the format does not carry the process name."""
     return EventLog(
         process_name=process_name,
-        traces=tuple(traces),
+        traces=tuple(iter_log_jsonl(path)),
         provenance={"kind": "imported", "source": str(path)},
     )
 

@@ -1,14 +1,16 @@
 """Random valid process definitions and an independent causality oracle.
 
-The generator builds tree-shaped processes (every node has one parent, so
-branch subtrees never rejoin) whose xor gateways have exactly one ``when``
-branch, and where each attribute occurs in at most one comparison overall.
-Within that family the structural causality rule and a pointwise sweep agree:
-toggling any guard comparison is both necessary and sufficient to change
-which activities are reachable downstream of its gateway. Multi-``when``
-gateways are deliberately excluded: a guard on a later branch is structurally
-part of the gateway but pointwise inert for activities under earlier
-branches, so the two notions would diverge there.
+The generator builds processes from regions. A region is a tree of
+activities and gateways whose paths either stop at fresh end nodes or all
+rejoin one node, the region's sink. A gateway may open a diamond: its tail is
+built first, and every branch becomes a region sinking into that tail, so
+branches rejoin. Xor gateways have one to three ``when`` branches, whose
+guards overlap (first match wins), and each attribute occurs in at most one
+comparison overall; choices nest, and some processes have no attributes at
+all. Within that family the first-match causality rule and a pointwise sweep
+agree: a guard's attribute decides between its branch and every later one,
+any of which some assignment of the other attributes makes the next match,
+and an activity off the tails is reachable through one branch region only.
 
 The sweep oracle re-implements everything it needs (guard evaluation and
 path enumeration) so it shares no code with the derivation under test.
@@ -17,9 +19,10 @@ attribute of a conjunctive guard an instance sits nearest to,
 ``path_indicators`` enumerates root-to-end paths one at a time as the
 reference for the conformance oracle, and ``simulate_reference`` walks one
 case at a time with sequential draws as the reference for the simulator.
-``REJOINING``, ``CHAIN`` and ``NO_ATTRIBUTES`` are hand-written processes
-outside the tree family: a DAG whose branches rejoin, one with more than 64
-activities, and one without attributes.
+The enumerators keep explicit stacks, so they handle processes deeper than
+Python's recursion limit. ``REJOINING``, ``CHAIN`` and ``NO_ATTRIBUTES`` are
+hand-written processes: a DAG whose branches rejoin across gateways, one with
+more than 64 activities, and one without attributes.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ _CMP = {
 
 def random_process(rng: np.random.Generator, index: int = 0) -> ProcessDefinition:
     """One random valid definition with at most 6 gateways."""
-    n_attrs = int(rng.integers(2, 5))
+    n_attrs = int(rng.integers(0, 5))
     decls = []
     for i in range(n_attrs):
         lower = float(np.round(rng.uniform(-50.0, 50.0), 3))
@@ -101,42 +104,50 @@ def random_process(rng: np.random.Generator, index: int = 0) -> ProcessDefinitio
             return And(first, second)
         return Or(first, second)
 
-    def build(depth: int) -> str:
+    def build(depth: int, sink: str | None) -> str:
+        """A region's entry node; its paths end at ``sink``, or at fresh end
+        nodes when ``sink`` is None."""
         nonlocal budget
         if depth >= 5 or rng.random() < 0.2 + 0.15 * depth:
+            if sink is not None:
+                return sink
             name = fresh("fin")
             label = "POSITIVE" if rng.random() < 0.5 else "NEGATIVE"
             nodes.append(EndNode(name, label))
             return name
         roll = rng.random()
-        if roll < 0.35 and budget > 0 and free_attrs:
+        is_xor = roll < 0.35 and bool(free_attrs)
+        if budget > 0 and (is_xor or 0.35 <= roll < 0.55):
             budget -= 1
             name = fresh("gw")
-            guard = make_guard()
-            when_target = build(depth + 1)
-            otherwise_target = build(depth + 1)
-            nodes.append(
-                XorGateway(name, (XorBranch(guard, when_target),), otherwise_target)
-            )
-            return name
-        if roll < 0.55 and budget > 0:
-            budget -= 1
-            name = fresh("gw")
-            n_branches = int(rng.integers(2, 4))
-            raw = rng.random(n_branches) + 0.1
-            probs = raw / raw.sum()
-            branches = tuple(
-                ChoiceBranch(float(probs[i]), build(depth + 1))
-                for i in range(n_branches)
-            )
-            nodes.append(ChoiceGateway(name, branches))
+            guards = []
+            n_when = int(rng.integers(1, 4)) if is_xor else 0
+            while len(guards) < n_when and free_attrs:
+                guards.append(make_guard())
+            if rng.random() < 0.3:
+                # A diamond: every branch rejoins at a shared tail.
+                sink = build(depth + 1, sink)
+            if is_xor:
+                targets = [build(depth + 1, sink) for _ in range(len(guards) + 1)]
+                branches = tuple(XorBranch(g, t) for g, t in zip(guards, targets))
+                nodes.append(XorGateway(name, branches, targets[-1]))
+            else:
+                n_branches = int(rng.integers(2, 4))
+                raw = rng.random(n_branches) + 0.1
+                probs = raw / raw.sum()
+                nodes.append(
+                    ChoiceGateway(
+                        name,
+                        tuple(ChoiceBranch(float(p), build(depth + 1, sink)) for p in probs),
+                    )
+                )
             return name
         name = fresh("act")
-        successor = build(depth + 1)
+        successor = build(depth + 1, sink)
         nodes.append(Activity(name, successor))
         return name
 
-    start = build(0)
+    start = build(0, None)
     defn = ProcessDefinition(
         name=f"rnd{index}",
         attributes=tuple(decls),
@@ -262,30 +273,36 @@ def decisive_attribute(
     return min(map(distance, _guard_comparisons(guard)))[1]
 
 
+def _xor_target(node: XorGateway, assign: dict[str, float]) -> str:
+    for branch in node.branches:
+        if _eval(branch.guard, assign):
+            return branch.target
+    return node.otherwise
+
+
 def _possible_activities(defn: ProcessDefinition, assign: dict[str, float]) -> frozenset:
-    """Activities reachable on some path: xors pinned by guards, choices free."""
+    """Activities reachable on some path: xors pinned by guards, choices free.
 
-    def walk(name: str) -> frozenset:
+    A depth-first search over nodes with an explicit stack."""
+    possible: set[str] = set()
+    seen: set[str] = set()
+    stack = [defn.start]
+    while stack:
+        name = stack.pop()
+        if name in seen:
+            continue
+        seen.add(name)
         node = defn.node(name)
-        if isinstance(node, EndNode):
-            return frozenset()
         if isinstance(node, Activity):
-            return walk(node.successor) | {node.name}
-        if isinstance(node, XorGateway):
-            target = node.otherwise
-            for branch in node.branches:
-                if _eval(branch.guard, assign):
-                    target = branch.target
-                    break
-            return walk(target)
-        if isinstance(node, ChoiceGateway):
-            acc: frozenset = frozenset()
-            for branch in node.branches:
-                acc |= walk(branch.target)
-            return acc
-        raise TypeError(node)
-
-    return walk(defn.start)
+            possible.add(name)
+            stack.append(node.successor)
+        elif isinstance(node, XorGateway):
+            stack.append(_xor_target(node, assign))
+        elif isinstance(node, ChoiceGateway):
+            stack.extend(branch.target for branch in node.branches)
+        elif not isinstance(node, EndNode):
+            raise TypeError(node)
+    return frozenset(possible)
 
 
 def path_indicators(
@@ -293,32 +310,26 @@ def path_indicators(
 ) -> frozenset[tuple[int, ...]]:
     """Indicator vectors of every root-to-end path under ``assign``.
 
-    Walks each path separately, without memoisation, pinning xor gateways by
-    this module's own guard evaluation and trying every choice branch.
-    Vector positions follow ``defn.activity_names``.
+    Walks each path separately, without memoisation and with an explicit
+    stack of (node, activities so far), pinning xor gateways by this
+    module's own guard evaluation and trying every choice branch. Vector
+    positions follow ``defn.activity_names``.
     """
     found: set[tuple[int, ...]] = set()
-
-    def walk(name: str, visited: frozenset) -> None:
+    stack = [(defn.start, frozenset())]
+    while stack:
+        name, visited = stack.pop()
         node = defn.node(name)
         if isinstance(node, EndNode):
             found.add(tuple(int(a in visited) for a in defn.activity_names))
         elif isinstance(node, Activity):
-            walk(node.successor, visited | {node.name})
+            stack.append((node.successor, visited | {name}))
         elif isinstance(node, XorGateway):
-            target = node.otherwise
-            for branch in node.branches:
-                if _eval(branch.guard, assign):
-                    target = branch.target
-                    break
-            walk(target, visited)
+            stack.append((_xor_target(node, assign), visited))
         elif isinstance(node, ChoiceGateway):
-            for branch in node.branches:
-                walk(branch.target, visited)
+            stack.extend((branch.target, visited) for branch in node.branches)
         else:
             raise TypeError(node)
-
-    walk(defn.start, frozenset())
     return frozenset(found)
 
 
@@ -375,11 +386,7 @@ def simulate_reference(
                 activities.append(node.name)
                 target = node.successor
             elif isinstance(node, XorGateway):
-                target = node.otherwise
-                for branch in node.branches:
-                    if _eval(branch.guard, attrs):
-                        target = branch.target
-                        break
+                target = _xor_target(node, attrs)
             elif isinstance(node, ChoiceGateway):
                 u = next(row)
                 target = node.branches[-1].target

@@ -4,14 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from procex.cli import dispatch
-from procex.process_model import fixture_path
+from procex.process_model import fixture_path, serialize_process
 
-from procgen import NO_ATTRIBUTES_SOURCE
+from procgen import NO_ATTRIBUTES_SOURCE, long_chain
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 LOAN = str(fixture_path())
@@ -142,6 +143,29 @@ class TestCausalGraph:
             ["loan_amount", "skilled_agent_review"],
             ["loan_amount", "standard_review"],
         ]
+
+    def test_diamonds_in_series_enumerate_no_paths(self, run, tmp_path):
+        # 40 xor diamonds in series: 2**40 routes, and one edge per branch.
+        lines = ["process diamonds", *(f"attr a{i}: numeric in [0, 1]" for i in range(40))]
+        lines.append("start -> g0")
+        for i in range(40):
+            after = f"g{i + 1}" if i < 39 else "fin"
+            lines += [
+                f"gateway g{i} {{ when a{i} < 0.5 -> l{i} otherwise -> r{i} }}",
+                f"activity l{i} -> {after}",
+                f"activity r{i} -> {after}",
+            ]
+        lines.append("end fin label POSITIVE")
+        process = tmp_path / "diamonds.bp"
+        process.write_text("\n".join(lines) + "\n")
+        started = time.perf_counter()
+        code, out, _ = run("causal-graph", str(process))
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        edges = json.loads(out)["edges"]
+        assert len(edges) == 80
+        assert ["a7", "l7"] in edges and ["a7", "r7"] in edges
+        assert elapsed < 0.5
 
 
 class TestSimulate:
@@ -410,6 +434,36 @@ class TestExplain:
         assert code == 1
         assert "NoMatchingInstancesError" in err
 
+    def case_argv(self, workspace, log):
+        """explain argv for the log's second case, read from ``log``."""
+        lines = workspace["log"].read_text().splitlines()
+        return (
+            "explain", LOAN,
+            "--model", str(workspace["model"]),
+            "--log", str(log),
+            "--case-id", json.loads(lines[1])["case_id"],
+            "--mode", "vanilla",
+            "--samples", "300",
+        )
+
+    def test_lines_after_the_case_are_not_read(self, run, workspace, tmp_path):
+        lines = workspace["log"].read_text().splitlines()
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join([*lines[:2], "{not json", *lines[2:]]) + "\n")
+        expected = run(*self.case_argv(workspace, workspace["log"]))
+        assert expected[0] == 0
+        assert run(*self.case_argv(workspace, log)) == expected
+
+    def test_malformed_line_before_the_case_fails(self, run, workspace, tmp_path):
+        lines = workspace["log"].read_text().splitlines()
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join([lines[0], '{"case_id": "x"}', *lines[1:]]) + "\n")
+        code, out, err = run(*self.case_argv(workspace, log))
+        assert (code, out) == (1, "")
+        assert err == (
+            "MalformedLogError: line 2: missing field(s) 'attrs', 'activities', 'label'\n"
+        )
+
     def test_hypothetical_case(self, run, workspace):
         code, out, _ = run(
             "explain", LOAN,
@@ -618,6 +672,30 @@ class TestEvaluate:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 2
+
+
+def test_chain_past_the_recursion_limit_runs_reject(run, tmp_path):
+    """Reject sampling and evaluate on 1501 activities, nearly all in one
+    sequence: deeper than Python's recursion limit."""
+    process = tmp_path / "deep.bp"
+    process.write_text(serialize_process(long_chain(arm=5, tail=1490)))
+    log, model = str(tmp_path / "log.jsonl"), str(tmp_path / "model.json")
+    assert run("simulate", str(process), "--n", "200", "--noise", "0.2", "--out", log)[0] == 0
+    # One Newton step: the model's fit does not matter here, only the oracle.
+    assert run("train", str(process), "--log", log, "--out", model, "--epochs", "1")[0] == 0
+    common = ("--strategy", "reject", "--samples", "2000", "--flip-p", "0.0001")
+    code, _, err = run(
+        "explain", str(process), "--model", model, "--attrs", "x=0.2",
+        "--mode", "process-aware", *common,
+    )
+    assert code == 0, err
+    code, out, err = run(
+        "evaluate", str(process), "--model", model, "--log", log,
+        "--instances", "1", "--seeds", "0", "--label", "POSITIVE",
+        "--out", str(tmp_path / "report.json"), *common,
+    )
+    assert code == 0, err
+    assert json.loads(out)["aggregates"]["mean_conformance"]["process_aware"] == 1.0
 
 
 class TestParsing:

@@ -10,7 +10,7 @@ from procex.features import build_schema, encode_trace, fit_scaler, split_column
 from procex.process_model import conformant_rows, reachable_indicators, route_signatures
 from procex.simulation import SimulationConfig, generate_log, is_conformant
 
-from procgen import CHAIN, REJOINING, path_indicators, random_process
+from procgen import CHAIN, REJOINING, long_chain, path_indicators, random_process
 
 
 def vanilla_rows(defn, n, flip_p, seed):
@@ -81,6 +81,18 @@ def test_chain_key_tells_apart_rows_differing_past_column_63():
     np.testing.assert_array_equal(verdicts, [row in paths for row in rows])
 
 
+def test_chain_past_the_recursion_limit_agrees():
+    # 1501 activities, nearly all in one sequence: deeper than Python's
+    # recursion limit.
+    deep = long_chain(arm=5, tail=1490)
+    assert len(deep.activity_names) == 1501
+    for x in (0.2, 0.8):
+        paths = path_indicators(deep, {"x": x})
+        assert reachable_indicators(deep, {"x": x}) == paths
+        rows = np.array(sorted(paths))
+        assert conformant_rows(deep, {"x": np.full(len(rows), x)}, rows).all()
+
+
 def test_route_signatures_first_match_wins():
     columns = {
         "a": np.array([1.0, 4.0, 4.0, 7.0, 7.0, 7.0]),
@@ -88,7 +100,7 @@ def test_route_signatures_first_match_wins():
     }
     # columns: triage, recheck (declaration order); otherwise is len(branches)
     expected = [[0, 0], [1, 1], [1, 1], [2, 1], [2, 0], [3, 1]]
-    np.testing.assert_array_equal(route_signatures(REJOINING, columns), expected)
+    np.testing.assert_array_equal(route_signatures(REJOINING, columns, 6), expected)
 
 
 def reference_reject(instance, defn, schema, scaler, n, rng, flip_p):

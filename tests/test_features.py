@@ -158,6 +158,13 @@ class TestScaler:
         standardized = scaler.apply(matrix)
         assert np.all(standardized[:, 0] == 0.0)
 
+    def test_rows_without_columns_fit(self):
+        # A process with neither attributes nor activities has no features.
+        scaler = scaler_from_matrix(np.empty((5, 0)))
+        assert scaler.mean.shape == scaler.std.shape == (0,)
+        with pytest.raises(EmptyLogError):
+            scaler_from_matrix(np.empty((0, 3)))
+
     def test_apply_then_invert_is_identity(self, loan_schema, small_log):
         matrix, _ = encode_log(loan_schema, small_log)
         scaler = scaler_from_matrix(matrix)

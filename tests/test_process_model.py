@@ -337,6 +337,21 @@ class TestCausality:
         graph = derive_causality_graph(parse_process(text))
         assert graph.edges == ()
 
+    def test_later_guard_does_not_reach_earlier_branches(self):
+        # First match wins: b chooses between review and slow only once
+        # a < 3 has failed, so it never decides whether fast occurs.
+        text = (
+            "process p\nattr a: numeric in [0, 10]\nattr b: numeric in [0, 10]\n"
+            "start -> g\n"
+            "gateway g { when a < 3 -> fast when b > 5 -> review otherwise -> slow }\n"
+            "activity fast -> fin\nactivity review -> fin\nactivity slow -> fin\n"
+            "end fin label POSITIVE\n"
+        )
+        graph = derive_causality_graph(parse_process(text))
+        assert set(graph.edges) == {
+            ("a", "fast"), ("a", "review"), ("a", "slow"), ("b", "review"), ("b", "slow")
+        }
+
     def test_choice_gateways_contribute_no_edges(self, loan):
         targets = {t for _, t in derive_causality_graph(loan).edges}
         assert "submit_application" not in targets
