@@ -110,6 +110,10 @@ class DivergedError(ProcexError):
 # Explanation
 # ---------------------------------------------------------------------------
 
+class NoFeaturesError(ProcexError):
+    """The process has neither attributes nor activities: nothing to attribute."""
+
+
 class InsufficientSamplesError(ProcexError):
     """Too few usable samples to fit a surrogate model."""
 

@@ -20,6 +20,19 @@ Propagate: one normal matrix, then the simulator's executor
 :func:`~procex.process_model.execute_rows` reads one uniform vector per choice
 gateway in topological order (drawn whether or not any sample reaches it).
 Reject: vanilla-shaped batches of size n until enough samples are kept.
+
+Memory layout. One explanation writes its ``n + 1`` samples into one
+feature-major ``(k, n + 1)`` block, column 0 the instance; noise, clamping,
+flips and the executor's indicator rows go straight into its rows, so every
+step runs a whole feature at a time. The samplers return the block's
+transposed view: ``(n + 1, k)`` like any sample matrix, but Fortran-ordered.
+The block is standardized once, into a buffer that also holds the
+surrogate's intercept column; the predictions, the kernel distances and the
+surrogate design all read that one standardization. The public steps
+(:func:`kernel_weights`, :func:`fit_surrogate`,
+:func:`~procex.predictor.predict_proba`) standardize for themselves and then
+run the same helpers, so composing them gives the same bits as
+:func:`explain_detailed`.
 """
 
 from __future__ import annotations
@@ -33,12 +46,13 @@ import numpy as np
 from .errors import (
     ConfigError,
     InsufficientSamplesError,
+    NoFeaturesError,
     RejectionBudgetExhaustedError,
     SchemaMismatchError,
     SingularSystemError,
 )
 from .features import FeatureSchema, Scaler, build_schema, split_columns
-from .predictor import LogisticModel, predict_proba
+from .predictor import LogisticModel, predict_proba_standardized
 from .process_model import ProcessDefinition, conformant_rows, execute_rows
 
 __all__ = [
@@ -128,7 +142,12 @@ class ExplainConfig:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSet:
-    """Samples (row 0 is the instance itself), predictions, kernel weights."""
+    """Samples (row 0 is the instance itself), predictions, kernel weights.
+
+    ``samples`` has shape ``(n + 1, k)`` but is the transposed view of the
+    feature-major sample block, so it may be Fortran-ordered; use
+    ``np.ascontiguousarray`` where row-major memory matters.
+    """
 
     instance: np.ndarray
     samples: np.ndarray
@@ -142,28 +161,34 @@ class PerturbationSet:
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _sample_block(instance: np.ndarray, n: int) -> np.ndarray:
+    """Feature-major ``(k, n + 1)`` block for ``n`` samples; column 0 holds
+    the instance, the samplers write the other columns in place."""
+    block = np.empty((len(instance), n + 1))
+    block[:, 0] = instance
+    return block
+
+
 def _numeric_noise(
-    instance: np.ndarray,
+    block: np.ndarray,
     schema: FeatureSchema,
     scaler: Scaler,
-    n: int,
     spread: float,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Gaussian perturbations of the numeric block, clamped to bounds."""
-    idx = schema.numeric_indices
-    center = instance[idx]
-    sigma = spread * scaler.std[idx]
-    values = rng.standard_normal((n, len(idx))) * sigma + center
-    lower = np.array(
-        [-np.inf if f.lower is None else f.lower
-         for f in schema.features if f.kind == "numeric"]
-    )
-    upper = np.array(
-        [np.inf if f.upper is None else f.upper
-         for f in schema.features if f.kind == "numeric"]
-    )
-    return np.clip(values, lower, upper)
+) -> None:
+    """Gaussian perturbations of the numeric rows, clamped to bounds.
+
+    The numeric features lead the schema, so their rows lead the block.
+    """
+    numeric = schema.features[: len(schema.numeric_indices)]
+    m, n = len(numeric), block.shape[1] - 1
+    rows = block[:m, 1:]
+    sigma = spread * scaler.std[:m]
+    lower = np.array([-np.inf if f.lower is None else f.lower for f in numeric])
+    upper = np.array([np.inf if f.upper is None else f.upper for f in numeric])
+    np.multiply(rng.standard_normal((n, m)).T, sigma[:, None], out=rows)
+    rows += block[:m, :1]
+    np.clip(rows, lower[:, None], upper[:, None], out=rows)
 
 
 def sample_vanilla(
@@ -176,16 +201,14 @@ def sample_vanilla(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Process-blind sampling; returns ``n + 1`` rows, the instance first."""
-    instance = np.asarray(instance, dtype=float)
-    num_idx = schema.numeric_indices
-    bin_idx = schema.binary_indices
-    numeric = _numeric_noise(instance, schema, scaler, n, spread, rng)
-    flips = rng.random((n, len(bin_idx))) < flip_p
-    indicators = np.abs(instance[bin_idx] - flips)
-    out = np.tile(instance, (n + 1, 1))
-    out[1:, num_idx] = numeric
-    out[1:, bin_idx] = indicators
-    return out
+    block = _sample_block(np.asarray(instance, dtype=float), n)
+    m = len(schema.numeric_indices)
+    _numeric_noise(block, schema, scaler, spread, rng)
+    rows = block[m:, 1:]
+    np.less(rng.random((n, schema.arity - m)).T, flip_p, out=rows)  # 1.0: flip
+    np.subtract(block[m:, :1], rows, out=rows)
+    np.abs(rows, out=rows)
+    return block.T
 
 
 def sample_process_aware(
@@ -206,19 +229,14 @@ def sample_process_aware(
     conformant ones, giving up after ``100 * n`` attempts.
     """
     instance = np.asarray(instance, dtype=float)
-    num_idx = schema.numeric_indices
-    bin_idx = schema.binary_indices
+    m = len(schema.numeric_indices)
+    block = _sample_block(instance, n)
     if strategy == PROPAGATE:
-        numeric = _numeric_noise(instance, schema, scaler, n, spread, rng)
-        numeric_names = [f.name for f in schema.features if f.kind == "numeric"]
-        columns = {name: numeric[:, j] for j, name in enumerate(numeric_names)}
-        indicators, _ = execute_rows(defn, columns, n, lambda arrived: rng.random(n))
-        out = np.tile(instance, (n + 1, 1))
-        out[1:, num_idx] = numeric
-        out[1:, bin_idx] = indicators
-        return out
+        _numeric_noise(block, schema, scaler, spread, rng)
+        columns = {schema.names[i]: block[i, 1:] for i in range(m)}
+        execute_rows(defn, columns, n, lambda arrived: rng.random(n), out=block[m:, 1:])
+        return block.T
     if strategy == REJECT:
-        kept = [instance[None, :]]
         n_kept = 0
         attempts = 0
         budget = REJECT_BUDGET_FACTOR * n
@@ -227,19 +245,45 @@ def sample_process_aware(
             attempts += n
             columns, indicators = split_columns(schema, batch, defn.activity_names)
             accepted = batch[conformant_rows(defn, columns, indicators)][: n - n_kept]
-            kept.append(accepted)
+            block[:, 1 + n_kept : 1 + n_kept + len(accepted)] = accepted.T
             n_kept += len(accepted)
         if n_kept < n:
             raise RejectionBudgetExhaustedError(
                 f"kept only {n_kept} of {n} samples after {attempts} attempts"
             )
-        return np.vstack(kept)
+        return block.T
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
-# Kernel and surrogate
+# Standardization, kernel and surrogate
 # ---------------------------------------------------------------------------
+
+def _standardize(scaler: Scaler, samples: np.ndarray) -> np.ndarray:
+    """The samples standardized once, after a column of ones: the
+    ``(n + 1, k + 1)`` view of one feature-major buffer. Column 0 is the
+    surrogate's intercept; columns ``1..k`` feed the predictor, the kernel
+    and the surrogate design."""
+    buffer = np.empty((samples.shape[1] + 1, len(samples)))
+    buffer[0] = 1.0
+    scaler.apply(samples, out=buffer[1:].T)
+    return buffer.T
+
+
+def _kernel(center: np.ndarray, standardized: np.ndarray, width: float) -> np.ndarray:
+    """:func:`kernel_weights` on standardized rows and instance.
+
+    The squared distance is summed feature by feature in schema order, so it
+    has the same bits whatever the layout of ``standardized``.
+    """
+    sq_dist = np.zeros(len(standardized))
+    delta = np.empty(len(standardized))
+    for j, value in enumerate(center):
+        np.subtract(standardized[:, j], value, out=delta)
+        delta *= delta
+        sq_dist += delta
+    return np.exp(-sq_dist / (width * width))
+
 
 def kernel_weights(
     instance: np.ndarray,
@@ -248,33 +292,25 @@ def kernel_weights(
     width: float,
 ) -> np.ndarray:
     """Exponential kernel ``exp(-d^2 / width^2)`` on standardized distance."""
-    delta = scaler.apply(samples) - scaler.apply(np.asarray(instance, dtype=float))
-    sq_dist = np.sum(delta * delta, axis=1)
-    return np.exp(-sq_dist / (width * width))
+    return _kernel(scaler.apply(instance), scaler.apply(samples), width)
 
 
-def fit_surrogate(
-    design: np.ndarray,
+def _fit(
+    augmented: np.ndarray,
     targets: np.ndarray,
     weights: np.ndarray,
     ridge: float,
 ) -> tuple[np.ndarray, float, float]:
-    """Weighted ridge fit via the normal equations (intercept unpenalized).
-
-    ``design`` holds standardized sample rows without an intercept column.
-    Returns ``(coefficients, intercept, fidelity_r2)`` where fidelity is the
-    weighted R² of the fit, defined as 0 for a zero-variance target.
-    """
-    design = np.asarray(design, dtype=float)
+    """:func:`fit_surrogate` on a feature-major (Fortran-order) design whose
+    column 0 is the intercept's column of ones."""
     targets = np.asarray(targets, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    n, k = design.shape
+    k = augmented.shape[1] - 1
     if int(np.count_nonzero(weights > 0)) < k + 1:
         raise InsufficientSamplesError(
             f"need at least {k + 1} positively weighted samples, "
             f"got {int(np.count_nonzero(weights > 0))}"
         )
-    augmented = np.hstack([np.ones((n, 1)), design])
     weighted = augmented * weights[:, None]
     gram = augmented.T @ weighted
     gram[1:, 1:] += ridge * np.eye(k)
@@ -297,6 +333,27 @@ def fit_surrogate(
     else:
         fidelity = 1.0 - ss_res / ss_tot
     return beta[1:], float(beta[0]), fidelity
+
+
+def fit_surrogate(
+    design: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    ridge: float,
+) -> tuple[np.ndarray, float, float]:
+    """Weighted ridge fit via the normal equations (intercept unpenalized).
+
+    ``design`` holds standardized sample rows without an intercept column.
+    Returns ``(coefficients, intercept, fidelity_r2)`` where fidelity is the
+    weighted R² of the fit, defined as 0 for a zero-variance target.
+    """
+    design = np.asarray(design, dtype=float)
+    n, k = design.shape
+    # Feature-major like the design explain_detailed fits, for the same bits.
+    augmented = np.empty((k + 1, n)).T
+    augmented[:, 0] = 1.0
+    augmented[:, 1:] = design
+    return _fit(augmented, targets, weights, ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +446,11 @@ def explain_detailed(
     if not np.isfinite(instance).all():
         bad = [schema.names[i] for i in np.flatnonzero(~np.isfinite(instance))]
         raise SchemaMismatchError(f"instance has non-finite value(s) for {bad}")
+    if schema.arity == 0:
+        raise NoFeaturesError(
+            f"process {defn.name!r} has neither attributes nor activities, "
+            f"so there are no features to attribute"
+        )
     scaler = model.scaler
     rng = np.random.default_rng(config.seed)
     if config.mode == VANILLA:
@@ -404,17 +466,19 @@ def explain_detailed(
             flip_p=config.flip_p,
         )
         strategy = config.strategy
-    predictions = np.atleast_1d(predict_proba(model, samples))
+    augmented = _standardize(scaler, samples)
+    standardized = augmented[:, 1:]
+    predictions = predict_proba_standardized(model, standardized)
     width = config.resolved_width(schema.arity)
-    weights = kernel_weights(instance, samples, scaler, width)
+    weights = _kernel(standardized[0], standardized, width)
 
     if config.collapse_derived:
         columns = schema.numeric_indices
     else:
         columns = np.arange(schema.arity)
-    design = scaler.apply(samples)[:, columns]
-    coef, intercept, fidelity = fit_surrogate(
-        design, predictions, weights, config.ridge
+    # Numeric features lead the schema, so either column set is a prefix.
+    coef, intercept, fidelity = _fit(
+        augmented[:, : len(columns) + 1], predictions, weights, config.ridge
     )
 
     std_weights = np.zeros(schema.arity)

@@ -51,8 +51,18 @@ class Feature:
 
 @dataclass(frozen=True)
 class FeatureSchema:
+    """Features in canonical order: every numeric one before every binary one."""
+
     process_name: str
     features: tuple[Feature, ...]
+
+    def __post_init__(self) -> None:
+        kinds = [f.kind for f in self.features]
+        n_numeric = kinds.count(NUMERIC)
+        if kinds != [NUMERIC] * n_numeric + [BINARY] * (len(kinds) - n_numeric):
+            raise SchemaMismatchError(
+                f"schema features must be numeric ones, then binary ones; got {kinds}"
+            )
 
     @property
     def arity(self) -> int:
@@ -225,8 +235,15 @@ class Scaler:
     def scale(self) -> np.ndarray:
         return np.where(self.std < _STD_FLOOR, 1.0, self.std)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=float) - self.mean) / self.scale
+    def apply(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``(values - mean) / scale``, written into ``out`` when given.
+
+        The result keeps the memory layout of ``values`` (or of ``out``), so
+        feature-major samples are standardized a whole feature at a time.
+        """
+        out = np.subtract(np.asarray(values, dtype=float), self.mean, out=out)
+        out /= self.scale
+        return out
 
     def invert(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=float) * self.scale + self.mean

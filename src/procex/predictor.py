@@ -41,6 +41,7 @@ __all__ = [
     "loss_and_gradient",
     "train",
     "predict_proba",
+    "predict_proba_standardized",
     "evaluate",
     "split_log",
     "save_model",
@@ -230,9 +231,15 @@ def predict_proba(model: LogisticModel, vectors: np.ndarray) -> np.ndarray | flo
             f"vector arity {vectors.shape[-1]} does not match "
             f"schema arity {model.schema.arity}"
         )
-    design = model.scaler.apply(vectors)
-    probs = _sigmoid(design @ model.weights + model.bias)
+    probs = predict_proba_standardized(model, model.scaler.apply(vectors))
     return float(probs) if single else probs
+
+
+def predict_proba_standardized(model: LogisticModel, design: np.ndarray) -> np.ndarray:
+    """:func:`predict_proba` for vectors already standardized by the model's
+    scaler. The product runs on a C-order copy, so the result has the same
+    bits whatever the memory layout of ``design``."""
+    return _sigmoid(np.ascontiguousarray(design) @ model.weights + model.bias)
 
 
 @dataclass(frozen=True)

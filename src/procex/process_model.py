@@ -961,6 +961,7 @@ def execute_rows(
     attr_columns: Mapping[str, np.ndarray],
     n: int,
     draw: Callable[[np.ndarray], np.ndarray],
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Execute the process on ``n`` cases at once; the only executor.
 
@@ -968,8 +969,10 @@ def execute_rows(
     topological order, calls ``draw(arrived_mask)`` once and sends each
     arrived row to the first branch whose cumulative probability exceeds the
     row's entry of the result (the last branch if none does). Returns the
-    0/1 indicator matrix over ``defn.activity_names`` and each end node's
-    arrival mask by name.
+    0/1 indicator matrix over ``defn.activity_names``, shape ``(n, A)``, and
+    each end node's arrival mask by name. The matrix is the transposed view
+    of feature-major ``(A, n)`` rows, one per activity; pass ``out`` to have
+    them written there (every row is overwritten).
     """
     import numpy as np
     arrivals: dict[str, np.ndarray] = {
@@ -977,12 +980,14 @@ def execute_rows(
     }
     arrivals[defn.start][:] = True
     col = {name: i for i, name in enumerate(defn.activity_names)}
-    out = np.zeros((n, len(col)))
+    if out is None:
+        out = np.empty((len(col), n))
     for name in topological_order(defn):
         node = defn.node(name)
         mask = arrivals[name]
         if isinstance(node, Activity):
-            out[mask, col[name]] = 1.0
+            # The order holds every node once, so each row is written once.
+            out[col[name]] = mask
             arrivals[node.successor] |= mask
         elif isinstance(node, XorGateway):
             branch_rows = xor_branch_rows(node, attr_columns, n)
@@ -1000,7 +1005,7 @@ def execute_rows(
             arrivals[node.branches[-1].target] |= remaining
         elif not isinstance(node, EndNode):
             raise TypeError(f"not a node: {node!r}")
-    return out, {end.name: arrivals[end.name] for end in defn.end_nodes}
+    return out.T, {end.name: arrivals[end.name] for end in defn.end_nodes}
 
 
 def route_signatures(

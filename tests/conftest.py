@@ -9,7 +9,7 @@ import pytest
 
 import procex
 from procex.features import build_schema
-from procex.predictor import train
+from procex.predictor import split_log, train
 from procex.process_model import load_fixture
 from procex.simulation import SimulationConfig, generate_log
 
@@ -50,6 +50,19 @@ def model_log(loan):
 @pytest.fixture(scope="session")
 def loan_model(loan_schema, model_log):
     return train(model_log, loan_schema)
+
+
+@pytest.fixture(scope="session")
+def seed42_log(loan):
+    """The README tour's log: ``procex simulate --n 10000 --seed 42``."""
+    return generate_log(loan, SimulationConfig(n_cases=10000, seed=42))
+
+
+@pytest.fixture(scope="session")
+def seed42_model(loan_schema, seed42_log):
+    """The model ``procex train`` writes for the README tour's log."""
+    train_part, _ = split_log(seed42_log, 0.2, seed=42)
+    return train(train_part, loan_schema)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,8 @@ case at a time with sequential draws as the reference for the simulator.
 The enumerators keep explicit stacks, so they handle processes deeper than
 Python's recursion limit. ``REJOINING``, ``CHAIN`` and ``NO_ATTRIBUTES`` are
 hand-written processes: a DAG whose branches rejoin across gateways, one with
-more than 64 activities, and one without attributes.
+more than 64 activities, and one without attributes; ``NO_FEATURES_SOURCE``
+has neither attributes nor activities.
 """
 
 from __future__ import annotations
@@ -220,6 +221,17 @@ NO_ATTRIBUTES_SOURCE = (
     "end ok label POSITIVE\nend bad label NEGATIVE\n"
 )
 NO_ATTRIBUTES = parse_process(NO_ATTRIBUTES_SOURCE)
+
+# Neither attributes nor activities: an empty feature schema.
+NO_FEATURES_SOURCE = (
+    "process bare\nstart -> g\n"
+    "gateway g choice { 0.5 -> ok 0.5 -> bad }\n"
+    "end ok label POSITIVE\nend bad label NEGATIVE\n"
+)
+NO_FEATURES_ERROR = (
+    "NoFeaturesError: process 'bare' has neither attributes nor activities, "
+    "so there are no features to attribute"
+)
 
 
 # ---------------------------------------------------------------------------

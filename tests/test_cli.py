@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import procex
 from procex.cli import dispatch
 from procex.process_model import fixture_path, serialize_process
 
-from procgen import NO_ATTRIBUTES_SOURCE, long_chain
+from procgen import NO_ATTRIBUTES_SOURCE, NO_FEATURES_ERROR, NO_FEATURES_SOURCE, long_chain
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 LOAN = str(fixture_path())
@@ -696,6 +698,35 @@ def test_chain_past_the_recursion_limit_runs_reject(run, tmp_path):
     )
     assert code == 0, err
     assert json.loads(out)["aggregates"]["mean_conformance"]["process_aware"] == 1.0
+
+
+def test_process_without_features_fails_before_sampling(run, tmp_path):
+    """Nothing to attribute: `explain` and `evaluate` name that cause in one
+    line on stderr, exit 1, and print no numpy warning."""
+    process = tmp_path / "bare.bp"
+    process.write_text(NO_FEATURES_SOURCE)
+    log, model = tmp_path / "log.jsonl", tmp_path / "model.json"
+    assert run("simulate", str(process), "--n", "50", "--seed", "1", "--out", str(log))[0] == 0
+    assert run("train", str(process), "--log", str(log), "--out", str(model))[0] == 0
+    src = str(Path(procex.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    inputs = [str(process), "--model", str(model), "--log", str(log)]
+    for argv in (
+        ["explain", *inputs, "--case-id", "c000001", "--mode", "vanilla"],
+        ["explain", *inputs, "--case-id", "c000001", "--mode", "process-aware"],
+        ["evaluate", *inputs, "--instances", "5", "--seeds", "0",
+         "--out", str(tmp_path / "report.json")],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "procex.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == NO_FEATURES_ERROR + "\n"
 
 
 class TestParsing:

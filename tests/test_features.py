@@ -94,6 +94,20 @@ class TestSchema:
         assert payload["hash"] == loan_schema.schema_hash
         assert FeatureSchema.from_json_dict(payload) == loan_schema
 
+    @pytest.mark.parametrize("order", [[2, 0, 1, 3, 4], [0, 2, 1, 3, 4]])
+    def test_binary_before_numeric_is_refused(self, loan_schema, order):
+        # The samplers rely on the numeric rows leading the sample block.
+        payload = loan_schema.to_json_dict()
+        payload["features"] = [payload["features"][i] for i in order]
+        with pytest.raises(SchemaMismatchError, match="numeric ones, then binary"):
+            FeatureSchema.from_json_dict(payload)
+
+    def test_unknown_kind_is_refused(self, loan_schema):
+        payload = loan_schema.to_json_dict()
+        payload["features"][0]["kind"] = "categorical"
+        with pytest.raises(SchemaMismatchError, match="categorical"):
+            FeatureSchema.from_json_dict(payload)
+
 
 class TestEncoding:
     def test_skilled_trace(self, loan_schema):
