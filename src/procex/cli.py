@@ -16,6 +16,7 @@ import math
 import sys
 from collections import Counter
 from contextlib import closing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import (
@@ -60,12 +61,7 @@ def _pos_int(text: str) -> int:
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated integer list"
-        ) from None
+    seeds = tuple(_nonneg_int(part) for part in text.split(",") if part != "")
     if not seeds:
         raise argparse.ArgumentTypeError("at least one seed is required")
     return seeds
@@ -110,6 +106,25 @@ def _log(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The settings among ``names`` whose flags were given, by name.
+
+    A setting's flag has the setting's name as its ``dest`` and no default,
+    so it reads None when left out (switches store a constant, not False)
+    and the library supplies the default."""
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name, None) is not None
+    }
+
+
+def _config(config_class, args: argparse.Namespace, **fixed):
+    """A ``config_class`` from ``fixed`` and the given flags of its fields."""
+    names = [f.name for f in fields(config_class) if f.name not in fixed]
+    return config_class(**_given(args, *names), **fixed)
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -135,10 +150,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _emit(
         {
             "process": defn.name,
-            "findings": [
-                {"rule": f.rule, "subject": f.subject, "message": f.message}
-                for f in report.findings
-            ],
+            "findings": [asdict(f) for f in report.findings],
         }
     )
     if report.ok:
@@ -151,7 +163,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_causal_graph(args: argparse.Namespace) -> int:
     defn = _read_definition(args.process)
     graph = derive_causality_graph(defn)
-    _emit({"process": defn.name, "edges": [[s, t] for s, t in graph.edges]})
+    _emit({"process": defn.name, **graph.to_json_dict()})
     return 0
 
 
@@ -159,9 +171,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulation import SimulationConfig, generate_log, write_log_jsonl
 
     defn = _read_definition(args.process)
-    config = SimulationConfig(
-        n_cases=args.n, seed=args.seed, label_noise=args.noise
-    )
+    config = _config(SimulationConfig, args)
     log = generate_log(defn, config)
     write_log_jsonl(log, args.out)
     _log(args, f"wrote {len(log.traces)} traces to {args.out}")
@@ -182,11 +192,10 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
     log = import_log_csv(
         args.csv,
-        attr_columns=args.attrs,
-        activity_column=args.activity_col,
-        label_column=args.label,
-        case_column=args.case_col,
-        process_name=args.process_name or "",
+        **_given(
+            args, "attr_columns", "activity_column", "label_column", "case_column",
+            "process_name",
+        ),
     )
     write_log_jsonl(log, args.out)
     _log(args, f"imported {len(log.traces)} cases from {args.csv}")
@@ -207,16 +216,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .predictor import TrainConfig, evaluate, save_model, split_log, train
     from .simulation import read_log_jsonl
 
-    config = TrainConfig(l2=args.l2, epochs=args.epochs, tol=args.tol, seed=args.seed)
-    if args.split != 0 and not 0.0 < args.split < 1.0:
-        raise ConfigError(f"split must be 0 or lie in (0, 1), got {args.split}")
+    config = _config(TrainConfig, args)
+    split = args.test_fraction
+    if split not in (None, 0) and not 0.0 < split < 1.0:
+        raise ConfigError(f"split must be 0 or lie in (0, 1), got {split}")
     defn = _read_definition(args.process)
     schema = build_schema(defn)
     log = read_log_jsonl(args.log, process_name=defn.name)
-    if args.split > 0:
-        train_log, test_log = split_log(log, args.split, args.seed)
-    else:
+    if split == 0:
         train_log, test_log = log, None
+    else:
+        train_log, test_log = split_log(
+            log, **_given(args, "test_fraction"), seed=config.seed
+        )
+        split = test_log.provenance["split"]["test_fraction"]  # the one applied
     model = train(train_log, schema, config)
     save_model(model, args.out)
     metrics = {"train": evaluate(model, train_log).to_json_dict()}
@@ -232,7 +245,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "command": "train",
             "process": defn.name,
             "config": config.to_json_dict(),
-            "split": args.split,
+            "split": split,
             "out": args.out,
             "train_meta": model.train_meta,
             "metrics": metrics,
@@ -241,7 +254,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_instance(args: argparse.Namespace, defn, schema):
+def _resolve_instance(args: argparse.Namespace, defn, schema, seed: int):
     """Build (vector, instance_id) from --case-id/--log or --attrs."""
     import numpy as np
 
@@ -268,7 +281,7 @@ def _resolve_instance(args: argparse.Namespace, defn, schema):
     # Hypothetical case: derive the indicators by executing the process on
     # the given attributes, resolving choice gateways from the seed.
     trace = execute_case(
-        defn, attrs, np.random.default_rng(args.seed), case_id="adhoc"
+        defn, attrs, np.random.default_rng(seed), case_id="adhoc"
     )
     return encode_trace(schema, trace), "adhoc"
 
@@ -280,25 +293,16 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.case_id is not None and args.log is None:
         print("error: --case-id requires --log", file=sys.stderr)
         return 2
+    mode = PROCESS_AWARE if args.mode == "process-aware" else VANILLA
+    config = _config(ExplainConfig, args, mode=mode)
     defn = _read_definition(args.process)
     model = load_model(args.model, definition=defn)
-    vector, instance_id = _resolve_instance(args, defn, model.schema)
+    vector, instance_id = _resolve_instance(args, defn, model.schema, config.seed)
     for name, (lower, upper) in sorted(defn.attribute_bounds.items()):
         value = float(vector[model.schema.index(name)])
         if not lower <= value <= upper:
             bounds = f"[{lower}, {upper}]"
             _log(args, f"warning: {name}={value} outside declared bounds {bounds}")
-    config = ExplainConfig(
-        mode=PROCESS_AWARE if args.mode == "process-aware" else VANILLA,
-        strategy=args.strategy,
-        n_samples=args.samples,
-        spread=args.spread,
-        flip_p=args.flip_p,
-        kernel_width=args.width,
-        ridge=args.ridge,
-        seed=args.seed,
-        collapse_derived=args.collapse_derived,
-    )
     explanation = explain(model, defn, vector, config, instance_id=instance_id)
     payload = explanation.to_json_dict()
     if args.top is not None:
@@ -326,20 +330,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     defn = _read_definition(args.process)
     model = load_model(args.model, definition=defn)
     log = read_log_jsonl(args.log, process_name=defn.name)
-    config = ComparisonConfig(
-        n_instances=args.instances,
-        seeds=args.seeds,
-        select_label=args.label,
-        require_activity=args.require_activity,
-        top_k=args.top_k,
-        n_samples=args.samples,
-        spread=args.spread,
-        flip_p=args.flip_p,
-        kernel_width=args.width,
-        ridge=args.ridge,
-        strategy=args.strategy,
-        collapse_derived=args.collapse_derived,
-    )
+    config = _config(ComparisonConfig, args)
     report = run_comparison(defn, model, log, config)
     write_report_json(report, args.out)
     figdata = args.figdata or _figdata_path(args.out)
@@ -361,6 +352,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _add_sampling_options(p: argparse.ArgumentParser) -> None:
+    """The explainer settings that `explain` and `evaluate` share."""
+    p.add_argument(
+        "--samples", dest="n_samples", metavar="SAMPLES", type=_pos_int,
+        help="perturbation count",
+    )
+    p.add_argument("--spread", type=float, help="noise scale in train-stds")
+    p.add_argument("--flip-p", type=float, help="indicator flip probability")
+    p.add_argument(
+        "--width", dest="kernel_width", metavar="WIDTH", type=float,
+        help="kernel width override",
+    )
+    p.add_argument("--ridge", type=float, help="surrogate ridge penalty")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -386,10 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a labeled event log")
     p.add_argument("process", help="path to a .bp process definition")
-    p.add_argument("--n", type=_nonneg_int, required=True, help="number of cases")
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="simulation seed")
     p.add_argument(
-        "--noise", type=float, default=0.0,
+        "--n", dest="n_cases", metavar="N", type=_nonneg_int, required=True,
+        help="number of cases",
+    )
+    p.add_argument("--seed", type=_nonneg_int, help="simulation seed")
+    p.add_argument(
+        "--noise", dest="label_noise", metavar="NOISE", type=float,
         help="label flip probability in [0, 0.5]",
     )
     p.add_argument("--out", required=True, help="output JSONL path")
@@ -398,15 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("import", help="convert an event-per-row CSV to JSONL")
     p.add_argument("--csv", required=True, help="input CSV path")
     p.add_argument(
-        "--attrs", type=_name_list, required=True,
-        help="comma-separated attribute column names",
+        "--attrs", dest="attr_columns", metavar="ATTRS", type=_name_list,
+        required=True, help="comma-separated attribute column names",
     )
-    p.add_argument("--label", required=True, help="label column name")
     p.add_argument(
-        "--activity-col", default="activity", help="activity column name"
+        "--label", dest="label_column", metavar="LABEL", required=True,
+        help="label column name",
     )
-    p.add_argument("--case-col", default="case_id", help="case id column name")
-    p.add_argument("--process-name", default=None, help="process name to record")
+    p.add_argument(
+        "--activity-col", dest="activity_column", metavar="ACTIVITY_COL",
+        help="activity column name",
+    )
+    p.add_argument(
+        "--case-col", dest="case_column", metavar="CASE_COL",
+        help="case id column name",
+    )
+    p.add_argument("--process-name", help="process name to record")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=_cmd_import)
 
@@ -414,80 +430,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("process", help="path to a .bp process definition")
     p.add_argument("--log", required=True, help="training log (JSONL)")
     p.add_argument("--out", required=True, help="output model path (JSON)")
-    p.add_argument("--l2", type=float, default=1e-3, help="L2 penalty")
+    p.add_argument("--l2", type=float, help="L2 penalty")
+    p.add_argument("--epochs", type=_pos_int, help="Newton iteration limit")
+    p.add_argument("--tol", type=float, help="gradient stop tolerance")
     p.add_argument(
-        "--epochs", type=_pos_int, default=2000, help="Newton iteration limit"
-    )
-    p.add_argument("--tol", type=float, default=1e-6, help="gradient stop tolerance")
-    p.add_argument(
-        "--split", type=float, default=0.2,
+        "--split", dest="test_fraction", metavar="SPLIT", type=float,
         help="held-out fraction (0 trains on everything)",
     )
-    p.add_argument("--seed", type=_nonneg_int, default=42, help="split seed")
+    p.add_argument("--seed", type=_nonneg_int, help="split seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("explain", help="explain one prediction")
     p.add_argument("process", help="path to a .bp process definition")
     p.add_argument("--model", required=True, help="trained model path")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--case-id", default=None, help="case to explain (needs --log)")
+    which.add_argument("--case-id", help="case to explain (needs --log)")
     which.add_argument(
-        "--attrs", type=_attr_assignments, default=None,
+        "--attrs", type=_attr_assignments,
         help="hypothetical case as name=value,... pairs",
     )
-    p.add_argument("--log", default=None, help="log containing --case-id")
+    p.add_argument("--log", help="log containing --case-id")
     p.add_argument(
         "--mode", choices=["vanilla", "process-aware"], required=True,
         help="sampling mode",
     )
     p.add_argument(
-        "--strategy", choices=["propagate", "reject"], default="propagate",
+        "--strategy", choices=["propagate", "reject"],
         help="process-aware sampling strategy",
     )
-    p.add_argument("--samples", type=_pos_int, default=5000, help="perturbation count")
-    p.add_argument("--spread", type=float, default=1.0, help="noise scale in train-stds")
-    p.add_argument("--flip-p", type=float, default=0.5, help="indicator flip probability")
-    p.add_argument("--width", type=float, default=None, help="kernel width override")
-    p.add_argument("--ridge", type=float, default=1.0, help="surrogate ridge penalty")
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="sampling seed")
+    _add_sampling_options(p)
+    p.add_argument("--seed", type=_nonneg_int, help="sampling seed")
     p.add_argument(
-        "--collapse-derived", action="store_true",
+        "--collapse-derived", action="store_const", const=True,
         help="drop indicator columns from the surrogate (process-aware only)",
     )
-    p.add_argument("--top", type=_pos_int, default=None, help="print only top-k attributions")
-    p.add_argument("--out", default=None, help="also write the JSON to this path")
+    p.add_argument("--top", type=_pos_int, help="print only top-k attributions")
+    p.add_argument("--out", help="also write the JSON to this path")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("evaluate", help="run the vanilla vs process-aware comparison")
     p.add_argument("process", help="path to a .bp process definition")
     p.add_argument("--model", required=True, help="trained model path")
     p.add_argument("--log", required=True, help="log to select instances from")
-    p.add_argument("--instances", type=_pos_int, required=True, help="instance count")
+    p.add_argument(
+        "--instances", dest="n_instances", metavar="INSTANCES", type=_pos_int,
+        required=True, help="instance count",
+    )
     p.add_argument(
         "--seeds", type=_seed_list, required=True,
         help="comma-separated seeds, one run per instance per seed",
     )
-    p.add_argument("--label", default="NEGATIVE", help="label to select instances by")
     p.add_argument(
-        "--require-activity", default=None,
-        help="only select instances containing this activity",
+        "--label", dest="select_label", metavar="LABEL",
+        help="label to select instances by",
     )
-    p.add_argument("--top-k", type=_pos_int, default=2, help="overlap metric depth")
-    p.add_argument("--samples", type=_pos_int, default=5000, help="perturbation count")
-    p.add_argument("--spread", type=float, default=1.0, help="noise scale in train-stds")
-    p.add_argument("--flip-p", type=float, default=0.5, help="indicator flip probability")
-    p.add_argument("--width", type=float, default=None, help="kernel width override")
-    p.add_argument("--ridge", type=float, default=1.0, help="surrogate ridge penalty")
     p.add_argument(
-        "--strategy", choices=["propagate", "reject"], default="propagate",
+        "--require-activity", help="only select instances containing this activity"
+    )
+    p.add_argument("--top-k", type=_pos_int, help="overlap metric depth")
+    _add_sampling_options(p)
+    p.add_argument(
+        "--strategy", choices=["propagate", "reject"],
         help="process-aware sampling strategy",
     )
     p.add_argument(
-        "--collapse-derived", action="store_true",
+        "--collapse-derived", action="store_const", const=True,
         help="drop indicator columns from the process-aware surrogate",
     )
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--figdata", default=None, help="bar-data CSV path")
+    p.add_argument("--figdata", help="bar-data CSV path")
     p.set_defaults(func=_cmd_evaluate)
 
     return parser
@@ -502,13 +513,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args) or 0)
-    except ProcexError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"JSONDecodeError: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ProcexError, json.JSONDecodeError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

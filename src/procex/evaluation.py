@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .explainer import (
     PROCESS_AWARE,
-    PROPAGATE,
     VANILLA,
     ExplainConfig,
     Explanation,
@@ -93,56 +92,44 @@ def top_k_overlap(e1: Explanation, e2: Explanation, k: int) -> float:
 
 @dataclass(frozen=True)
 class ComparisonConfig:
-    """Instance selection plus the explainer settings shared by both modes."""
+    """Instance selection plus the explainer settings shared by both modes,
+    which default as in :class:`ExplainConfig`."""
 
     n_instances: int = 20
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     select_label: str = NEGATIVE
     require_activity: str | None = None
     top_k: int = 2
-    n_samples: int = 5000
-    spread: float = 1.0
-    flip_p: float = 0.5
-    kernel_width: float | None = None
-    ridge: float = 1.0
-    strategy: str = PROPAGATE
-    collapse_derived: bool = False
+    n_samples: int = ExplainConfig.n_samples
+    spread: float = ExplainConfig.spread
+    flip_p: float = ExplainConfig.flip_p
+    kernel_width: float | None = ExplainConfig.kernel_width
+    ridge: float = ExplainConfig.ridge
+    strategy: str = ExplainConfig.strategy
+    collapse_derived: bool = ExplainConfig.collapse_derived
 
     def __post_init__(self) -> None:
         if self.n_instances < 1:
             raise ConfigError(f"n_instances must be positive, got {self.n_instances}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        self.explain_config(PROCESS_AWARE, self.seeds[0])  # checks the shared settings
+        for seed in self.seeds:  # checks each seed and the shared settings
+            self.explain_config(PROCESS_AWARE, seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "seeds": list(self.seeds),
-            "select_label": self.select_label,
-            "require_activity": self.require_activity,
-            "top_k": self.top_k,
-            "n_samples": self.n_samples,
-            "spread": self.spread,
-            "flip_p": self.flip_p,
-            "kernel_width": self.kernel_width,
-            "ridge": self.ridge,
-            "strategy": self.strategy,
-            "collapse_derived": self.collapse_derived,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["seeds"] = list(self.seeds)
+        return data
 
     def explain_config(self, mode: str, seed: int) -> ExplainConfig:
-        return ExplainConfig(
-            mode=mode,
-            strategy=self.strategy,
-            n_samples=self.n_samples,
-            spread=self.spread,
-            flip_p=self.flip_p,
-            kernel_width=self.kernel_width,
-            ridge=self.ridge,
-            seed=seed,
-            collapse_derived=self.collapse_derived if mode == PROCESS_AWARE else False,
-        )
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(ExplainConfig)
+            if f.name not in ("mode", "seed")
+        }
+        if mode != PROCESS_AWARE:
+            shared["collapse_derived"] = False
+        return ExplainConfig(mode=mode, seed=seed, **shared)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ run the same helpers, so composing them gives the same bits as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +51,7 @@ from .errors import (
     SchemaMismatchError,
     SingularSystemError,
 )
-from .features import FeatureSchema, Scaler, build_schema, split_columns
+from .features import FeatureSchema, Scaler, split_columns
 from .predictor import LogisticModel, predict_proba_standardized
 from .process_model import ProcessDefinition, conformant_rows, execute_rows
 
@@ -113,6 +113,8 @@ class ExplainConfig:
                 )
         if not 0.0 <= self.flip_p <= 1.0:
             raise ConfigError(f"flip_p must lie in [0, 1], got {self.flip_p}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.kernel_width is not None and not self.kernel_width > 0:
             raise ConfigError(f"kernel_width must be positive, got {self.kernel_width}")
         if self.collapse_derived and self.mode != PROCESS_AWARE:
@@ -124,20 +126,12 @@ class ExplainConfig:
         return default_kernel_width(arity)
 
     def to_json_dict(self, arity: int | None = None) -> dict:
-        width = self.kernel_width
-        if width is None and arity is not None:
-            width = self.resolved_width(arity)
-        return {
-            "mode": self.mode,
-            "strategy": self.strategy if self.mode == PROCESS_AWARE else None,
-            "n_samples": self.n_samples,
-            "spread": self.spread,
-            "flip_p": self.flip_p,
-            "kernel_width": width,
-            "ridge": self.ridge,
-            "seed": self.seed,
-            "collapse_derived": self.collapse_derived,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.mode != PROCESS_AWARE:
+            data["strategy"] = None
+        if self.kernel_width is None and arity is not None:
+            data["kernel_width"] = self.resolved_width(arity)
+        return data
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,6 +362,8 @@ class Explanation:
     bar-chart values); ``attributions_raw`` divides each by the feature's
     training std, giving per-raw-unit slopes. Ordering is by descending
     absolute standardized weight, ties broken by feature name.
+    ``prediction`` is row 0 of the batch prediction over the samples, so it
+    can differ in the last bits from ``predict_proba(model, instance)``.
     """
 
     mode: str
@@ -419,15 +415,6 @@ class Explanation:
         }
 
 
-def _check_definition(model: LogisticModel, defn: ProcessDefinition) -> None:
-    expected = build_schema(defn)
-    if expected.schema_hash != model.schema.schema_hash:
-        raise SchemaMismatchError(
-            f"model schema {model.schema.schema_hash} does not match the "
-            f"definition's schema {expected.schema_hash}"
-        )
-
-
 def explain_detailed(
     model: LogisticModel,
     defn: ProcessDefinition,
@@ -436,7 +423,7 @@ def explain_detailed(
     instance_id: str = "",
 ) -> tuple[Explanation, PerturbationSet]:
     """Run the full pipeline and keep the perturbation set for inspection."""
-    _check_definition(model, defn)
+    model.schema.check_definition(defn)
     instance = np.asarray(instance, dtype=float)
     schema = model.schema
     if instance.shape != (schema.arity,):

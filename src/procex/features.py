@@ -127,6 +127,15 @@ class FeatureSchema:
             ),
         )
 
+    def check_definition(self, defn: ProcessDefinition) -> None:
+        """Refuse a definition that implies another schema than this one."""
+        expected = build_schema(defn)
+        if expected != self:
+            raise SchemaMismatchError(
+                f"model was trained for schema {self.schema_hash} "
+                f"but the supplied definition implies {expected.schema_hash}"
+            )
+
 
 def build_schema(defn: ProcessDefinition) -> FeatureSchema:
     """Derive the canonical feature order from a process definition."""
@@ -171,30 +180,27 @@ def encode_log(schema: FeatureSchema, log: EventLog) -> tuple[np.ndarray, tuple[
 def split_vector(
     schema: FeatureSchema, vector: np.ndarray
 ) -> tuple[dict[str, float], dict[str, int]]:
-    """Split a feature vector back into an attribute map and indicator map."""
+    """Split a feature vector back into an attribute map and indicator map:
+    a one-row view of :func:`split_columns`."""
     vector = np.asarray(vector)
     if vector.shape != (schema.arity,):
         raise SchemaMismatchError(
             f"vector of shape {vector.shape} does not fit schema arity {schema.arity}"
         )
-    attrs: dict[str, float] = {}
-    indicators: dict[str, int] = {}
-    for feature_index, feature in enumerate(schema.features):
-        if feature.kind == NUMERIC:
-            attrs[feature.name] = float(vector[feature_index])
-        else:
-            indicators[feature.name] = int(round(float(vector[feature_index])))
-    return attrs, indicators
+    activities = tuple(schema.names[i] for i in schema.binary_indices)
+    columns, indicators = split_columns(schema, vector[None, :], activities)
+    attrs = {name: float(column[0]) for name, column in columns.items()}
+    return attrs, dict(zip(activities, indicators[0].tolist()))
 
 
 def split_columns(
     schema: FeatureSchema, matrix: np.ndarray, activities: tuple[str, ...]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Columnar :func:`split_vector` for a matrix of feature rows.
+    """Split a matrix of feature rows into columns.
 
     Returns the attribute columns by name, and a 0/1 indicator matrix with
-    one column per name in ``activities`` (cells rounded as in
-    :func:`split_vector`, non-zero meaning present).
+    one column per name in ``activities`` (cells rounded to the nearest
+    integer, non-zero meaning present; a non-finite cell is refused).
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != schema.arity:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -27,7 +27,6 @@ from .errors import (
 from .features import (
     FeatureSchema,
     Scaler,
-    build_schema,
     encode_log,
     scaler_from_matrix,
 )
@@ -68,25 +67,17 @@ class TrainConfig:
                 )
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "l2": self.l2,
-            "epochs": self.epochs,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json_dict(data: dict) -> "TrainConfig":
         # Files written by the gradient-descent trainer also carry a
         # ``learning_rate``; it no longer means anything and is not read.
-        return TrainConfig(
-            l2=data["l2"],
-            epochs=data["epochs"],
-            tol=data["tol"],
-            seed=data["seed"],
-        )
+        return TrainConfig(**{f.name: data[f.name] for f in fields(TrainConfig)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +299,7 @@ def evaluate(model: LogisticModel, log: EventLog) -> EvalMetrics:
 
 
 def split_log(
-    log: EventLog, test_fraction: float = 0.2, seed: int = 42
+    log: EventLog, test_fraction: float = 0.2, seed: int = TrainConfig.seed
 ) -> tuple[EventLog, EventLog]:
     """Shuffle case indices with the seed and split; order inside each part
     follows the original log."""
@@ -316,6 +307,8 @@ def split_log(
         raise EmptyLogError("cannot split an empty event log")
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     n = len(log.traces)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -371,12 +364,7 @@ def load_model(
             f"feature list ({schema.schema_hash}); file corrupted?"
         )
     if definition is not None:
-        expected = build_schema(definition)
-        if expected.schema_hash != schema.schema_hash:
-            raise SchemaMismatchError(
-                f"model was trained for schema {schema.schema_hash} "
-                f"but the supplied definition implies {expected.schema_hash}"
-            )
+        schema.check_definition(definition)
     scaler = Scaler.from_json_dict(data["scaler"])
     weights = np.asarray(data["weights"], dtype=float)
     for what, values in (

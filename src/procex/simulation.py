@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence, Union
@@ -127,15 +127,12 @@ class SimulationConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "seed": self.seed,
-            "label_noise": self.label_noise,
-            "distributions": {
-                name: _dist_to_json(dist)
-                for name, dist in sorted(self.distributions.items())
-            },
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["distributions"] = {
+            name: _dist_to_json(dist)
+            for name, dist in sorted(self.distributions.items())
         }
+        return data
 
 
 def _resolve_distributions(

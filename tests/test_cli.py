@@ -12,7 +12,11 @@ import pytest
 
 import procex
 from procex.cli import dispatch
+from procex.evaluation import ComparisonConfig
+from procex.explainer import PROCESS_AWARE, ExplainConfig
+from procex.predictor import TrainConfig
 from procex.process_model import fixture_path, serialize_process
+from procex.simulation import SimulationConfig
 
 from procgen import NO_ATTRIBUTES_SOURCE, NO_FEATURES_ERROR, NO_FEATURES_SOURCE, long_chain
 
@@ -665,15 +669,46 @@ class TestEvaluate:
         assert figdata.read_text().startswith("feature,mode,mean_abs_weight,rank")
 
     def test_bad_seed_list_is_a_usage_error(self, run, workspace, tmp_path):
-        code, _, _ = run(
-            "evaluate", LOAN,
-            "--model", str(workspace["model"]),
-            "--log", str(workspace["log"]),
-            "--instances", "1",
-            "--seeds", "0,x",
-            "--out", str(tmp_path / "r.json"),
-        )
-        assert code == 2
+        for seeds in ("0,x", "0,-1"):
+            code, _, _ = run(
+                "evaluate", LOAN,
+                "--model", str(workspace["model"]),
+                "--log", str(workspace["log"]),
+                "--instances", "1",
+                "--seeds", seeds,
+                "--out", str(tmp_path / "r.json"),
+            )
+            assert code == 2, seeds
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "explain", "evaluate"])
+def test_flags_default_to_the_library_configs(run, workspace, tmp_path, command):
+    """With only the required flags, each echoed config is the library's
+    default one."""
+    model, log, out = str(workspace["model"]), str(workspace["log"]), str(tmp_path / "o")
+    argv, expected = {
+        "simulate": (
+            ["--n", "40", "--out", out],
+            SimulationConfig(n_cases=40).to_json_dict(),
+        ),
+        "train": (["--log", log, "--out", out], TrainConfig().to_json_dict()),
+        "explain": (
+            ["--model", model, "--attrs", "credit_score=580,loan_amount=300000",
+             "--mode", "process-aware"],
+            ExplainConfig(mode=PROCESS_AWARE).to_json_dict(arity=5),
+        ),
+        "evaluate": (
+            ["--model", model, "--log", log, "--instances", "2", "--seeds", "3",
+             "--out", out],
+            ComparisonConfig(n_instances=2, seeds=(3,)).to_json_dict(),
+        ),
+    }[command]
+    code, stdout, _ = run(command, LOAN, *argv)
+    assert code == 0
+    config = json.loads(stdout)["config"]
+    if command == "evaluate":
+        expected["selected_cases"] = config["selected_cases"]
+    assert config == expected
 
 
 def test_chain_past_the_recursion_limit_runs_reject(run, tmp_path):

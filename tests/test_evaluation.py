@@ -235,6 +235,9 @@ class TestRunComparison:
             ComparisonConfig(n_instances=0)
         with pytest.raises(ConfigError):
             ComparisonConfig(seeds=())
+        # Every seed is checked, not only the first.
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            ComparisonConfig(seeds=(0, -1))
         # The explainer settings are checked when the config is built.
         with pytest.raises(ConfigError, match="ridge"):
             ComparisonConfig(ridge=float("nan"))

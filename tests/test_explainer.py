@@ -281,6 +281,8 @@ class TestExplainConfig:
             ExplainConfig(kernel_width=0.0)
         with pytest.raises(ConfigError):
             ExplainConfig(ridge=-0.1)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            ExplainConfig(seed=-1)
 
     @pytest.mark.parametrize("name", ["spread", "ridge"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

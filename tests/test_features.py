@@ -14,6 +14,7 @@ from procex.features import (
     encode_trace,
     fit_scaler,
     scaler_from_matrix,
+    split_columns,
     split_vector,
 )
 from procex.process_model import parse_process
@@ -157,6 +158,22 @@ class TestEncoding:
             "standard_review": 0,
             "submit_application": 1,
         }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_split_vector_refuses_a_non_finite_indicator(self, loan_schema, value):
+        vec = encode_trace(loan_schema, SKILLED_TRACE)
+        vec[loan_schema.index("standard_review")] = value
+        with pytest.raises(SchemaMismatchError, match="non-finite"):
+            split_vector(loan_schema, vec)
+
+    def test_split_vector_is_a_row_of_split_columns(self, loan_schema):
+        vec = encode_trace(loan_schema, SKILLED_TRACE)
+        vec[loan_schema.index("skilled_agent_review")] = 2.0
+        activities = loan_schema.names[2:]
+        columns, indicators = split_columns(loan_schema, vec[None, :], activities)
+        attrs, indicator_map = split_vector(loan_schema, vec)
+        assert attrs == {name: column[0] for name, column in columns.items()}
+        assert list(indicator_map.values()) == indicators[0].tolist() == [1, 0, 1]
 
 
 class TestScaler:

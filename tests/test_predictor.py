@@ -137,7 +137,7 @@ class TestTraining:
     @pytest.mark.parametrize(
         "kwargs",
         [{"l2": -1.0}, {"l2": math.nan}, {"l2": math.inf},
-         {"tol": -1e-6}, {"tol": math.nan}, {"epochs": -1}],
+         {"tol": -1e-6}, {"tol": math.nan}, {"epochs": -1}, {"seed": -1}],
     )
     def test_bad_settings_are_refused(self, kwargs):
         with pytest.raises(ConfigError):
@@ -303,6 +303,10 @@ class TestSplit:
         for fraction in (1.5, 0.0, -0.1, math.nan):
             with pytest.raises(ConfigError, match="test_fraction must lie in"):
                 split_log(small_log, fraction)
+
+    def test_negative_seed_rejected(self, small_log):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            split_log(small_log, 0.2, seed=-1)
 
 
 class TestModelFiles:
