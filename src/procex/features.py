@@ -5,6 +5,12 @@ feature per declared attribute, then one binary indicator per activity, both
 blocks sorted lexicographically by name. Feature vectors are plain float64
 arrays aligned to that order. A short content hash of the schema travels with
 serialized models so mismatched artifacts fail loudly instead of silently.
+
+There is one encoder, ``_encode``: it fills each numeric column from one list
+of attribute values, maps each distinct activity tuple to its indicator
+columns once, and sets every indicator cell with one mask. ``encode_log``
+runs it on a whole log and ``encode_trace`` is its one-row view, as
+``split_vector`` is of ``split_columns``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -147,34 +154,63 @@ def build_schema(defn: ProcessDefinition) -> FeatureSchema:
     return FeatureSchema(process_name=defn.name, features=tuple(features))
 
 
-def encode_trace(schema: FeatureSchema, trace: Trace) -> np.ndarray:
-    """Vectorize one trace: attribute values, then 0/1 activity presence."""
-    vector = np.zeros(schema.arity)
-    for feature_index, feature in enumerate(schema.features):
-        if feature.kind == NUMERIC:
-            try:
-                vector[feature_index] = trace.attrs[feature.name]
-            except KeyError:
+def _refuse_unencodable(schema: FeatureSchema, traces: Sequence[Trace]) -> None:
+    """Raise for the first trace, in order, that lacks an attribute of the
+    schema or holds an activity outside it; attributes are checked first."""
+    numeric = [schema.names[i] for i in schema.numeric_indices]
+    for trace in traces:
+        for name in numeric:
+            if name not in trace.attrs:
                 raise SchemaMismatchError(
-                    f"trace {trace.case_id!r} lacks attribute {feature.name!r}"
-                ) from None
-    known = set(schema.names)
-    for activity in trace.activities:
-        if activity not in known:
-            raise SchemaMismatchError(
-                f"trace {trace.case_id!r} contains unknown activity {activity!r}"
-            )
-        vector[schema.index(activity)] = 1.0
-    return vector
+                    f"trace {trace.case_id!r} lacks attribute {name!r}"
+                )
+        for activity in trace.activities:
+            if activity not in schema._index:
+                raise SchemaMismatchError(
+                    f"trace {trace.case_id!r} contains unknown activity {activity!r}"
+                )
+
+
+def _encode(schema: FeatureSchema, traces: Sequence[Trace]) -> np.ndarray:
+    """The one encoder: a ``(len(traces), arity)`` matrix, a column at a time.
+
+    Each numeric column is filled from one list of attribute values. Each
+    distinct activity tuple is mapped to its columns once, and one boolean
+    mask sets every indicator cell.
+    """
+    matrix = np.zeros((len(traces), schema.arity))
+    patterns: dict[tuple[str, ...], int] = {}
+    try:
+        for i in schema.numeric_indices.tolist():
+            name = schema.names[i]
+            matrix[:, i] = [trace.attrs[name] for trace in traces]
+        path_of = [patterns.setdefault(t.activities, len(patterns)) for t in traces]
+        present = np.zeros((len(patterns), schema.arity), dtype=bool)
+        for row, activities in enumerate(patterns):
+            present[row, [schema._index[a] for a in activities]] = True
+    except KeyError:
+        _refuse_unencodable(schema, traces)
+        raise
+    matrix[present[path_of]] = 1.0
+    return matrix
+
+
+def encode_trace(schema: FeatureSchema, trace: Trace) -> np.ndarray:
+    """Vectorize one trace, attribute values then 0/1 activity presence: a
+    one-row view of the encoder behind :func:`encode_log`."""
+    return _encode(schema, (trace,))[0]
 
 
 def encode_log(schema: FeatureSchema, log: EventLog) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Encode every trace; returns the design matrix and the label sequence."""
+    """Encode every trace; returns the design matrix and the label sequence.
+
+    Raises ``SchemaMismatchError`` naming the first trace that lacks an
+    attribute or holds an unknown activity.
+    """
     if not log.traces:
         raise EmptyLogError("cannot encode an empty event log")
-    matrix = np.stack([encode_trace(schema, t) for t in log.traces])
     labels = tuple(t.label for t in log.traces)
-    return matrix, labels
+    return _encode(schema, log.traces), labels
 
 
 def split_vector(

@@ -13,7 +13,16 @@ truncated, so trace ``i`` is byte-identical no matter how many cases
 surround it. A case reads its row as one variate per attribute in
 lexicographic name order, then one per choice gateway on the case's path in
 path order, then one for label noise; a shorter path leaves the last
-columns unread.
+columns unread. Cases that take the same path share one activity tuple, and
+so do traces read back from JSONL.
+
+Event logs are JSONL, one ``json.dumps`` record per line. The writer builds
+the lines a column at a time: each distinct activity tuple, label and
+attribute name is encoded once per log, and per line only the case id and
+each value's ``float.__repr__`` are formatted. It refuses, before opening
+the file, what standard JSON cannot hold: a case id that is not a string, an
+attribute value that is not finite. The reader streams line by line and
+refuses the same.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, which folds the reachable
@@ -26,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence, Union
 
@@ -228,9 +238,10 @@ def _run(
     attr_columns: Mapping[str, np.ndarray],
     stream: np.ndarray,
     label_noise: float,
-) -> list[tuple[tuple[str, ...], str]]:
+) -> tuple[list[tuple[str, ...]], list[str]]:
     """Execute one case per row of ``stream``, shape ``(n, C + 1)``; returns
-    each case's activities, in path order, and its label."""
+    each case's activities, in path order, and its label. Cases that take the
+    same path share one activity tuple."""
     n = len(stream)
     rows = np.arange(n)
     cursor = np.zeros(n, dtype=np.intp)
@@ -248,8 +259,16 @@ def _run(
     # A path visits its activities in topological order.
     col = {name: j for j, name in enumerate(defn.activity_names)}
     order = [name for name in topological_order(defn) if name in col]
-    visited = indicators[:, [col[name] for name in order]].tolist()
-    return [(tuple(compress(order, row)), label) for row, label in zip(visited, labels)]
+    visited = indicators[:, [col[name] for name in order]]
+    # Number the distinct rows one column at a time: each np.unique keeps
+    # the codes dense, so no row width overflows them.
+    path_of = np.zeros(n, dtype=np.intp)
+    for column in visited.T:
+        _, path_of = np.unique(2 * path_of + column.astype(np.intp), return_inverse=True)
+    patterns = np.zeros((path_of.max(initial=-1) + 1, len(order)))
+    patterns[path_of] = visited
+    paths = [tuple(compress(order, row)) for row in patterns.tolist()]
+    return [paths[k] for k in path_of.tolist()], labels
 
 
 def execute_case(
@@ -265,7 +284,7 @@ def execute_case(
     """
     columns = {name: np.array([value]) for name, value in attrs.items()}
     stream = rng.random((1, len(defn.choice_gateways) + 1))
-    [(activities, label)] = _run(defn, columns, stream, label_noise)
+    [activities], [label] = _run(defn, columns, stream, label_noise)
     return Trace(case_id, dict(sorted(attrs.items())), activities, label)
 
 
@@ -279,11 +298,10 @@ def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
     for j, name in enumerate(names):
         values[:, j] = _variates(distributions[name], stream[:, j])
     columns = {name: values[:, j] for j, name in enumerate(names)}
-    runs = _run(defn, columns, stream[:, len(names):], config.label_noise)
-    traces = tuple(
-        Trace(f"c{i + 1:06d}", dict(zip(names, row)), activities, label)
-        for i, (row, (activities, label)) in enumerate(zip(values.tolist(), runs))
-    )
+    paths, labels = _run(defn, columns, stream[:, len(names):], config.label_noise)
+    case_ids = [f"c{i:06d}" for i in range(1, config.n_cases + 1)]
+    attrs = [dict(zip(names, row)) for row in values.tolist()]
+    traces = tuple(map(Trace, case_ids, attrs, paths, labels))
     provenance: dict[str, Any] = {
         "kind": "simulated",
         "process": defn.name,
@@ -330,23 +348,69 @@ def is_conformant(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _trace_to_json(trace: Trace) -> str:
-    return json.dumps(
-        {
-            "case_id": trace.case_id,
-            "attrs": {k: float(v) for k, v in sorted(trace.attrs.items())},
-            "activities": list(trace.activities),
-            "label": trace.label,
-        }
-    )
+def _refuse_unwritable(traces: Sequence[Trace]) -> None:
+    """Raise for the first field, in file order, that has no standard JSON
+    form: a case id that is not a string, or a non-finite attribute value."""
+    for index, trace in enumerate(traces, start=1):
+        if not isinstance(trace.case_id, str):
+            raise MalformedLogError(
+                f"trace {index} (case {trace.case_id!r}): 'case_id' is "
+                f"{type(trace.case_id).__name__}, not a string"
+            )
+        for name, value in sorted(trace.attrs.items()):
+            number = float(value)
+            if not math.isfinite(number):
+                raise MalformedLogError(
+                    f"case {trace.case_id!r}: attribute {name!r} is {number}, "
+                    "not a finite number"
+                )
+
+
+def _jsonl_lines(traces: Sequence[Trace]) -> list[str]:
+    """What ``json.dumps`` makes of each trace's record, plus a newline.
+
+    Each distinct activity tuple, label and attribute name is encoded once
+    per log; per line only the case id and the ``float.__repr__`` of each
+    value are formatted. Traces with the same attribute names share one
+    ``attrs`` template, filled a column at a time.
+    """
+    if not all(isinstance(t.case_id, str) for t in traces):
+        _refuse_unwritable(traces)
+    activities = {a: json.dumps(list(a)) for a in {t.activities for t in traces}}
+    labels = {label: json.dumps(label) for label in {t.label for t in traces}}
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for index, trace in enumerate(traces):
+        groups.setdefault(tuple(trace.attrs), []).append(index)
+    attrs = ["{}"] * len(traces)  # what a group without names keeps
+    for names, rows in groups.items():
+        keys = sorted(names)
+        columns = [[float(traces[i].attrs[key]) for i in rows] for key in keys]
+        if not all(all(map(math.isfinite, column)) for column in columns):
+            _refuse_unwritable(traces)
+        template = "{%s}" % ", ".join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+        )
+        values = zip(*[map(float.__repr__, column) for column in columns])
+        for i, text in zip(rows, map(template.__mod__, values)):
+            attrs[i] = text
+    return [
+        f'{{"case_id": {encode_basestring_ascii(t.case_id)}, "attrs": {a}, '
+        f'"activities": {activities[t.activities]}, "label": {labels[t.label]}}}\n'
+        for t, a in zip(traces, attrs)
+    ]
 
 
 def write_log_jsonl(log: EventLog, path: str | Path) -> None:
-    """Write one trace per line; stable key order makes output byte-stable."""
+    """Write one trace per line, as ``json.dumps`` of a record with the keys
+    ``case_id``, ``attrs`` (sorted by name), ``activities`` and ``label``;
+    stable key order makes output byte-stable.
+
+    Raises ``MalformedLogError``, before the file is opened, for a case id
+    that is not a string or an attribute value that is not finite.
+    """
+    lines = _jsonl_lines(log.traces)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for trace in log.traces:
-            fh.write(_trace_to_json(trace))
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 _RECORD_FIELDS = ("case_id", "attrs", "activities", "label")
@@ -354,32 +418,53 @@ _RECORD_FIELDS = ("case_id", "attrs", "activities", "label")
 
 def iter_log_jsonl(path: str | Path) -> Iterator[Trace]:
     """Yield the traces of a JSONL event log in file order, each validated
-    when it is reached."""
+    when it is reached.
+
+    Lines are decoded with ``raw_decode``; a line it refuses is handed to
+    ``json.loads``, so the message is json's own. Traces with the same
+    activities share one tuple.
+    """
+    decode = json.JSONDecoder().raw_decode
+    paths: dict[tuple, tuple[str, ...]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
-            if not isinstance(record, dict):
-                raise MalformedLogError(
-                    f"line {line_no}: expected a JSON object, got {type(record).__name__}"
-                )
-            missing = [key for key in _RECORD_FIELDS if key not in record]
-            if missing:
+                record, end = decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads raises with json's own message
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
+            try:
+                case_id = record["case_id"]
+                attrs = record["attrs"]
+                activities = record["activities"]
+                label = record["label"]
+            except (KeyError, TypeError):
+                if not isinstance(record, dict):
+                    raise MalformedLogError(
+                        f"line {line_no}: expected a JSON object, "
+                        f"got {type(record).__name__}"
+                    ) from None
+                missing = [key for key in _RECORD_FIELDS if key not in record]
                 raise MalformedLogError(
                     f"line {line_no}: missing field(s) {', '.join(map(repr, missing))}"
+                ) from None
+            if not isinstance(case_id, str):
+                raise MalformedLogError(
+                    f"line {line_no}: 'case_id' is {json.dumps(case_id)}, not a string"
                 )
-            label = record["label"]
             if label not in LABELS:
                 raise BadLabelError(
                     f"line {line_no}: label {label!r} is neither POSITIVE nor NEGATIVE"
                 )
             try:
-                attrs = {k: float(v) for k, v in sorted(record["attrs"].items())}
+                attrs = {k: float(v) for k, v in sorted(attrs.items())}
             except (AttributeError, TypeError, ValueError):
                 raise MalformedLogError(
                     f"line {line_no}: 'attrs' is not an object of numbers"
@@ -390,19 +475,17 @@ def iter_log_jsonl(path: str | Path) -> Iterator[Trace]:
                         f"line {line_no}: attribute {name!r} is {value}, "
                         "not a finite number"
                     )
-            activities = record["activities"]
-            if not isinstance(activities, list) or not all(
-                isinstance(a, str) for a in activities
-            ):
-                raise MalformedLogError(
-                    f"line {line_no}: 'activities' is not a list of names"
-                )
-            yield Trace(
-                case_id=str(record["case_id"]),
-                attrs=attrs,
-                activities=tuple(activities),
-                label=label,
-            )
+            # None, for a value that is not a list, is never a key of paths.
+            key = tuple(activities) if isinstance(activities, list) else None
+            try:
+                activities = paths[key]
+            except (KeyError, TypeError):  # a new path, or an unhashable item
+                if key is None or not all(isinstance(a, str) for a in key):
+                    raise MalformedLogError(
+                        f"line {line_no}: 'activities' is not a list of names"
+                    ) from None
+                activities = paths[key] = key
+            yield Trace(case_id, attrs, activities, label)
 
 
 def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:

@@ -18,7 +18,9 @@ from procex.features import (
     split_vector,
 )
 from procex.process_model import parse_process
-from procex.simulation import EventLog, SimulationConfig, Trace, generate_log
+from procex.simulation import EventLog, SimulationConfig, Trace, generate_log, import_log_csv
+
+from procgen import random_process
 
 SKILLED_TRACE = Trace(
     case_id="t1",
@@ -32,6 +34,17 @@ STANDARD_TRACE = Trace(
     activities=("submit_application", "standard_review"),
     label="POSITIVE",
 )
+
+
+def reference_rows(schema: FeatureSchema, log: EventLog) -> list[list[float]]:
+    """The design matrix built one trace and one cell at a time."""
+    rows = []
+    for trace in log.traces:
+        row = [float(trace.attrs[f.name]) if f.kind == NUMERIC else 0.0 for f in schema.features]
+        for activity in trace.activities:
+            row[schema.names.index(activity)] = 1.0
+        rows.append(row)
+    return rows
 
 
 class TestSchema:
@@ -144,6 +157,55 @@ class TestEncoding:
         np.testing.assert_array_equal(
             matrix[7], encode_trace(loan_schema, small_log.traces[7])
         )
+
+    def test_encode_log_matches_reference_on_simulated_logs(self, loan_schema, small_log):
+        assert encode_log(loan_schema, small_log)[0].tolist() == reference_rows(
+            loan_schema, small_log
+        )
+        for i in range(10):
+            defn = random_process(np.random.default_rng(300 + i), i)
+            schema = build_schema(defn)
+            log = generate_log(defn, SimulationConfig(n_cases=80, seed=i))
+            assert encode_log(schema, log)[0].tolist() == reference_rows(schema, log)
+
+    def test_encode_log_matches_reference_on_imported_logs(self, tmp_path, loan_schema):
+        # Activities repeat, come out of path order, or are missing.
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "case_id,credit_score,loan_amount,activity,label\n"
+            "c1,580,300000,skilled_agent_review,NEGATIVE\n"
+            "c1,580,300000,submit_application,NEGATIVE\n"
+            "c2,700,50000,submit_application,POSITIVE\n"
+            "c2,700,50000,standard_review,POSITIVE\n"
+            "c2,700,50000,standard_review,POSITIVE\n"
+            "c3,610,1000,submit_application,POSITIVE\n"
+            "c1,580,300000,skilled_agent_review,NEGATIVE\n"
+            "c4,650,2000,standard_review,NEGATIVE\n"
+        )
+        log = import_log_csv(path, ["credit_score", "loan_amount"])
+        matrix, labels = encode_log(loan_schema, log)
+        assert matrix.tolist() == reference_rows(loan_schema, log)
+        assert labels == ("NEGATIVE", "POSITIVE", "POSITIVE", "NEGATIVE")
+        for row, trace in zip(matrix, log.traces):
+            np.testing.assert_array_equal(encode_trace(loan_schema, trace), row)
+
+    def test_first_bad_trace_is_named(self, loan_schema):
+        lacking = Trace("t2", {"credit_score": 580.0}, (), "POSITIVE")
+        unknown = Trace("t3", SKILLED_TRACE.attrs, ("escalate",), "POSITIVE")
+        both = Trace("t4", {"loan_amount": 1.0}, ("escalate",), "POSITIVE")
+        cases = [
+            ((lacking, unknown), "trace 't2' lacks attribute 'loan_amount'"),
+            ((unknown, lacking), "trace 't3' contains unknown activity 'escalate'"),
+            ((both, unknown), "trace 't4' lacks attribute 'credit_score'"),
+        ]
+        for bad, message in cases:
+            log = EventLog("loan_approval", (SKILLED_TRACE, *bad, STANDARD_TRACE))
+            with pytest.raises(SchemaMismatchError) as exc:
+                encode_log(loan_schema, log)
+            assert str(exc.value) == message
+            with pytest.raises(SchemaMismatchError) as exc:
+                encode_trace(loan_schema, bad[0])
+            assert str(exc.value) == message
 
     def test_empty_log_raises(self, loan_schema):
         with pytest.raises(EmptyLogError):

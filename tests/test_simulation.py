@@ -18,7 +18,9 @@ from procex.errors import (
 )
 from procex.process_model import NEGATIVE, POSITIVE, parse_process
 from procex.simulation import (
+    EventLog,
     SimulationConfig,
+    Trace,
     TruncatedNormal,
     Uniform,
     execute_case,
@@ -34,6 +36,32 @@ from procgen import CHAIN, NO_ATTRIBUTES, REJOINING, random_process, simulate_re
 
 SKILLED = {"credit_score": 580.0, "loan_amount": 300000.0}
 STANDARD = {"credit_score": 700.0, "loan_amount": 50000.0}
+
+
+def reference_line(trace: Trace) -> str:
+    """One JSONL line as ``json.dumps`` of a fresh record writes it."""
+    return json.dumps(
+        {
+            "case_id": trace.case_id,
+            "attrs": {k: float(v) for k, v in sorted(trace.attrs.items())},
+            "activities": list(trace.activities),
+            "label": trace.label,
+        }
+    ) + "\n"
+
+
+# Traces whose lines need escapes, non-ASCII text, extreme floats, integer
+# values, empty paths, unsorted or differing attribute names.
+CRAFTED = (
+    Trace("c\u00e9\u4e2d\U0001f600", {"a": -0.0, "b": 5e-324},
+          ("r\u00e9view", 'say "hi"\n'), POSITIVE),
+    Trace('quote"back\\slash\ttab\x00\x7f', {"a": 1e308, "b": 3}, (), NEGATIVE),
+    Trace("", {"b": -2, "a": 0.1}, ("x", "x"), POSITIVE),
+    Trace("c4", {}, (), NEGATIVE),
+    Trace("c5", {"%s": 1.5, "100%": -1e-300, "\u00e9t\u00e9": np.float64(2.5)},
+          ("a%sb", "\u2028"), POSITIVE),
+    Trace("c6", {"a": 2**53 + 1, "b": True}, ("x",), NEGATIVE),
+)
 
 
 class TestExecuteCase:
@@ -324,6 +352,107 @@ class TestJsonl:
         path = tmp_path / "log.jsonl"
         path.write_text("")
         assert len(read_log_jsonl(path)) == 0
+
+    @pytest.mark.parametrize("value", ["null", "5", "1.5", "true", '["c1"]', '{"id": "c1"}'])
+    def test_non_string_case_id_is_refused(self, tmp_path, value):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            '{"case_id": "c0", "attrs": {}, "activities": [], "label": "NEGATIVE"}\n'
+            f'{{"case_id": {value}, "attrs": {{}}, "activities": [], "label": "POSITIVE"}}\n'
+        )
+        with pytest.raises(MalformedLogError) as exc:
+            read_log_jsonl(path)
+        assert str(exc.value) == f"line 2: 'case_id' is {value}, not a string"
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        '{"case_id": "c1"} {}',
+        '{"case_id": "c1", "attrs": {}, "activities": [], "label": "POSITIVE"} x',
+        "[1, 2",
+        '"unterminated',
+        "\ufeff{}",
+        "nul",
+    ])
+    def test_decode_errors_carry_json_messages(self, tmp_path, line):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(line)
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"case_id": "c0", "attrs": {}, "activities": [], "label": "NEGATIVE"}\n'
+                        + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLogError) as got:
+            read_log_jsonl(path)
+        assert str(got.value) == f"line 2: not JSON ({want.value})"
+
+    def test_traces_with_one_path_share_its_tuple(self, tmp_path, small_log):
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(small_log, path)
+        for log in (small_log, read_log_jsonl(path)):
+            paths = {t.activities for t in log.traces}
+            assert len({id(t.activities) for t in log.traces}) == len(paths) == 2
+
+
+class TestJsonlWriter:
+    """``write_log_jsonl`` against ``reference_line``, and its refusals."""
+
+    def check(self, tmp_path, traces):
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(EventLog("p", tuple(traces)), path)
+        want = "".join(map(reference_line, traces)).encode("utf-8")
+        assert path.read_bytes() == want
+
+    def test_loan_log(self, tmp_path, seed42_log):
+        self.check(tmp_path, seed42_log.traces)
+
+    def test_random_processes(self, tmp_path):
+        for i in range(10):
+            defn = random_process(np.random.default_rng(900 + i), i)
+            log = generate_log(defn, SimulationConfig(n_cases=100, seed=i, label_noise=0.2))
+            self.check(tmp_path, log.traces)
+
+    def test_crafted_traces(self, tmp_path):
+        self.check(tmp_path, CRAFTED)
+        self.check(tmp_path, CRAFTED[::-1])
+
+    def test_empty_log(self, tmp_path):
+        self.check(tmp_path, ())
+
+    def test_round_trip_on_random_processes(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        for i in range(20):
+            defn = random_process(np.random.default_rng(950 + i), i)
+            log = generate_log(defn, SimulationConfig(n_cases=60, seed=i, label_noise=0.2))
+            write_log_jsonl(log, path)
+            assert read_log_jsonl(path, defn.name).traces == log.traces
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_is_refused_before_writing(self, tmp_path, value):
+        bad = Trace("c2", {"a": 1.0, "x": value}, (), POSITIVE)
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(MalformedLogError) as exc:
+            write_log_jsonl(EventLog("p", (CRAFTED[0], bad)), path)
+        assert str(exc.value) == f"case 'c2': attribute 'x' is {value}, not a finite number"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("case_id", [None, 7, b"c2"])
+    def test_non_string_case_id_is_refused_before_writing(self, tmp_path, case_id):
+        bad = Trace(case_id, {"a": 1.0}, (), POSITIVE)
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(MalformedLogError) as exc:
+            write_log_jsonl(EventLog("p", (CRAFTED[0], bad)), path)
+        assert str(exc.value) == (
+            f"trace 2 (case {case_id!r}): 'case_id' is {type(case_id).__name__}, not a string"
+        )
+        assert not path.exists()
+
+    def test_first_unwritable_trace_is_named(self, tmp_path):
+        bad_id = Trace(None, {"a": 1.0}, (), POSITIVE)
+        bad_value = Trace("c3", {"a": float("nan")}, (), POSITIVE)
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(MalformedLogError, match=r"^trace 2 \(case None\)"):
+            write_log_jsonl(EventLog("p", (CRAFTED[3], bad_id, bad_value)), path)
+        with pytest.raises(MalformedLogError, match="^case 'c3': attribute 'a' is nan"):
+            write_log_jsonl(EventLog("p", (CRAFTED[3], bad_value, bad_id)), path)
+        assert not path.exists()
 
 
 class TestCsvImport:
