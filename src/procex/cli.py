@@ -310,8 +310,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         payload["attributions_raw"] = payload["attributions_raw"][: args.top]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
         _log(args, f"wrote explanation to {args.out}")
     _emit(payload)
     return 0

@@ -314,8 +314,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
 
 def write_report_json(report: ExperimentReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_json_dict(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(report_to_json_dict(report), indent=2) + "\n")
 
 
 def write_figdata_csv(report: ExperimentReport, path: str | Path) -> None:

@@ -346,8 +346,7 @@ def model_to_json_dict(model: LogisticModel) -> dict:
 
 def save_model(model: LogisticModel, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_json_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_json_dict(model), indent=2) + "\n")
 
 
 def load_model(

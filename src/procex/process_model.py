@@ -1038,23 +1038,37 @@ def _route_masks(defn: ProcessDefinition, route: tuple[int, ...]) -> frozenset[i
 _KEY_LIMIT = 1 << 62
 
 
-def _row_keys(digits: list[tuple[np.ndarray, int]], n: int) -> np.ndarray:
-    """One integer per row, equal for two rows iff all their digits are.
+def _renumber(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Keys mapped densely onto ``0 .. k-1`` in sorted order, and ``k``."""
+    import numpy as np
+    distinct, dense = np.unique(keys, return_inverse=True)
+    return dense, len(distinct)
+
+
+def _row_keys(digits: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """One integer per row, equal for two rows iff all their digits are, and
+    a bound every key is below.
 
     Each digit is a column of non-negative integers below its radix. When the
-    next digit would overflow, the keys so far are renumbered densely (below
-    ``n``) first, so the key stays exact for any number of columns.
+    next digit would overflow, the keys so far are renumbered densely first,
+    so the key stays exact for any number of columns. At the end they are
+    renumbered once more if the bound exceeds ``2 * n``, so the bound is at
+    most ``max(2n, distinct keys)`` and can size a table indexed by key. The
+    sort in the renumbering runs only where the key space is wide for the
+    number of rows: processes with many activities or xor gateways, and
+    one-row calls.
     """
     import numpy as np
     keys = np.zeros(n, dtype=np.int64)
     bound = 1
     for column, radix in digits:
         if bound * radix > _KEY_LIMIT:
-            keys = np.unique(keys, return_inverse=True)[1]
-            bound = n
+            keys, bound = _renumber(keys)
         keys = keys * radix + column
         bound *= radix
-    return keys
+    if bound > 2 * n:
+        keys, bound = _renumber(keys)
+    return keys, bound
 
 
 def conformant_rows(
@@ -1067,9 +1081,12 @@ def conformant_rows(
 
     ``indicators`` has one row per case and one column per entry of
     ``defn.activity_names``; a non-zero cell means the activity occurred.
-    The path masks are folded once per distinct xor route, and membership
-    is tested once per distinct (route, indicator row) pair, on the row
-    packed into one int.
+    Each row's xor route and indicator row make one key (:func:`_row_keys`)
+    that indexes a table of at most ``max(2n, distinct keys)`` entries, so
+    distinct rows are found without a sort. Membership is tested once per
+    distinct key, on any row with that key (equal keys mean an equal route
+    and an equal indicator row), and the path masks are folded once per
+    distinct route.
     """
     import numpy as np
     present = np.asarray(indicators) != 0
@@ -1079,18 +1096,20 @@ def conformant_rows(
         (routes[:, j], len(g.branches) + 1) for j, g in enumerate(defn.xor_gateways)
     ]
     digits.extend((column, 2) for column in present.T)
-    _, first, inverse = np.unique(
-        _row_keys(digits, n), return_index=True, return_inverse=True
-    )
+    keys, bound = _row_keys(digits, n)
+    rep = np.full(bound, -1, dtype=np.intp)
+    rep[keys] = np.arange(n)
+    distinct = np.flatnonzero(rep >= 0)
+    first = rep[distinct]
     packed = np.packbits(present[first], axis=1, bitorder="little")
     reachable: dict[tuple[int, ...], frozenset[int]] = {}
-    hits = np.empty(len(first), dtype=bool)
-    for j, row in enumerate(first):
+    hits = np.zeros(bound, dtype=bool)
+    for key, row, bits in zip(distinct.tolist(), first.tolist(), packed):
         route = tuple(routes[row].tolist())
         if route not in reachable:
             reachable[route] = _route_masks(defn, route)
-        hits[j] = int.from_bytes(packed[j].tobytes(), "little") in reachable[route]
-    return hits[inverse]
+        hits[key] = int.from_bytes(bits.tobytes(), "little") in reachable[route]
+    return hits[keys]
 
 
 def reachable_indicators(

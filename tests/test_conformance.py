@@ -2,6 +2,8 @@
 independent path enumerator, and the reject sampler against a row-by-row
 filter."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,13 @@ def vanilla_rows(defn, n, flip_p, seed):
     return schema, sample_vanilla(instance, schema, scaler, n, 1.0, flip_p, rng)
 
 
+def key_space(defn):
+    """How many keys a row can take: xor routes times indicator rows. The
+    oracle looks keys up in a table when this is at most twice the rows."""
+    routes = math.prod(len(g.branches) + 1 for g in defn.xor_gateways)
+    return routes * 2 ** len(defn.activity_names)
+
+
 def check_agreement(defn, n, flip_p, seed=0):
     """Batch oracle, one-row wrappers and path enumeration agree on every
     row; returns the batch verdicts."""
@@ -43,27 +52,61 @@ def check_agreement(defn, n, flip_p, seed=0):
 
 def test_loan_rows_agree(loan):
     verdicts = check_agreement(loan, 600, 0.5)
+    assert key_space(loan) <= 2 * len(verdicts)
     assert verdicts.any() and not verdicts.all()
+    for samples in (0, 1):
+        assert key_space(loan) > 2 * len(check_agreement(loan, samples, 0.5))
+
+
+def test_loan_zero_rows_give_zero_verdicts(loan):
+    columns = {name: np.empty(0) for name in loan.attribute_names}
+    indicators = np.empty((0, len(loan.activity_names)))
+    verdicts = conformant_rows(loan, columns, indicators)
+    assert verdicts.shape == (0,) and verdicts.dtype == bool
 
 
 def test_random_process_rows_agree():
-    verdicts = np.concatenate(
-        [
-            check_agreement(random_process(np.random.default_rng(500 + i), i), 150, 0.2, i)
-            for i in range(25)
-        ]
-    )
+    verdicts = []
+    sides = set()
+    for i in range(25):
+        defn = random_process(np.random.default_rng(500 + i), i)
+        for samples in (150, 2):
+            verdicts.append(check_agreement(defn, samples, 0.2, i))
+            sides.add(key_space(defn) > 2 * len(verdicts[-1]))
+    assert sides == {False, True}
+    verdicts = np.concatenate(verdicts)
     assert verdicts.any() and not verdicts.all()
 
 
 def test_rejoining_dag_rows_agree():
     verdicts = check_agreement(REJOINING, 600, 0.2)
+    assert key_space(REJOINING) <= 2 * len(verdicts)
+    assert verdicts.any() and not verdicts.all()
+    verdicts = check_agreement(REJOINING, 100, 0.2)
+    assert key_space(REJOINING) > 2 * len(verdicts)
+    assert verdicts.any() and not verdicts.all()
+
+
+@pytest.mark.parametrize("which", ["loan", "rejoining", "chain"])
+def test_batch_verdicts_match_one_row_calls(loan, which):
+    defn = {"loan": loan, "rejoining": REJOINING, "chain": CHAIN}[which]
+    schema, rows = vanilla_rows(defn, 200, 0.01 if which == "chain" else 0.3, 3)
+    columns, indicators = split_columns(schema, rows, defn.activity_names)
+    one_row = [
+        conformant_rows(
+            defn, {k: c[i : i + 1] for k, c in columns.items()}, indicators[i : i + 1]
+        )[0]
+        for i in range(len(rows))
+    ]
+    verdicts = conformant_rows(defn, columns, indicators)
+    assert verdicts.tolist() == one_row
     assert verdicts.any() and not verdicts.all()
 
 
 def test_chain_beyond_64_activities_rows_agree():
     assert len(CHAIN.activity_names) > 64
     verdicts = check_agreement(CHAIN, 400, 0.01)
+    assert key_space(CHAIN) > 2 * len(verdicts)
     assert verdicts.any() and not verdicts.all()
 
 
