@@ -103,7 +103,7 @@ class SingleClassLogError(ProcexError):
 
 
 class DivergedError(ProcexError):
-    """Training met a non-finite loss."""
+    """Training met a non-finite loss or non-finite feature scaling statistics."""
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,9 @@ def scaler_from_matrix(matrix: np.ndarray) -> Scaler:
     matrix = np.asarray(matrix, dtype=float)
     if len(matrix) == 0:
         raise EmptyLogError("cannot fit a scaler on zero rows")
-    return Scaler(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
+    # Values near the float limit overflow to inf here; `train` refuses that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Scaler(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
 
 
 def fit_scaler(schema: FeatureSchema, log: EventLog) -> Scaler:

@@ -143,8 +143,9 @@ def train(
     ``l2 = 0`` (a singular Hessian) still gets a step; the step is halved
     until it strictly lowers the loss. Stops after ``config.epochs`` steps,
     as soon as the gradient's max norm drops below ``config.tol``, or when
-    no halving lowers the loss (``converged`` then stays false). Raises ``EmptyLogError``, ``SingleClassLogError``, or
-    ``DivergedError`` (non-finite loss).
+    no halving lowers the loss (``converged`` then stays false). Raises
+    ``EmptyLogError``, ``SingleClassLogError``, or ``DivergedError`` (a
+    feature's mean or std over the log is not finite, or the loss is not).
     """
     matrix, labels = encode_log(schema, log)
     targets = labels_to_targets(labels)
@@ -153,6 +154,14 @@ def train(
             f"training needs both outcome labels, got only {labels[0]!r}"
         )
     scaler = scaler_from_matrix(matrix)
+    finite = np.isfinite(scaler.mean) & np.isfinite(scaler.std)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        mean, std = float(scaler.mean[j]), float(scaler.std[j])
+        raise DivergedError(
+            f"feature {schema.names[j]!r} has non-finite scaling statistics "
+            f"over the training log (mean {mean!r}, std {std!r})"
+        )
     design = scaler.apply(matrix)
     n, k = design.shape
     # The bias is the last parameter, and the only unpenalized one.

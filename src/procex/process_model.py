@@ -78,7 +78,6 @@ __all__ = [
     "derive_causality_graph",
     "xor_branch_rows",
     "execute_rows",
-    "route_signatures",
     "conformant_rows",
     "reachable_indicators",
     "topological_order",
@@ -1008,69 +1007,6 @@ def execute_rows(
     return out.T, {end.name: arrivals[end.name] for end in defn.end_nodes}
 
 
-def route_signatures(
-    defn: ProcessDefinition, attr_columns: Mapping[str, np.ndarray], n: int
-) -> np.ndarray:
-    """Branch index each of ``n`` rows takes at every xor gateway.
-
-    Returns an integer matrix with one row per case and one column per
-    gateway of ``defn.xor_gateways``; entry ``k`` means the row follows
-    ``node_successors(gateway)[k]`` (see :func:`xor_branch_rows`), so
-    ``otherwise`` is ``len(branches)``.
-    """
-    import numpy as np
-    routes = np.empty((n, len(defn.xor_gateways)), dtype=np.intp)
-    for j, gateway in enumerate(defn.xor_gateways):
-        for k, rows in enumerate(xor_branch_rows(gateway, attr_columns, n)):
-            routes[rows, j] = k
-    return routes
-
-
-def _route_masks(defn: ProcessDefinition, route: tuple[int, ...]) -> frozenset[int]:
-    """Activity masks of every root-to-end path when each xor gateway takes
-    the branch ``route`` gives it (aligned to ``defn.xor_gateways``); choice
-    branches stay free."""
-    pinned = {g.name: node_successors(g)[k] for g, k in zip(defn.xor_gateways, route)}
-    return _path_masks(defn, pinned)[defn.start]
-
-
-# Mixed-radix row keys stay below this bound, so int64 arithmetic is exact.
-_KEY_LIMIT = 1 << 62
-
-
-def _renumber(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Keys mapped densely onto ``0 .. k-1`` in sorted order, and ``k``."""
-    import numpy as np
-    distinct, dense = np.unique(keys, return_inverse=True)
-    return dense, len(distinct)
-
-
-def _row_keys(digits: list[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
-    """One integer per row, equal for two rows iff all their digits are, and
-    a bound every key is below.
-
-    Each digit is a column of non-negative integers below its radix. When the
-    next digit would overflow, the keys so far are renumbered densely first,
-    so the key stays exact for any number of columns. At the end they are
-    renumbered once more if the bound exceeds ``2 * n``, so the bound is at
-    most ``max(2n, distinct keys)`` and can size a table indexed by key. The
-    sort in the renumbering runs only where the key space is wide for the
-    number of rows: processes with many activities or xor gateways, and
-    one-row calls.
-    """
-    import numpy as np
-    keys = np.zeros(n, dtype=np.int64)
-    bound = 1
-    for column, radix in digits:
-        if bound * radix > _KEY_LIMIT:
-            keys, bound = _renumber(keys)
-        keys = keys * radix + column
-        bound *= radix
-    if bound > 2 * n:
-        keys, bound = _renumber(keys)
-    return keys, bound
-
-
 def conformant_rows(
     defn: ProcessDefinition,
     attr_columns: Mapping[str, np.ndarray],
@@ -1081,35 +1017,45 @@ def conformant_rows(
 
     ``indicators`` has one row per case and one column per entry of
     ``defn.activity_names``; a non-zero cell means the activity occurred.
-    Each row's xor route and indicator row make one key (:func:`_row_keys`)
-    that indexes a table of at most ``max(2n, distinct keys)`` entries, so
-    distinct rows are found without a sort. Membership is tested once per
-    distinct key, on any row with that key (equal keys mean an equal route
-    and an equal indicator row), and the path masks are folded once per
-    distinct route.
+    One pass over :func:`topological_order`, shaped like
+    :func:`execute_rows`, keeps for each node and row the largest number of
+    activities on a path from the start to that node that visits only the
+    row's present activities, or -1 when no such path reaches the node. An
+    activity adds 1 on rows that have it and gives -1 on the others, an xor
+    gateway passes each row to the successor :func:`xor_branch_rows` gives
+    it, a choice gateway to every branch, and values meeting at a node take
+    their maximum. A path visits each activity at most once, so a row
+    conforms iff the largest value at an end node is its number of present
+    activities.
     """
     import numpy as np
     present = np.asarray(indicators) != 0
     n = len(present)
-    routes = route_signatures(defn, attr_columns, n)
-    digits = [
-        (routes[:, j], len(g.branches) + 1) for j, g in enumerate(defn.xor_gateways)
-    ]
-    digits.extend((column, 2) for column in present.T)
-    keys, bound = _row_keys(digits, n)
-    rep = np.full(bound, -1, dtype=np.intp)
-    rep[keys] = np.arange(n)
-    distinct = np.flatnonzero(rep >= 0)
-    first = rep[distinct]
-    packed = np.packbits(present[first], axis=1, bitorder="little")
-    reachable: dict[tuple[int, ...], frozenset[int]] = {}
-    hits = np.zeros(bound, dtype=bool)
-    for key, row, bits in zip(distinct.tolist(), first.tolist(), packed):
-        route = tuple(routes[row].tolist())
-        if route not in reachable:
-            reachable[route] = _route_masks(defn, route)
-        hits[key] = int.from_bytes(bits.tobytes(), "little") in reachable[route]
-    return hits[keys]
+    col = {name: i for i, name in enumerate(defn.activity_names)}
+    # No array is written in place, so the nodes not reached yet share one.
+    unreached = np.full(n, -1, dtype=np.intp)
+    most = dict.fromkeys((node.name for node in defn.nodes), unreached)
+    most[defn.start] = np.zeros(n, dtype=np.intp)
+    best = unreached
+    for name in topological_order(defn):
+        node = defn.node(name)
+        # Dropped once read, so only the nodes still to come hold an array.
+        count = most.pop(name)
+        if isinstance(node, Activity):
+            passed = np.where(present[:, col[name]] & (count >= 0), count + 1, -1)
+            most[node.successor] = np.maximum(most[node.successor], passed)
+        elif isinstance(node, XorGateway):
+            branch_rows = xor_branch_rows(node, attr_columns, n)
+            for target, rows in zip(node_successors(node), branch_rows):
+                most[target] = np.maximum(most[target], np.where(rows, count, -1))
+        elif isinstance(node, ChoiceGateway):
+            for target in node_successors(node):
+                most[target] = np.maximum(most[target], count)
+        elif isinstance(node, EndNode):
+            best = np.maximum(best, count)
+        else:
+            raise TypeError(f"not a node: {node!r}")
+    return best == np.count_nonzero(present, axis=1)
 
 
 def reachable_indicators(
@@ -1124,11 +1070,17 @@ def reachable_indicators(
     """
     import numpy as np
     columns = {name: np.array([value]) for name, value in attrs.items()}
-    route = tuple(route_signatures(defn, columns, 1)[0].tolist())
+    pinned = {}
+    for gateway in defn.xor_gateways:
+        branch_rows = xor_branch_rows(gateway, columns, 1)
+        pinned[gateway.name] = next(
+            target for target, rows in zip(node_successors(gateway), branch_rows)
+            if rows[0]
+        )
     positions = range(len(defn.activity_names))
     return frozenset(
         tuple(mask >> i & 1 for i in positions)
-        for mask in _route_masks(defn, route)
+        for mask in _path_masks(defn, pinned)[defn.start]
     )
 
 

@@ -25,8 +25,8 @@ attribute value that is not finite. The reader streams line by line and
 refuses the same.
 
 ``is_conformant`` checks one case with the batch oracle
-:func:`~procex.process_model.conformant_rows`, which folds the reachable
-path masks once per distinct xor route rather than once per case.
+:func:`~procex.process_model.conformant_rows`, one forward pass over the
+process for any number of rows.
 """
 
 from __future__ import annotations

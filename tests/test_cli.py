@@ -735,6 +735,19 @@ def test_chain_past_the_recursion_limit_runs_reject(run, tmp_path):
     assert json.loads(out)["aggregates"]["mean_conformance"]["process_aware"] == 1.0
 
 
+def run_in_subprocess(*argv):
+    """Run the CLI in a new interpreter, where numpy warnings reach stderr."""
+    src = str(Path(procex.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "procex.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_process_without_features_fails_before_sampling(run, tmp_path):
     """Nothing to attribute: `explain` and `evaluate` name that cause in one
     line on stderr, exit 1, and print no numpy warning."""
@@ -743,11 +756,6 @@ def test_process_without_features_fails_before_sampling(run, tmp_path):
     log, model = tmp_path / "log.jsonl", tmp_path / "model.json"
     assert run("simulate", str(process), "--n", "50", "--seed", "1", "--out", str(log))[0] == 0
     assert run("train", str(process), "--log", str(log), "--out", str(model))[0] == 0
-    src = str(Path(procex.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
     inputs = [str(process), "--model", str(model), "--log", str(log)]
     for argv in (
         ["explain", *inputs, "--case-id", "c000001", "--mode", "vanilla"],
@@ -755,13 +763,31 @@ def test_process_without_features_fails_before_sampling(run, tmp_path):
         ["evaluate", *inputs, "--instances", "5", "--seeds", "0",
          "--out", str(tmp_path / "report.json")],
     ):
-        result = subprocess.run(
-            [sys.executable, "-m", "procex.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        result = run_in_subprocess(*argv)
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr == NO_FEATURES_ERROR + "\n"
+
+
+def test_log_value_whose_square_overflows_is_refused(run, tmp_path):
+    """A finite log value whose square overflows would leave an infinite
+    scaler std: `train` names the feature in one line, warns nothing and
+    writes no model."""
+    log, model = tmp_path / "log.jsonl", tmp_path / "model.json"
+    assert run("simulate", LOAN, "--n", "300", "--seed", "1", "--out", str(log))[0] == 0
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[5])
+    record["attrs"]["credit_score"] = 1e308
+    lines[5] = json.dumps(record)
+    log.write_text("\n".join(lines) + "\n")
+    result = run_in_subprocess(
+        "train", LOAN, "--log", str(log), "--split", "0", "--out", str(model)
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("DivergedError: feature 'credit_score' ")
+    assert not model.exists()
 
 
 class TestParsing:

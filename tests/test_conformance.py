@@ -2,17 +2,30 @@
 independent path enumerator, and the reject sampler against a row-by-row
 filter."""
 
-import math
+import itertools
 
 import numpy as np
 import pytest
 
 from procex.explainer import REJECT, sample_process_aware, sample_vanilla
 from procex.features import build_schema, encode_trace, fit_scaler, split_columns, split_vector
-from procex.process_model import conformant_rows, reachable_indicators, route_signatures
+from procex.process_model import (
+    conformant_rows,
+    parse_process,
+    reachable_indicators,
+    xor_branch_rows,
+)
 from procex.simulation import SimulationConfig, generate_log, is_conformant
 
-from procgen import CHAIN, REJOINING, long_chain, path_indicators, random_process
+from procgen import (
+    CHAIN,
+    NO_ATTRIBUTES,
+    NO_FEATURES_SOURCE,
+    REJOINING,
+    long_chain,
+    path_indicators,
+    random_process,
+)
 
 
 def vanilla_rows(defn, n, flip_p, seed):
@@ -24,13 +37,6 @@ def vanilla_rows(defn, n, flip_p, seed):
     instance = encode_trace(schema, log.traces[0])
     rng = np.random.default_rng(seed)
     return schema, sample_vanilla(instance, schema, scaler, n, 1.0, flip_p, rng)
-
-
-def key_space(defn):
-    """How many keys a row can take: xor routes times indicator rows. The
-    oracle looks keys up in a table when this is at most twice the rows."""
-    routes = math.prod(len(g.branches) + 1 for g in defn.xor_gateways)
-    return routes * 2 ** len(defn.activity_names)
 
 
 def check_agreement(defn, n, flip_p, seed=0):
@@ -52,10 +58,9 @@ def check_agreement(defn, n, flip_p, seed=0):
 
 def test_loan_rows_agree(loan):
     verdicts = check_agreement(loan, 600, 0.5)
-    assert key_space(loan) <= 2 * len(verdicts)
     assert verdicts.any() and not verdicts.all()
     for samples in (0, 1):
-        assert key_space(loan) > 2 * len(check_agreement(loan, samples, 0.5))
+        check_agreement(loan, samples, 0.5)
 
 
 def test_loan_zero_rows_give_zero_verdicts(loan):
@@ -67,23 +72,18 @@ def test_loan_zero_rows_give_zero_verdicts(loan):
 
 def test_random_process_rows_agree():
     verdicts = []
-    sides = set()
     for i in range(25):
         defn = random_process(np.random.default_rng(500 + i), i)
         for samples in (150, 2):
             verdicts.append(check_agreement(defn, samples, 0.2, i))
-            sides.add(key_space(defn) > 2 * len(verdicts[-1]))
-    assert sides == {False, True}
     verdicts = np.concatenate(verdicts)
     assert verdicts.any() and not verdicts.all()
 
 
 def test_rejoining_dag_rows_agree():
     verdicts = check_agreement(REJOINING, 600, 0.2)
-    assert key_space(REJOINING) <= 2 * len(verdicts)
     assert verdicts.any() and not verdicts.all()
     verdicts = check_agreement(REJOINING, 100, 0.2)
-    assert key_space(REJOINING) > 2 * len(verdicts)
     assert verdicts.any() and not verdicts.all()
 
 
@@ -106,7 +106,6 @@ def test_batch_verdicts_match_one_row_calls(loan, which):
 def test_chain_beyond_64_activities_rows_agree():
     assert len(CHAIN.activity_names) > 64
     verdicts = check_agreement(CHAIN, 400, 0.01)
-    assert key_space(CHAIN) > 2 * len(verdicts)
     assert verdicts.any() and not verdicts.all()
 
 
@@ -136,14 +135,70 @@ def test_chain_past_the_recursion_limit_agrees():
         assert conformant_rows(deep, {"x": np.full(len(rows), x)}, rows).all()
 
 
-def test_route_signatures_first_match_wins():
+def test_xor_branch_rows_first_match_wins():
     columns = {
         "a": np.array([1.0, 4.0, 4.0, 7.0, 7.0, 7.0]),
         "b": np.array([9.5, 6.0, 9.0, 9.0, 9.5, 1.0]),
     }
+    branches = []
+    for gateway in REJOINING.xor_gateways:
+        rows = np.array(xor_branch_rows(gateway, columns, 6))
+        assert (rows.sum(axis=0) == 1).all()
+        branches.append(rows.argmax(axis=0))
     # columns: triage, recheck (declaration order); otherwise is len(branches)
     expected = [[0, 0], [1, 1], [1, 1], [2, 1], [2, 0], [3, 1]]
-    np.testing.assert_array_equal(route_signatures(REJOINING, columns, 6), expected)
+    np.testing.assert_array_equal(np.column_stack(branches), expected)
+
+
+# Attribute points for the exhaustive check: one per loan route; for
+# REJOINING, each triage branch and, under audit, both recheck branches.
+# NO_FEATURES has no activity, so its indicator matrix is (n, 0).
+EXHAUSTIVE_POINTS = {
+    "loan": [
+        {"credit_score": 500.0, "loan_amount": 300000.0},
+        {"credit_score": 700.0, "loan_amount": 300000.0},
+    ],
+    "rejoining": [
+        {"a": 1.0, "b": 9.5},
+        {"a": 4.0, "b": 6.0},
+        {"a": 7.0, "b": 9.5},
+        {"a": 7.0, "b": 9.0},
+        {"a": 7.0, "b": 1.0},
+    ],
+    "no_attributes": [{}],
+    "no_features": [{}, {}, {}],
+}
+
+
+@pytest.mark.parametrize("which", sorted(EXHAUSTIVE_POINTS))
+def test_every_indicator_row_agrees_with_path_enumeration(loan, which):
+    defn = {
+        "loan": loan,
+        "rejoining": REJOINING,
+        "no_attributes": NO_ATTRIBUTES,
+        "no_features": parse_process(NO_FEATURES_SOURCE),
+    }[which]
+    points = EXHAUSTIVE_POINTS[which]
+    names = defn.activity_names
+    every_row = np.array(
+        list(itertools.product((0, 1), repeat=len(names))), dtype=np.int8
+    ).reshape(2 ** len(names), len(names))
+    indicators = np.tile(every_row, (len(points), 1))
+    columns = {
+        name: np.repeat([point[name] for point in points], len(every_row))
+        for name in defn.attribute_names
+    }
+    verdicts = conformant_rows(defn, columns, indicators)
+    want = []
+    for point in points:
+        paths = path_indicators(defn, point)
+        assert reachable_indicators(defn, point) == paths
+        want.extend(tuple(row) in paths for row in every_row.tolist())
+    assert verdicts.tolist() == want
+    if which == "no_features":
+        assert indicators.shape == (3, 0) and verdicts.all()
+    else:
+        assert verdicts.any() and not verdicts.all()
 
 
 def reference_reject(instance, defn, schema, scaler, n, rng, flip_p):

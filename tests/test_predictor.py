@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,19 @@ class TestTraining:
         log = tiny_log([(-1.0, POSITIVE), (np.inf, NEGATIVE)])
         with pytest.raises(DivergedError, match="non-finite"):
             train(log, TINY_SCHEMA)
+
+    def test_log_value_whose_square_overflows_is_refused(self, loan, loan_schema):
+        # 1e308 is finite, so a log may hold it, but its square is not.
+        log = generate_log(loan, SimulationConfig(n_cases=300, seed=1))
+        case = log.traces[5]
+        huge = Trace(
+            case.case_id, {**case.attrs, "credit_score": 1e308}, case.activities, case.label
+        )
+        traces = log.traces[:5] + (huge,) + log.traces[6:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError, match="'credit_score'.* std inf"):
+                train(EventLog(log.process_name, traces), loan_schema)
 
     def test_fit_is_optimal_at_the_saved_weights(self, model_log, loan_schema):
         config = TrainConfig()
