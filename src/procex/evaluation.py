@@ -29,9 +29,9 @@ from .explainer import (
     ExplainConfig,
     Explanation,
     PerturbationSet,
-    explain_detailed,
+    _explanations,
 )
-from .features import build_schema, encode_trace, split_columns
+from .features import _encode, build_schema, split_columns
 from .predictor import LogisticModel
 from .process_model import NEGATIVE, ProcessDefinition, conformant_rows
 from .simulation import EventLog
@@ -248,40 +248,37 @@ def run_comparison(
     """
     schema = model.schema
     instances = _select_instances(log, config)
-    records: list[InstanceRun] = []
-    for trace in instances:
-        vector = encode_trace(schema, trace)
-        for seed in config.seeds:
-            vanilla_expl, vanilla_samples = explain_detailed(
-                model, defn, vector,
-                config.explain_config(VANILLA, seed),
-                instance_id=trace.case_id,
-            )
-            aware_expl, aware_samples = explain_detailed(
-                model, defn, vector,
-                config.explain_config(PROCESS_AWARE, seed),
-                instance_id=trace.case_id,
-            )
-            records.append(
+    vectors = _encode(schema, instances)
+    case_ids = [trace.case_id for trace in instances]
+
+    def scored(mode: str, seed: int):
+        """Each explanation of one mode with its conformance rate. Every
+        instance reads the mode's one set of variates; ``map`` holds no
+        sample set between items, so each is freed once scored."""
+        runs = _explanations(
+            model, defn, vectors, config.explain_config(mode, seed), case_ids
+        )
+        return map(lambda run: (run[0], conformance_rate(defn, run[1], schema)), runs)
+
+    grid: list[list[InstanceRun]] = [[] for _ in instances]
+    for seed in config.seeds:
+        pairs = zip(scored(VANILLA, seed), scored(PROCESS_AWARE, seed))
+        for runs, ((vanilla, vanilla_rate), (aware, aware_rate)) in zip(grid, pairs):
+            runs.append(
                 InstanceRun(
-                    case_id=trace.case_id,
+                    case_id=vanilla.instance_id,
                     seed=seed,
-                    vanilla=vanilla_expl,
-                    process_aware=aware_expl,
-                    vanilla_conformance=conformance_rate(
-                        defn, vanilla_samples, schema
-                    ),
-                    process_aware_conformance=conformance_rate(
-                        defn, aware_samples, schema
-                    ),
-                    top_k_overlap=top_k_overlap(
-                        vanilla_expl, aware_expl, config.top_k
-                    ),
+                    vanilla=vanilla,
+                    process_aware=aware,
+                    vanilla_conformance=vanilla_rate,
+                    process_aware_conformance=aware_rate,
+                    top_k_overlap=top_k_overlap(vanilla, aware, config.top_k),
                 )
             )
+    records = [run for runs in grid for run in runs]
     aggregates = compute_aggregates(records, schema.names)
     report_config = dict(config.to_json_dict())
-    report_config["selected_cases"] = [t.case_id for t in instances]
+    report_config["selected_cases"] = case_ids
     return ExperimentReport(
         config=report_config,
         records=tuple(records),

@@ -14,12 +14,16 @@ samples are produced:
   (``propagate``, the default) or by filtering vanilla candidates through the
   conformance oracle (``reject``).
 
-RNG draw order is part of the reproducibility contract. Vanilla: one normal
-matrix for numeric noise, then one uniform matrix for indicator flips.
-Propagate: one normal matrix, then the simulator's executor
+RNG draw order is part of the reproducibility contract. Every explanation
+seeds a generator with its config's seed. Vanilla: one normal matrix for
+numeric noise, then one uniform matrix for indicator flips. Propagate: one
+normal matrix, then the simulator's executor
 :func:`~procex.process_model.execute_rows` reads one uniform vector per choice
 gateway in topological order (drawn whether or not any sample reaches it).
 Reject: vanilla-shaped batches of size n until enough samples are kept.
+Vanilla and propagate draws do not depend on the instance, so explanations
+that share a config read one set of variates, drawn once; reject's later
+batches depend on what an instance accepts, so reject draws per instance.
 
 Memory layout. One explanation writes its ``n + 1`` samples into one
 feature-major ``(k, n + 1)`` block, column 0 the instance; noise, clamping,
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -164,25 +169,82 @@ def _sample_block(instance: np.ndarray, n: int) -> np.ndarray:
 
 
 def _numeric_noise(
-    block: np.ndarray,
     schema: FeatureSchema,
     scaler: Scaler,
+    n: int,
     spread: float,
     rng: np.random.Generator,
-) -> None:
-    """Gaussian perturbations of the numeric rows, clamped to bounds.
-
-    The numeric features lead the schema, so their rows lead the block.
-    """
+) -> Callable[[np.ndarray], None]:
+    """Draw the numeric features' standard normals once; returns the function
+    that writes an instance plus their Gaussian perturbations, clamped to
+    bounds, into a block's numeric rows. The numeric features lead the
+    schema, so their rows lead the block."""
     numeric = schema.features[: len(schema.numeric_indices)]
-    m, n = len(numeric), block.shape[1] - 1
-    rows = block[:m, 1:]
+    m = len(numeric)
+    normals = rng.standard_normal((n, m)).T
     sigma = spread * scaler.std[:m]
     lower = np.array([-np.inf if f.lower is None else f.lower for f in numeric])
     upper = np.array([np.inf if f.upper is None else f.upper for f in numeric])
-    np.multiply(rng.standard_normal((n, m)).T, sigma[:, None], out=rows)
-    rows += block[:m, :1]
-    np.clip(rows, lower[:, None], upper[:, None], out=rows)
+
+    def add(block: np.ndarray) -> None:
+        rows = block[:m, 1:]
+        np.multiply(normals, sigma[:, None], out=rows)
+        rows += block[:m, :1]
+        np.clip(rows, lower[:, None], upper[:, None], out=rows)
+
+    return add
+
+
+def _vanilla(
+    schema: FeatureSchema,
+    scaler: Scaler,
+    n: int,
+    spread: float,
+    flip_p: float,
+    rng: np.random.Generator,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Draw vanilla's variates once; returns the function that builds one
+    instance's samples from them."""
+    m = len(schema.numeric_indices)
+    add_noise = _numeric_noise(schema, scaler, n, spread, rng)
+    uniforms = rng.random((n, schema.arity - m)).T
+
+    def build(instance: np.ndarray) -> np.ndarray:
+        block = _sample_block(instance, n)
+        add_noise(block)
+        rows = block[m:, 1:]
+        np.less(uniforms, flip_p, out=rows)  # 1.0: flip
+        np.subtract(block[m:, :1], rows, out=rows)
+        np.abs(rows, out=rows)
+        return block.T
+
+    return build
+
+
+def _propagate(
+    defn: ProcessDefinition,
+    schema: FeatureSchema,
+    scaler: Scaler,
+    n: int,
+    spread: float,
+    rng: np.random.Generator,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Draw propagate's variates once (the executor reads one uniform vector
+    per choice gateway, arrived or not); returns the function that builds
+    one instance's samples from them."""
+    m = len(schema.numeric_indices)
+    add_noise = _numeric_noise(schema, scaler, n, spread, rng)
+    uniforms = [rng.random(n) for _ in defn.choice_gateways]
+
+    def build(instance: np.ndarray) -> np.ndarray:
+        block = _sample_block(instance, n)
+        add_noise(block)
+        columns = {schema.names[i]: block[i, 1:] for i in range(m)}
+        draws = iter(uniforms)
+        execute_rows(defn, columns, n, lambda arrived: next(draws), out=block[m:, 1:])
+        return block.T
+
+    return build
 
 
 def sample_vanilla(
@@ -195,14 +257,8 @@ def sample_vanilla(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Process-blind sampling; returns ``n + 1`` rows, the instance first."""
-    block = _sample_block(np.asarray(instance, dtype=float), n)
-    m = len(schema.numeric_indices)
-    _numeric_noise(block, schema, scaler, spread, rng)
-    rows = block[m:, 1:]
-    np.less(rng.random((n, schema.arity - m)).T, flip_p, out=rows)  # 1.0: flip
-    np.subtract(block[m:, :1], rows, out=rows)
-    np.abs(rows, out=rows)
-    return block.T
+    build = _vanilla(schema, scaler, n, spread, flip_p, rng)
+    return build(np.asarray(instance, dtype=float))
 
 
 def sample_process_aware(
@@ -223,14 +279,10 @@ def sample_process_aware(
     conformant ones, giving up after ``100 * n`` attempts.
     """
     instance = np.asarray(instance, dtype=float)
-    m = len(schema.numeric_indices)
-    block = _sample_block(instance, n)
     if strategy == PROPAGATE:
-        _numeric_noise(block, schema, scaler, spread, rng)
-        columns = {schema.names[i]: block[i, 1:] for i in range(m)}
-        execute_rows(defn, columns, n, lambda arrived: rng.random(n), out=block[m:, 1:])
-        return block.T
+        return _propagate(defn, schema, scaler, n, spread, rng)(instance)
     if strategy == REJECT:
+        block = _sample_block(instance, n)
         n_kept = 0
         attempts = 0
         budget = REJECT_BUDGET_FACTOR * n
@@ -247,6 +299,26 @@ def sample_process_aware(
             )
         return block.T
     raise ConfigError(f"unknown strategy {strategy!r}")
+
+
+def _sampler(
+    defn: ProcessDefinition,
+    schema: FeatureSchema,
+    scaler: Scaler,
+    config: ExplainConfig,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The samples of ``config`` for any instance. Vanilla and propagate
+    draw their variates here, once; reject's later draws depend on what an
+    instance accepts, so it starts a generator per instance."""
+    n, spread, flip_p, seed = config.n_samples, config.spread, config.flip_p, config.seed
+    if config.mode == VANILLA:
+        return _vanilla(schema, scaler, n, spread, flip_p, np.random.default_rng(seed))
+    if config.strategy == PROPAGATE:
+        return _propagate(defn, schema, scaler, n, spread, np.random.default_rng(seed))
+    return lambda instance: sample_process_aware(
+        instance, defn, schema, scaler, n, spread, REJECT,
+        np.random.default_rng(seed), flip_p=flip_p,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,44 +487,17 @@ class Explanation:
         }
 
 
-def explain_detailed(
+def _explain(
     model: LogisticModel,
-    defn: ProcessDefinition,
     instance: np.ndarray,
-    config: ExplainConfig = ExplainConfig(),
-    instance_id: str = "",
+    samples: np.ndarray,
+    config: ExplainConfig,
+    instance_id: str,
 ) -> tuple[Explanation, PerturbationSet]:
-    """Run the full pipeline and keep the perturbation set for inspection."""
-    model.schema.check_definition(defn)
-    instance = np.asarray(instance, dtype=float)
+    """Predict, weight and fit one instance's samples (row 0 the instance)."""
     schema = model.schema
-    if instance.shape != (schema.arity,):
-        raise SchemaMismatchError(
-            f"instance shape {instance.shape} does not fit schema arity {schema.arity}"
-        )
-    if not np.isfinite(instance).all():
-        bad = [schema.names[i] for i in np.flatnonzero(~np.isfinite(instance))]
-        raise SchemaMismatchError(f"instance has non-finite value(s) for {bad}")
-    if schema.arity == 0:
-        raise NoFeaturesError(
-            f"process {defn.name!r} has neither attributes nor activities, "
-            f"so there are no features to attribute"
-        )
     scaler = model.scaler
-    rng = np.random.default_rng(config.seed)
-    if config.mode == VANILLA:
-        samples = sample_vanilla(
-            instance, schema, scaler,
-            config.n_samples, config.spread, config.flip_p, rng,
-        )
-        strategy = None
-    else:
-        samples = sample_process_aware(
-            instance, defn, schema, scaler,
-            config.n_samples, config.spread, config.strategy, rng,
-            flip_p=config.flip_p,
-        )
-        strategy = config.strategy
+    strategy = None if config.mode == VANILLA else config.strategy
     augmented = _standardize(scaler, samples)
     standardized = augmented[:, 1:]
     predictions = predict_proba_standardized(model, standardized)
@@ -502,6 +547,61 @@ def explain_detailed(
         strategy=strategy,
     )
     return explanation, perturbations
+
+
+def _checked_instance(
+    schema: FeatureSchema, defn: ProcessDefinition, instance: np.ndarray
+) -> np.ndarray:
+    instance = np.asarray(instance, dtype=float)
+    if instance.shape != (schema.arity,):
+        raise SchemaMismatchError(
+            f"instance shape {instance.shape} does not fit schema arity {schema.arity}"
+        )
+    if not np.isfinite(instance).all():
+        bad = [schema.names[i] for i in np.flatnonzero(~np.isfinite(instance))]
+        raise SchemaMismatchError(f"instance has non-finite value(s) for {bad}")
+    if schema.arity == 0:
+        raise NoFeaturesError(
+            f"process {defn.name!r} has neither attributes nor activities, "
+            f"so there are no features to attribute"
+        )
+    return instance
+
+
+def _explanations(
+    model: LogisticModel,
+    defn: ProcessDefinition,
+    instances: Iterable[np.ndarray],
+    config: ExplainConfig,
+    instance_ids: Iterable[str],
+) -> Iterator[tuple[Explanation, PerturbationSet]]:
+    """:func:`explain_detailed` for each instance in turn, under one config.
+    All of them read one set of variates (see :func:`_sampler`), so each
+    explanation equals what :func:`explain_detailed` gives for its instance
+    alone."""
+    model.schema.check_definition(defn)
+    sampler = None
+    for instance, instance_id in zip(instances, instance_ids):
+        instance = _checked_instance(model.schema, defn, instance)
+        if sampler is None:
+            sampler = _sampler(defn, model.schema, model.scaler, config)
+        yield _explain(model, instance, sampler(instance), config, instance_id)
+
+
+def explain_detailed(
+    model: LogisticModel,
+    defn: ProcessDefinition,
+    instance: np.ndarray,
+    config: ExplainConfig = ExplainConfig(),
+    instance_id: str = "",
+) -> tuple[Explanation, PerturbationSet]:
+    """Run the full pipeline and keep the perturbation set for inspection."""
+    model.schema.check_definition(defn)
+    instance = _checked_instance(model.schema, defn, instance)
+    # Not a view of _explanations: here the draws are freed before the fit
+    # (held through it, as a generator frame holds them, calls ran 4% slower).
+    samples = _sampler(defn, model.schema, model.scaler, config)(instance)
+    return _explain(model, instance, samples, config, instance_id)
 
 
 def explain(

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from procex.errors import (
 )
 from procex.evaluation import (
     ComparisonConfig,
+    ExperimentReport,
+    InstanceRun,
     compute_aggregates,
     conformance_rate,
     report_to_json_dict,
@@ -25,12 +29,18 @@ from procex.evaluation import (
 from procex.explainer import (
     PROCESS_AWARE,
     PROPAGATE,
+    REJECT,
     VANILLA,
     ExplainConfig,
     explain,
     explain_detailed,
 )
+from procex.features import build_schema, encode_trace
+from procex.predictor import train
 from procex.process_model import parse_process
+from procex.simulation import EventLog, SimulationConfig, generate_log
+
+from procgen import CHAIN, NO_ATTRIBUTES, REJOINING, random_process
 
 SKILLED_VEC = np.array([580.0, 300000.0, 1.0, 0.0, 1.0])
 
@@ -276,3 +286,137 @@ class TestReportFiles:
         write_figdata_csv(report, a)
         write_figdata_csv(report, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# run_comparison against the instance-by-instance loop
+# ---------------------------------------------------------------------------
+
+def comparison_oracle(defn, model, log, config: ComparisonConfig) -> ExperimentReport:
+    """``run_comparison`` as a loop over instances, seeds and modes: each
+    instance is encoded alone, and each explanation starts its own generator
+    and draws its own variates."""
+    schema = model.schema
+    instances = [
+        t for t in log.traces
+        if t.label == config.select_label
+        and (config.require_activity is None or config.require_activity in t.activities)
+    ][: config.n_instances]
+    records = []
+    for trace in instances:
+        vector = encode_trace(schema, trace)
+        for seed in config.seeds:
+            vanilla, vanilla_set = explain_detailed(
+                model, defn, vector, config.explain_config(VANILLA, seed), trace.case_id
+            )
+            aware, aware_set = explain_detailed(
+                model, defn, vector, config.explain_config(PROCESS_AWARE, seed), trace.case_id
+            )
+            records.append(
+                InstanceRun(
+                    case_id=trace.case_id,
+                    seed=seed,
+                    vanilla=vanilla,
+                    process_aware=aware,
+                    vanilla_conformance=conformance_rate(defn, vanilla_set, schema),
+                    process_aware_conformance=conformance_rate(defn, aware_set, schema),
+                    top_k_overlap=top_k_overlap(vanilla, aware, config.top_k),
+                )
+            )
+    report_config = config.to_json_dict()
+    report_config["selected_cases"] = [t.case_id for t in instances]
+    return ExperimentReport(
+        report_config, tuple(records), compute_aggregates(records, schema.names)
+    )
+
+
+COMPARISONS = {
+    "propagate": dict(strategy=PROPAGATE),
+    "reject": dict(strategy=REJECT),
+    "collapse": dict(strategy=PROPAGATE, collapse_derived=True),
+}
+
+GENERATED = {f"random-{i}": i for i in range(20)} | {
+    "rejoining": REJOINING,
+    "chain": CHAIN,
+    "no_attributes": NO_ATTRIBUTES,
+}
+
+
+def _assert_matches_oracle(defn, model, log, config) -> None:
+    """The two reports as written to disk are the same bytes."""
+    expected = report_to_json_dict(comparison_oracle(defn, model, log, config))
+    actual = report_to_json_dict(run_comparison(defn, model, log, config))
+    assert json.dumps(actual, indent=2) == json.dumps(expected, indent=2)
+
+
+@pytest.mark.parametrize("variant", sorted(COMPARISONS))
+def test_loan_comparison_equals_the_loop(variant, loan, loan_model, model_log):
+    config = ComparisonConfig(
+        n_instances=6, seeds=(0, 1, 2), require_activity="skilled_agent_review",
+        n_samples=300, **COMPARISONS[variant],
+    )
+    _assert_matches_oracle(loan, loan_model, model_log, config)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_comparison_equals_the_loop(name):
+    defn = GENERATED[name]
+    if isinstance(defn, int):
+        defn = random_process(np.random.default_rng(6100 + defn), defn)
+    schema = build_schema(defn)
+    log = generate_log(defn, SimulationConfig(n_cases=300, seed=7, label_noise=0.2))
+    model = train(log, schema)
+    for settings in COMPARISONS.values():
+        # A low flip rate keeps enough reject candidates conformant.
+        config = ComparisonConfig(
+            n_instances=5, seeds=(0, 1, 2), select_label=log.traces[0].label,
+            n_samples=300, flip_p=0.02, top_k=min(2, schema.arity), **settings,
+        )
+        _assert_matches_oracle(defn, model, log, config)
+
+
+@pytest.mark.parametrize("variant", sorted(COMPARISONS))
+def test_a_record_does_not_depend_on_the_other_instances(
+    variant, loan, loan_model, model_log
+):
+    config = ComparisonConfig(
+        n_instances=20, seeds=(0, 1, 2), require_activity="skilled_agent_review",
+        n_samples=300, **COMPARISONS[variant],
+    )
+    report = run_comparison(loan, loan_model, model_log, config)
+    records = report_to_json_dict(report)["records"]
+    assert len(records) == 60
+    position = {t.case_id: i for i, t in enumerate(model_log.traces)}
+    for j in (0, 7, 19):
+        # A log that starts at the j-th selected case selects it first.
+        start = position[report.config["selected_cases"][j]]
+        alone = run_comparison(
+            loan, loan_model,
+            EventLog(model_log.process_name, model_log.traces[start:]),
+            replace(config, n_instances=1),
+        )
+        assert json.dumps(report_to_json_dict(alone)["records"]) == json.dumps(
+            records[3 * j : 3 * j + 3]
+        )
+
+
+def test_comparison_does_not_keep_sample_sets(loan, loan_model, model_log):
+    def peak(n_instances: int) -> int:
+        config = ComparisonConfig(
+            n_instances=n_instances, seeds=(0,), require_activity="skilled_agent_review",
+            n_samples=2000,
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_comparison(loan, loan_model, model_log, config)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    two, twenty = peak(2), peak(20)
+    # Each sample set holds 2001 rows of 5 features, predictions and kernel
+    # weights, about 0.11 MB: keeping all 40 would add 4 MB to a peak of
+    # about 0.5 MB.
+    assert twenty < 1.5 * two, (two, twenty)

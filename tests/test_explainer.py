@@ -31,7 +31,7 @@ from procex.predictor import TrainConfig, predict_proba, train
 from procex.process_model import execute_rows, parse_process
 from procex.simulation import SimulationConfig, Trace, generate_log, is_conformant
 
-from procgen import NO_ATTRIBUTES
+from procgen import NO_ATTRIBUTES, REJOINING
 
 SKILLED_VEC = np.array([580.0, 300000.0, 1.0, 0.0, 1.0])
 STANDARD_VEC = np.array([700.0, 50000.0, 0.0, 1.0, 1.0])
@@ -67,6 +67,18 @@ class TestVanillaSampling:
         np.testing.assert_array_equal(
             samples[1:, 2:], np.tile([0.0, 1.0, 0.0], (10, 1))
         )
+
+    def test_draws_follow_the_documented_order(self, loan_schema, scaler):
+        # One normal matrix, then one uniform matrix, rebuilt from the seed.
+        rng = np.random.default_rng(9)
+        noise = rng.standard_normal((400, 2)) * (1.5 * scaler.std[:2])
+        flips = rng.random((400, 3)) < 0.3
+        attrs = np.clip(SKILLED_VEC[:2] + noise, [300.0, 1000.0], [850.0, 500000.0])
+        expected = np.vstack([SKILLED_VEC, np.hstack([attrs, np.abs(SKILLED_VEC[2:] - flips)])])
+        samples = sample_vanilla(
+            SKILLED_VEC, loan_schema, scaler, 400, 1.5, 0.3, np.random.default_rng(9)
+        )
+        np.testing.assert_array_equal(samples, expected)
 
     def test_most_samples_break_conformance(self, loan, loan_schema, scaler):
         rng = np.random.default_rng(7)
@@ -105,6 +117,29 @@ class TestPropagate:
             SKILLED_VEC, loan, loan_schema, scaler, 50, 0.0, PROPAGATE, rng
         )
         np.testing.assert_array_equal(samples, np.tile(SKILLED_VEC, (51, 1)))
+
+    def test_draws_follow_the_documented_order(self):
+        # One normal matrix, then the executor's uniform vector for each of
+        # the three choice gateways in topological order, rebuilt from the seed.
+        schema = build_schema(REJOINING)
+        log = generate_log(REJOINING, SimulationConfig(n_cases=300, seed=3))
+        scaler = train(log, schema).scaler
+        instance = encode_trace(schema, log.traces[0])
+        m, n = len(schema.numeric_indices), 400
+        numeric = schema.features[:m]
+        lower = [-np.inf if f.lower is None else f.lower for f in numeric]
+        upper = [np.inf if f.upper is None else f.upper for f in numeric]
+        rng = np.random.default_rng(9)
+        noise = rng.standard_normal((n, m)) * (1.5 * scaler.std[:m])
+        attrs = np.clip(instance[:m] + noise, lower, upper)
+        indicators, _ = execute_rows(
+            REJOINING, dict(zip(schema.names, attrs.T)), n, lambda arrived: rng.random(n)
+        )
+        expected = np.vstack([instance, np.hstack([attrs, indicators])])
+        samples = sample_process_aware(
+            instance, REJOINING, schema, scaler, n, 1.5, PROPAGATE, np.random.default_rng(9)
+        )
+        np.testing.assert_array_equal(samples, expected)
 
     def test_choice_gateway_draws_are_positional(self):
         # A choice gateway behind an unreachable branch still consumes its
