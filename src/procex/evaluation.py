@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .explainer import (
     ExplainConfig,
     Explanation,
     PerturbationSet,
-    _explanations,
+    _checked_instance,
+    _explain,
+    _sampler,
 )
 from .features import _encode, build_schema, split_columns
 from .predictor import LogisticModel
@@ -247,26 +249,37 @@ def run_comparison(
     seed-minor, and the whole report is deterministic.
     """
     schema = model.schema
+    schema.check_definition(defn)
     instances = _select_instances(log, config)
-    vectors = _encode(schema, instances)
+    vectors = [_checked_instance(schema, defn, v) for v in _encode(schema, instances)]
     case_ids = [trace.case_id for trace in instances]
 
-    def scored(mode: str, seed: int):
-        """Each explanation of one mode with its conformance rate. Every
-        instance reads the mode's one set of variates; ``map`` holds no
-        sample set between items, so each is freed once scored."""
-        runs = _explanations(
-            model, defn, vectors, config.explain_config(mode, seed), case_ids
+    def scored(
+        mode_config: ExplainConfig,
+        sampler: Callable[[np.ndarray], np.ndarray],
+        vector: np.ndarray,
+        case_id: str,
+    ) -> tuple[Explanation, float]:
+        """One explanation and its conformance rate; the sample set is freed
+        on return."""
+        explanation, samples = _explain(
+            model, vector, sampler(vector), mode_config, case_id
         )
-        return map(lambda run: (run[0], conformance_rate(defn, run[1], schema)), runs)
+        return explanation, conformance_rate(defn, samples, schema)
 
     grid: list[list[InstanceRun]] = [[] for _ in instances]
     for seed in config.seeds:
-        pairs = zip(scored(VANILLA, seed), scored(PROCESS_AWARE, seed))
-        for runs, ((vanilla, vanilla_rate), (aware, aware_rate)) in zip(grid, pairs):
+        # Each mode's sampler draws its variates once, for every instance.
+        vanilla_config = config.explain_config(VANILLA, seed)
+        aware_config = config.explain_config(PROCESS_AWARE, seed)
+        vanilla_sampler = _sampler(defn, schema, model.scaler, vanilla_config)
+        aware_sampler = _sampler(defn, schema, model.scaler, aware_config)
+        for runs, vector, case_id in zip(grid, vectors, case_ids):
+            vanilla, vanilla_rate = scored(vanilla_config, vanilla_sampler, vector, case_id)
+            aware, aware_rate = scored(aware_config, aware_sampler, vector, case_id)
             runs.append(
                 InstanceRun(
-                    case_id=vanilla.instance_id,
+                    case_id=case_id,
                     seed=seed,
                     vanilla=vanilla,
                     process_aware=aware,

@@ -21,9 +21,12 @@ normal matrix, then the simulator's executor
 :func:`~procex.process_model.execute_rows` reads one uniform vector per choice
 gateway in topological order (drawn whether or not any sample reaches it).
 Reject: vanilla-shaped batches of size n until enough samples are kept.
-Vanilla and propagate draws do not depend on the instance, so explanations
-that share a config read one set of variates, drawn once; reject's later
-batches depend on what an instance accepts, so reject draws per instance.
+Vanilla and propagate draws do not depend on the instance, so one builder,
+:func:`_sample_builder`, draws a sample set's variates once and builds any
+instance's samples from them: the public samplers call it for one instance,
+and :func:`~procex.evaluation.run_comparison` for every instance of a seed,
+holding one seed's two draw sets at a time. Reject's later batches depend
+on what an instance accepts, so reject draws per instance.
 
 Memory layout. One explanation writes its ``n + 1`` samples into one
 feature-major ``(k, n + 1)`` block, column 0 the instance; noise, clamping,
@@ -44,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -168,80 +171,46 @@ def _sample_block(instance: np.ndarray, n: int) -> np.ndarray:
     return block
 
 
-def _numeric_noise(
+def _sample_builder(
     schema: FeatureSchema,
     scaler: Scaler,
     n: int,
     spread: float,
+    flip_p: float,
+    defn: ProcessDefinition | None,
     rng: np.random.Generator,
-) -> Callable[[np.ndarray], None]:
-    """Draw the numeric features' standard normals once; returns the function
-    that writes an instance plus their Gaussian perturbations, clamped to
-    bounds, into a block's numeric rows. The numeric features lead the
-    schema, so their rows lead the block."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Draw one sample set's variates once, in the documented order:
+    vanilla's if ``defn`` is None, else propagate's for ``defn``. Returns the
+    function that builds any instance's samples from them, the instance
+    first. The numeric features lead the schema, so their rows lead the
+    block."""
     numeric = schema.features[: len(schema.numeric_indices)]
     m = len(numeric)
     normals = rng.standard_normal((n, m)).T
     sigma = spread * scaler.std[:m]
     lower = np.array([-np.inf if f.lower is None else f.lower for f in numeric])
     upper = np.array([np.inf if f.upper is None else f.upper for f in numeric])
+    if defn is None:
+        uniforms = rng.random((n, schema.arity - m)).T
+    else:
+        uniforms = [rng.random(n) for _ in defn.choice_gateways]
 
-    def add(block: np.ndarray) -> None:
+    def build(instance: np.ndarray) -> np.ndarray:
+        block = _sample_block(instance, n)
         rows = block[:m, 1:]
         np.multiply(normals, sigma[:, None], out=rows)
         rows += block[:m, :1]
         np.clip(rows, lower[:, None], upper[:, None], out=rows)
-
-    return add
-
-
-def _vanilla(
-    schema: FeatureSchema,
-    scaler: Scaler,
-    n: int,
-    spread: float,
-    flip_p: float,
-    rng: np.random.Generator,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Draw vanilla's variates once; returns the function that builds one
-    instance's samples from them."""
-    m = len(schema.numeric_indices)
-    add_noise = _numeric_noise(schema, scaler, n, spread, rng)
-    uniforms = rng.random((n, schema.arity - m)).T
-
-    def build(instance: np.ndarray) -> np.ndarray:
-        block = _sample_block(instance, n)
-        add_noise(block)
-        rows = block[m:, 1:]
-        np.less(uniforms, flip_p, out=rows)  # 1.0: flip
-        np.subtract(block[m:, :1], rows, out=rows)
-        np.abs(rows, out=rows)
-        return block.T
-
-    return build
-
-
-def _propagate(
-    defn: ProcessDefinition,
-    schema: FeatureSchema,
-    scaler: Scaler,
-    n: int,
-    spread: float,
-    rng: np.random.Generator,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Draw propagate's variates once (the executor reads one uniform vector
-    per choice gateway, arrived or not); returns the function that builds
-    one instance's samples from them."""
-    m = len(schema.numeric_indices)
-    add_noise = _numeric_noise(schema, scaler, n, spread, rng)
-    uniforms = [rng.random(n) for _ in defn.choice_gateways]
-
-    def build(instance: np.ndarray) -> np.ndarray:
-        block = _sample_block(instance, n)
-        add_noise(block)
-        columns = {schema.names[i]: block[i, 1:] for i in range(m)}
-        draws = iter(uniforms)
-        execute_rows(defn, columns, n, lambda arrived: next(draws), out=block[m:, 1:])
+        indicators = block[m:, 1:]
+        if defn is None:
+            np.less(uniforms, flip_p, out=indicators)  # 1.0: flip
+            np.subtract(block[m:, :1], indicators, out=indicators)
+            np.abs(indicators, out=indicators)
+        else:
+            columns = {schema.names[i]: block[i, 1:] for i in range(m)}
+            draws = iter(uniforms)
+            execute_rows(defn, columns, n, lambda arrived: next(draws), out=indicators)
         return block.T
 
     return build
@@ -257,7 +226,7 @@ def sample_vanilla(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Process-blind sampling; returns ``n + 1`` rows, the instance first."""
-    build = _vanilla(schema, scaler, n, spread, flip_p, rng)
+    build = _sample_builder(schema, scaler, n, spread, flip_p, None, rng)
     return build(np.asarray(instance, dtype=float))
 
 
@@ -280,7 +249,7 @@ def sample_process_aware(
     """
     instance = np.asarray(instance, dtype=float)
     if strategy == PROPAGATE:
-        return _propagate(defn, schema, scaler, n, spread, rng)(instance)
+        return _sample_builder(schema, scaler, n, spread, flip_p, defn, rng)(instance)
     if strategy == REJECT:
         block = _sample_block(instance, n)
         n_kept = 0
@@ -311,13 +280,14 @@ def _sampler(
     draw their variates here, once; reject's later draws depend on what an
     instance accepts, so it starts a generator per instance."""
     n, spread, flip_p, seed = config.n_samples, config.spread, config.flip_p, config.seed
-    if config.mode == VANILLA:
-        return _vanilla(schema, scaler, n, spread, flip_p, np.random.default_rng(seed))
-    if config.strategy == PROPAGATE:
-        return _propagate(defn, schema, scaler, n, spread, np.random.default_rng(seed))
-    return lambda instance: sample_process_aware(
-        instance, defn, schema, scaler, n, spread, REJECT,
-        np.random.default_rng(seed), flip_p=flip_p,
+    if config.mode == PROCESS_AWARE and config.strategy == REJECT:
+        return lambda instance: sample_process_aware(
+            instance, defn, schema, scaler, n, spread, REJECT,
+            np.random.default_rng(seed), flip_p=flip_p,
+        )
+    propagate = defn if config.mode == PROCESS_AWARE else None
+    return _sample_builder(
+        schema, scaler, n, spread, flip_p, propagate, np.random.default_rng(seed)
     )
 
 
@@ -568,26 +538,6 @@ def _checked_instance(
     return instance
 
 
-def _explanations(
-    model: LogisticModel,
-    defn: ProcessDefinition,
-    instances: Iterable[np.ndarray],
-    config: ExplainConfig,
-    instance_ids: Iterable[str],
-) -> Iterator[tuple[Explanation, PerturbationSet]]:
-    """:func:`explain_detailed` for each instance in turn, under one config.
-    All of them read one set of variates (see :func:`_sampler`), so each
-    explanation equals what :func:`explain_detailed` gives for its instance
-    alone."""
-    model.schema.check_definition(defn)
-    sampler = None
-    for instance, instance_id in zip(instances, instance_ids):
-        instance = _checked_instance(model.schema, defn, instance)
-        if sampler is None:
-            sampler = _sampler(defn, model.schema, model.scaler, config)
-        yield _explain(model, instance, sampler(instance), config, instance_id)
-
-
 def explain_detailed(
     model: LogisticModel,
     defn: ProcessDefinition,
@@ -598,8 +548,6 @@ def explain_detailed(
     """Run the full pipeline and keep the perturbation set for inspection."""
     model.schema.check_definition(defn)
     instance = _checked_instance(model.schema, defn, instance)
-    # Not a view of _explanations: here the draws are freed before the fit
-    # (held through it, as a generator frame holds them, calls ran 4% slower).
     samples = _sampler(defn, model.schema, model.scaler, config)(instance)
     return _explain(model, instance, samples, config, instance_id)
 

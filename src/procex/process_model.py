@@ -824,17 +824,15 @@ def validate(defn: ProcessDefinition) -> ValidationReport:
 
     if targets_ok and not any(f.rule == "DuplicateName" for f in findings):
         try:
-            topological_order(defn)
+            order = topological_order(defn)
         except CyclicGraphError as exc:
             findings.append(Finding("CyclicGraph", defn.name, str(exc)))
         else:
+            # Every predecessor of a node comes before it in the order.
             reached = {defn.start}
-            frontier = [defn.start]
-            while frontier:
-                for succ in node_successors(defn.node(frontier.pop())):
-                    if succ not in reached:
-                        reached.add(succ)
-                        frontier.append(succ)
+            for name in order:
+                if name in reached:
+                    reached.update(node_successors(defn.node(name)))
             for node in defn.nodes:
                 if node.name not in reached:
                     findings.append(

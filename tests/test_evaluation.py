@@ -53,6 +53,14 @@ SMALL = ComparisonConfig(
 )
 
 
+def _refuse_generators(monkeypatch) -> None:
+    """Fail the test if any random generator is started."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was started")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
 @pytest.fixture(scope="module")
 def report(loan, loan_model, model_log):
     return run_comparison(loan, loan_model, model_log, SMALL)
@@ -239,6 +247,30 @@ class TestRunComparison:
         config = ComparisonConfig(require_activity="escalate", n_samples=50)
         with pytest.raises(NoMatchingInstancesError):
             run_comparison(loan, loan_model, model_log, config)
+
+    def test_non_finite_attribute_fails_before_any_draw(
+        self, loan, loan_model, model_log, monkeypatch
+    ):
+        selected = [
+            t.case_id for t in model_log.traces
+            if t.label == SMALL.select_label and SMALL.require_activity in t.activities
+        ][: SMALL.n_instances]
+        # The last selected trace gets a NaN credit score.
+        traces = tuple(
+            replace(t, attrs={**t.attrs, "credit_score": float("nan")})
+            if t.case_id == selected[-1] else t
+            for t in model_log.traces
+        )
+        _refuse_generators(monkeypatch)
+        with pytest.raises(SchemaMismatchError, match="credit_score"):
+            run_comparison(loan, loan_model, EventLog(model_log.process_name, traces), SMALL)
+
+    def test_definition_of_another_schema_is_refused(
+        self, loan_model, model_log, monkeypatch
+    ):
+        _refuse_generators(monkeypatch)
+        with pytest.raises(SchemaMismatchError, match="model was trained for schema"):
+            run_comparison(CHAIN, loan_model, model_log, SMALL)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

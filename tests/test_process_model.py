@@ -272,6 +272,26 @@ class TestValidateAsData:
             for f in report.findings
         )
 
+    def test_unreachable_chain_feeding_a_reachable_node(self):
+        text = MINIMAL + "activity first -> second\nactivity second -> done\n"
+        report = validate(parse_process_structure(text))
+        assert [(f.rule, f.subject) for f in report.findings] == [
+            ("UnreachableNode", "first"),
+            ("UnreachableNode", "second"),
+        ]
+
+    def test_unreachable_node_pointing_at_the_start(self):
+        # "back" has no predecessor, so it precedes the start node "x" in
+        # topological order.
+        text = (
+            "process p\nattr a: numeric in [0, 1]\nstart -> x\n"
+            "activity x -> done\nend done label POSITIVE\nactivity back -> x\n"
+        )
+        report = validate(parse_process_structure(text))
+        assert [(f.rule, f.subject) for f in report.findings] == [
+            ("UnreachableNode", "back"),
+        ]
+
     def test_multiple_findings_accumulate(self):
         text = (
             "process p\nattr a: numeric in [5, 1]\nstart -> g\n"
