@@ -106,6 +106,11 @@ class DivergedError(ProcexError):
     """Training met a non-finite loss or non-finite feature scaling statistics."""
 
 
+class MalformedModelError(ProcexError):
+    """A model file holds a non-finite weight, bias, or scaler statistic, or
+    a negative scaler std."""
+
+
 # ---------------------------------------------------------------------------
 # Explanation
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ __all__ = [
     "ExplainConfig",
     "PerturbationSet",
     "Explanation",
-    "default_kernel_width",
     "sample_vanilla",
     "sample_process_aware",
     "kernel_weights",
@@ -86,10 +85,6 @@ PROPAGATE = "propagate"
 REJECT = "reject"
 
 REJECT_BUDGET_FACTOR = 100
-
-
-def default_kernel_width(arity: int) -> float:
-    return 0.75 * math.sqrt(arity)
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ class ExplainConfig:
     def resolved_width(self, arity: int) -> float:
         if self.kernel_width is not None:
             return self.kernel_width
-        return default_kernel_width(arity)
+        return 0.75 * math.sqrt(arity)
 
     def to_json_dict(self, arity: int | None = None) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}

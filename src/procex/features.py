@@ -36,7 +36,6 @@ __all__ = [
     "encode_log",
     "split_vector",
     "split_columns",
-    "fit_scaler",
     "scaler_from_matrix",
 ]
 
@@ -287,9 +286,6 @@ class Scaler:
         out /= self.scale
         return out
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float) * self.scale + self.mean
-
     def to_json_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
@@ -308,9 +304,3 @@ def scaler_from_matrix(matrix: np.ndarray) -> Scaler:
     # Values near the float limit overflow to inf here; `train` refuses that.
     with np.errstate(over="ignore", invalid="ignore"):
         return Scaler(mean=matrix.mean(axis=0), std=matrix.std(axis=0))
-
-
-def fit_scaler(schema: FeatureSchema, log: EventLog) -> Scaler:
-    """Fit standardization statistics on every trace of a log."""
-    matrix, _ = encode_log(schema, log)
-    return scaler_from_matrix(matrix)

@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     DivergedError,
     EmptyLogError,
+    MalformedModelError,
     SchemaMismatchError,
     SingleClassLogError,
 )
@@ -134,7 +135,6 @@ def train(
     log: EventLog,
     schema: FeatureSchema,
     config: TrainConfig = TrainConfig(),
-    track_loss: bool = False,
 ) -> LogisticModel:
     """Fit the predictor by damped Newton steps on the penalized loss.
 
@@ -179,7 +179,6 @@ def train(
     if not math.isfinite(loss):
         # Accepted steps never raise the loss, so only the start can fail.
         raise DivergedError("loss is non-finite at the zero-weight start")
-    history = [loss]
     epochs_run = 0
     converged = float(np.max(np.abs(grad))) < config.tol
     while not converged and epochs_run < config.epochs:
@@ -196,7 +195,6 @@ def train(
         else:
             break  # no halving lowers the loss: the fit is as close as it gets
         params, loss, grad = candidate, candidate_loss, candidate_grad
-        history.append(loss)
         epochs_run += 1
         converged = float(np.max(np.abs(grad))) < config.tol
 
@@ -206,8 +204,6 @@ def train(
         "converged": converged,
         "final_loss": loss,
     }
-    if track_loss:
-        train_meta["loss_history"] = history
     return LogisticModel(
         schema=schema,
         scaler=scaler,
@@ -361,7 +357,9 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
 def load_model(
     path: str | Path, definition: ProcessDefinition | None = None
 ) -> LogisticModel:
-    """Read a model file; with a definition given, refuse schema mismatches."""
+    """Read a model file; with a definition given, refuse schema mismatches.
+    A non-finite weight, bias or scaler statistic, or a negative scaler std,
+    raises ``MalformedModelError``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     schema = FeatureSchema.from_json_dict(data["schema"])
@@ -383,11 +381,22 @@ def load_model(
                 f"model file {what} have shape {values.shape} but its schema has "
                 f"{schema.arity} features"
             )
+        std = what == "scaler std"
+        bad = ~np.isfinite(values) | (std & (values < 0))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise MalformedModelError(
+                f"model file {what} of feature {schema.names[j]!r} is "
+                f"{float(values[j])!r}, not a finite{' non-negative' if std else ''} number"
+            )
+    bias = float(data["bias"])
+    if not math.isfinite(bias):
+        raise MalformedModelError(f"model file bias is {bias!r}, not a finite number")
     return LogisticModel(
         schema=schema,
         scaler=scaler,
         weights=weights,
-        bias=float(data["bias"]),
+        bias=bias,
         config=TrainConfig.from_json_dict(data["hyperparams"]),
         train_meta=data.get("train_meta", {}),
     )

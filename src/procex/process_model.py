@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Union
@@ -72,7 +72,6 @@ __all__ = [
     "serialize_process",
     "format_guard",
     "validate",
-    "eval_guard",
     "eval_guard_batch",
     "guard_attributes",
     "derive_causality_graph",
@@ -154,16 +153,9 @@ _CMP_FUNCS = {
 }
 
 
-def eval_guard(guard: GuardExpr, attrs: Mapping[str, float]) -> bool:
-    """Evaluate a guard against a single attribute assignment: a one-row
-    view of :func:`eval_guard_batch`, so every comparison is evaluated."""
-    import numpy as np
-    columns = {name: np.array([value]) for name, value in attrs.items()}
-    return bool(eval_guard_batch(guard, columns)[0])
-
-
 def eval_guard_batch(guard: GuardExpr, attrs: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Vectorized :func:`eval_guard` over column arrays of equal length."""
+    """One boolean per row of equal-length attribute columns. Every
+    comparison is evaluated; an absent attribute raises ``MissingAttributeError``."""
     import numpy as np
     if isinstance(guard, Comparison):
         try:
@@ -856,46 +848,8 @@ class CausalityGraph:
 
     edges: tuple[tuple[str, str], ...]
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
-
-    def sources(self) -> tuple[str, ...]:
-        return tuple(sorted({s for s, _ in self.edges}))
-
-    def targets_of(self, attribute: str) -> tuple[str, ...]:
-        return tuple(sorted({t for s, t in self.edges if s == attribute}))
-
     def to_json_dict(self) -> dict:
         return {"edges": [[s, t] for s, t in self.edges]}
-
-
-def _path_masks(
-    defn: ProcessDefinition,
-    pinned: Mapping[str, str],
-    join: Callable[..., frozenset[int]] = frozenset.union,
-) -> dict[str, frozenset[int]]:
-    """Activity masks of the paths from each node to an end, by node name.
-
-    One fold over :func:`topological_order` from the ends back. Bit ``i``
-    of a mask stands for ``defn.activity_names[i]``. An end node yields
-    ``{0}``, an activity ORs its bit into every mask of its successor, an
-    xor gateway in ``pinned`` takes the successor it maps to, and any other
-    gateway joins its successors' sets with ``join``.
-    """
-    bit = {name: 1 << i for i, name in enumerate(defn.activity_names)}
-    masks: dict[str, frozenset[int]] = {}
-    for name in reversed(topological_order(defn)):
-        node = defn.node(name)
-        if isinstance(node, EndNode):
-            masks[name] = frozenset({0})
-        elif isinstance(node, Activity):
-            masks[name] = frozenset(m | bit[name] for m in masks[node.successor])
-        elif name in pinned:
-            masks[name] = masks[pinned[name]]
-        else:
-            masks[name] = join(*(masks[s] for s in node_successors(node)))
-    return masks
 
 
 def derive_causality_graph(defn: ProcessDefinition) -> CausalityGraph:
@@ -906,17 +860,19 @@ def derive_causality_graph(defn: ProcessDefinition) -> CausalityGraph:
     downstream of that branch but not of some later one (a later ``when``
     or ``otherwise``), or the reverse. Under first-match routing those are
     the pairs of branches the guard's value chooses between. Reachability
-    is one mask per node: :func:`_path_masks` with no xor pinned and every
-    gateway OR-ing its successors' masks, so no path is enumerated.
+    is one activity bitmask per node (bit ``i`` for activity ``i``), folded
+    from the ends back: a node's own bit OR-ed with its successors' masks.
     """
-    def or_join(*sets: frozenset[int]) -> frozenset[int]:
-        return frozenset({reduce(operator.or_, frozenset.union(*sets))})
-
-    reach = _path_masks(defn, {}, or_join)
     names = defn.activity_names
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    reach: dict[str, int] = {}
+    for name in reversed(topological_order(defn)):
+        reach[name] = bit.get(name, 0)
+        for succ in node_successors(defn.node(name)):
+            reach[name] |= reach[succ]
     edges: set[tuple[str, str]] = set()
     for node in defn.xor_gateways:
-        masks = [next(iter(reach[succ])) for succ in node_successors(node)]
+        masks = [reach[succ] for succ in node_successors(node)]
         for k, branch in enumerate(node.branches):
             flips = 0
             for later in masks[k + 1:]:
@@ -1065,20 +1021,31 @@ def reachable_indicators(
     (values outside declared bounds are evaluated literally); choice branches
     remain free, so the result enumerates every root-to-end path the
     assignment permits. Vector positions follow ``defn.activity_names``.
+
+    A fold from the ends back keeps each node's path masks to an end (bit
+    ``i`` for activity ``i``): an end yields ``{0}``, an activity ORs its bit
+    into its successor's masks, an xor takes its guards' pick, and a choice
+    gateway unites its successors' sets.
     """
     import numpy as np
     columns = {name: np.array([value]) for name, value in attrs.items()}
-    pinned = {}
-    for gateway in defn.xor_gateways:
-        branch_rows = xor_branch_rows(gateway, columns, 1)
-        pinned[gateway.name] = next(
-            target for target, rows in zip(node_successors(gateway), branch_rows)
-            if rows[0]
-        )
+    bit = {name: 1 << i for i, name in enumerate(defn.activity_names)}
+    masks: dict[str, frozenset[int]] = {}
+    for name in reversed(topological_order(defn)):
+        node = defn.node(name)
+        successors = node_successors(node)
+        if isinstance(node, EndNode):
+            masks[name] = frozenset({0})
+        elif isinstance(node, Activity):
+            masks[name] = frozenset(m | bit[name] for m in masks[node.successor])
+        elif isinstance(node, XorGateway):
+            taken = xor_branch_rows(node, columns, 1)
+            masks[name] = next(masks[t] for t, rows in zip(successors, taken) if rows[0])
+        else:
+            masks[name] = frozenset.union(*(masks[s] for s in successors))
     positions = range(len(defn.activity_names))
     return frozenset(
-        tuple(mask >> i & 1 for i in positions)
-        for mask in _path_masks(defn, pinned)[defn.start]
+        tuple(mask >> i & 1 for i in positions) for mask in masks[defn.start]
     )
 
 

@@ -70,7 +70,6 @@ __all__ = [
     "EventLog",
     "execute_case",
     "generate_log",
-    "trace_indicators",
     "is_conformant",
     "write_log_jsonl",
     "iter_log_jsonl",
@@ -275,16 +274,16 @@ def execute_case(
     defn: ProcessDefinition,
     attrs: Mapping[str, float],
     rng: np.random.Generator,
-    label_noise: float = 0.0,
     case_id: str = "",
 ) -> Trace:
     """Execute one case: guards route xors, the rng routes choices.
 
-    A one-row run on ``rng.random((1, C + 1))`` for ``C`` choice gateways.
+    A one-row run on ``rng.random((1, C + 1))`` for ``C`` choice gateways;
+    the last variate, a noisy log's label-flip draw, never flips the label.
     """
     columns = {name: np.array([value]) for name, value in attrs.items()}
     stream = rng.random((1, len(defn.choice_gateways) + 1))
-    [activities], [label] = _run(defn, columns, stream, label_noise)
+    [activities], [label] = _run(defn, columns, stream, 0.0)
     return Trace(case_id, dict(sorted(attrs.items())), activities, label)
 
 
@@ -315,12 +314,6 @@ def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
 # ---------------------------------------------------------------------------
 # Conformance
 # ---------------------------------------------------------------------------
-
-def trace_indicators(defn: ProcessDefinition, trace: Trace) -> dict[str, int]:
-    """Activity-presence indicators of a trace over the declared activities."""
-    present = set(trace.activities)
-    return {name: int(name in present) for name in defn.activity_names}
-
 
 def is_conformant(
     defn: ProcessDefinition,

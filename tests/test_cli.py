@@ -484,6 +484,26 @@ class TestExplain:
         top2 = {a["feature"] for a in payload["attributions"][:2]}
         assert top2 == {"skilled_agent_review", "standard_review"}
 
+    def test_non_finite_weight_is_refused(self, run, workspace, tmp_path):
+        data = json.loads(workspace["model"].read_text())
+        data["weights"][1] = math.nan
+        model, out_path = tmp_path / "model.json", tmp_path / "explanation.json"
+        model.write_text(json.dumps(data))
+        code, out, err = run(
+            "explain", LOAN,
+            "--model", str(model),
+            "--attrs", "credit_score=580,loan_amount=300000",
+            "--mode", "vanilla",
+            "--samples", "100",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "MalformedModelError: model file weights of feature 'loan_amount' is "
+            "nan, not a finite number\n"
+        )
+        assert not out_path.exists()
+
     def test_missing_attribute_value(self, run, workspace):
         code, _, err = run(
             "explain", LOAN,

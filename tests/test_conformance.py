@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from procex.explainer import REJECT, sample_process_aware, sample_vanilla
-from procex.features import build_schema, encode_trace, fit_scaler, split_columns, split_vector
+from procex.features import (
+    build_schema,
+    encode_log,
+    encode_trace,
+    scaler_from_matrix,
+    split_columns,
+    split_vector,
+)
 from procex.process_model import (
     conformant_rows,
     parse_process,
@@ -33,7 +40,7 @@ def vanilla_rows(defn, n, flip_p, seed):
     non-conformant rows."""
     schema = build_schema(defn)
     log = generate_log(defn, SimulationConfig(n_cases=200, seed=seed))
-    scaler = fit_scaler(schema, log)
+    scaler = scaler_from_matrix(encode_log(schema, log)[0])
     instance = encode_trace(schema, log.traces[0])
     rng = np.random.default_rng(seed)
     return schema, sample_vanilla(instance, schema, scaler, n, 1.0, flip_p, rng)
@@ -223,7 +230,7 @@ def test_reject_matches_row_by_row_filter(loan, which, seed):
     defn = loan if which == "loan" else REJOINING
     schema = build_schema(defn)
     log = generate_log(defn, SimulationConfig(n_cases=300, seed=seed))
-    scaler = fit_scaler(schema, log)
+    scaler = scaler_from_matrix(encode_log(schema, log)[0])
     instance = encode_trace(schema, log.traces[seed])
     got = sample_process_aware(
         instance, defn, schema, scaler, 300, 1.0, REJECT,

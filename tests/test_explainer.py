@@ -18,7 +18,6 @@ from procex.explainer import (
     REJECT,
     VANILLA,
     ExplainConfig,
-    default_kernel_width,
     explain,
     explain_detailed,
     fit_surrogate,
@@ -221,7 +220,6 @@ class TestKernel:
         assert w[0] == pytest.approx(w[1], rel=1e-12)
 
     def test_default_width(self):
-        assert default_kernel_width(4) == 1.5
         assert ExplainConfig().resolved_width(4) == 1.5
         assert ExplainConfig(kernel_width=2.5).resolved_width(4) == 2.5
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from procex.errors import (
     ConfigError,
     DivergedError,
     EmptyLogError,
+    MalformedModelError,
     SchemaMismatchError,
     SingleClassLogError,
 )
@@ -51,6 +54,16 @@ SEPARABLE = tiny_log(
 )
 
 
+def loss_history(log, schema, config, model):
+    """The loss after each of ``model``'s Newton steps, from the start: a
+    run capped at ``k`` epochs takes the same first ``k`` steps, so its final
+    loss is the ``k``-th."""
+    return np.array([
+        train(log, schema, replace(config, epochs=k)).train_meta["final_loss"]
+        for k in range(model.train_meta["epochs_run"] + 1)
+    ])
+
+
 class TestTraining:
     def test_separable_data_is_fit_perfectly(self):
         model = train(SEPARABLE, TINY_SCHEMA)
@@ -68,8 +81,8 @@ class TestTraining:
         np.testing.assert_allclose(probs, 0.5, atol=0.01)
 
     def test_loss_is_monotone_under_default_rate(self, model_log, loan_schema):
-        model = train(model_log, loan_schema, track_loss=True)
-        history = np.array(model.train_meta["loss_history"])
+        model = train(model_log, loan_schema)
+        history = loss_history(model_log, loan_schema, TrainConfig(), model)
         assert np.all(np.diff(history) <= 1e-12)
         assert model.train_meta["final_loss"] == history[-1]
 
@@ -126,12 +139,13 @@ class TestTraining:
         log = generate_log(loan, SimulationConfig(n_cases=10000, seed=42))
         train_part, _ = split_log(log, 0.2, seed=42)
         default = train(train_part, loan_schema)
-        exact = train(train_part, loan_schema, TrainConfig(tol=0.0), track_loss=True)
+        exact = train(train_part, loan_schema, TrainConfig(tol=0.0))
         assert len(train_part) == 8000
         assert exact.train_meta["converged"] is False
         assert exact.train_meta["epochs_run"] <= 50
         assert exact.train_meta["final_loss"] <= default.train_meta["final_loss"]
-        assert np.all(np.diff(exact.train_meta["loss_history"]) < 0)
+        history = loss_history(train_part, loan_schema, TrainConfig(tol=0.0), exact)
+        assert np.all(np.diff(history) < 0)
 
     def test_zero_penalty_with_singular_hessian(self, model_log, loan_schema):
         # The constant submit_application column and the two complementary
@@ -371,4 +385,33 @@ class TestModelFiles:
         data["schema"]["features"][0]["upper"] = 999.0
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaMismatchError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, index, literal, shown",
+        [
+            ("weights", 1, "NaN", "model file weights of feature 'loan_amount' is nan"),
+            ("mean", 0, "Infinity", "scaler mean of feature 'credit_score' is inf"),
+            ("std", 4, "-Infinity", "scaler std of feature 'submit_application' is -inf"),
+            ("std", 2, "-1.5", "scaler std of feature 'skilled_agent_review' is -1.5, "
+             "not a finite non-negative number"),
+            ("bias", None, "Infinity", "model file bias is inf, not a finite number"),
+            # Finite in the file, but it overflows to inf when read.
+            ("bias", None, "1e400", "model file bias is inf, not a finite number"),
+        ],
+        ids=["nan-weight", "inf-mean", "minus-inf-std", "negative-std", "inf-bias",
+             "overflowing-bias"],
+    )
+    def test_non_finite_or_negative_numbers_are_refused(
+        self, tmp_path, loan_model, field, index, literal, shown
+    ):
+        path = tmp_path / "model.json"
+        data = model_to_json_dict(loan_model)
+        if field == "bias":
+            data["bias"] = "LITERAL"
+        else:
+            (data["weights"] if field == "weights" else data["scaler"][field])[index] = "LITERAL"
+        # json.load reads NaN, Infinity and -Infinity, which strict JSON lacks.
+        path.write_text(json.dumps(data).replace('"LITERAL"', literal))
+        with pytest.raises(MalformedModelError, match=re.escape(shown)):
             load_model(path)

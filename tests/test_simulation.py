@@ -28,7 +28,6 @@ from procex.simulation import (
     import_log_csv,
     is_conformant,
     read_log_jsonl,
-    trace_indicators,
     write_log_jsonl,
 )
 
@@ -84,13 +83,6 @@ class TestExecuteCase:
         attrs = {"credit_score": 620.0, "loan_amount": 300000.0}
         trace = execute_case(loan, attrs, np.random.default_rng(0))
         assert "standard_review" in trace.activities
-
-    def test_noise_flips_label_not_path(self, loan):
-        clean = execute_case(loan, SKILLED, np.random.default_rng(0), label_noise=0.0)
-        noisy = execute_case(loan, SKILLED, np.random.default_rng(0), label_noise=1e-9)
-        assert noisy.activities == clean.activities
-        full = execute_case(loan, SKILLED, np.random.default_rng(0), label_noise=0.5)
-        assert full.activities == clean.activities
 
     def test_attrs_are_stored_sorted(self, loan):
         trace = execute_case(loan, dict(reversed(list(SKILLED.items()))), np.random.default_rng(0))
@@ -260,7 +252,8 @@ class TestConfigValidation:
 class TestConformance:
     def test_every_simulated_trace_conforms(self, loan, small_log):
         for trace in small_log.traces:
-            assert is_conformant(loan, trace.attrs, trace_indicators(loan, trace))
+            indicators = {a: int(a in trace.activities) for a in loan.activity_names}
+            assert is_conformant(loan, trace.attrs, indicators)
 
     def test_skilled_vector_under_skilled_attrs(self, loan):
         ind = {"skilled_agent_review": 1, "standard_review": 0, "submit_application": 1}
@@ -535,4 +528,5 @@ def test_simulation_works_for_process_without_attributes():
     frac_x = np.mean(["x" in t.activities for t in log.traces])
     assert 0.4 < frac_x < 0.6
     for trace in log.traces:
-        assert is_conformant(defn, trace.attrs, trace_indicators(defn, trace))
+        indicators = {a: int(a in trace.activities) for a in defn.activity_names}
+        assert is_conformant(defn, trace.attrs, indicators)
