@@ -192,10 +192,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
     log = import_log_csv(
         args.csv,
-        **_given(
-            args, "attr_columns", "activity_column", "label_column", "case_column",
-            "process_name",
-        ),
+        **_given(args, "attr_columns", "activity_column", "label_column", "case_column"),
     )
     write_log_jsonl(log, args.out)
     _log(args, f"imported {len(log.traces)} cases from {args.csv}")
@@ -213,12 +210,19 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from .features import build_schema
-    from .predictor import TrainConfig, evaluate, save_model, split_log, train
+    from .predictor import (
+        TEST_FRACTION,
+        TrainConfig,
+        evaluate,
+        save_model,
+        split_log,
+        train,
+    )
     from .simulation import read_log_jsonl
 
     config = _config(TrainConfig, args)
-    split = args.test_fraction
-    if split not in (None, 0) and not 0.0 < split < 1.0:
+    split = TEST_FRACTION if args.test_fraction is None else args.test_fraction
+    if split != 0 and not 0.0 < split < 1.0:
         raise ConfigError(f"split must be 0 or lie in (0, 1), got {split}")
     defn = _read_definition(args.process)
     schema = build_schema(defn)
@@ -226,10 +230,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if split == 0:
         train_log, test_log = log, None
     else:
-        train_log, test_log = split_log(
-            log, **_given(args, "test_fraction"), seed=config.seed
-        )
-        split = test_log.provenance["split"]["test_fraction"]  # the one applied
+        train_log, test_log = split_log(log, split, seed=config.seed)
     model = train(train_log, schema, config)
     save_model(model, args.out)
     metrics = {"train": evaluate(model, train_log).to_json_dict()}
@@ -421,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--case-col", dest="case_column", metavar="CASE_COL",
         help="case id column name",
     )
-    p.add_argument("--process-name", help="process name to record")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=_cmd_import)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -115,6 +115,8 @@ class ComparisonConfig:
             raise ConfigError(f"n_instances must be positive, got {self.n_instances}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if self.top_k < 1:
+            raise ConfigError(f"top_k must be positive, got {self.top_k}")
         for seed in self.seeds:  # checks each seed and the shared settings
             self.explain_config(PROCESS_AWARE, seed)
 
@@ -151,7 +153,7 @@ class InstanceRun:
 class ExperimentReport:
     config: dict
     records: tuple[InstanceRun, ...]
-    aggregates: dict = field(default_factory=dict)
+    aggregates: dict
 
 
 def _select_instances(
@@ -252,6 +254,10 @@ def run_comparison(
     schema.check_definition(defn)
     instances = _select_instances(log, config)
     vectors = [_checked_instance(schema, defn, v) for v in _encode(schema, instances)]
+    if config.top_k > schema.arity:
+        raise ConfigError(
+            f"top_k must be at most the {schema.arity} features, got {config.top_k}"
+        )
     case_ids = [trace.case_id for trace in instances]
 
     def scored(
@@ -262,9 +268,7 @@ def run_comparison(
     ) -> tuple[Explanation, float]:
         """One explanation and its conformance rate; the sample set is freed
         on return."""
-        explanation, samples = _explain(
-            model, vector, sampler(vector), mode_config, case_id
-        )
+        explanation, samples = _explain(model, sampler(vector), mode_config, case_id)
         return explanation, conformance_rate(defn, samples, schema)
 
     grid: list[list[InstanceRun]] = [[] for _ in instances]

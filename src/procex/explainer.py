@@ -128,30 +128,29 @@ class ExplainConfig:
             return self.kernel_width
         return 0.75 * math.sqrt(arity)
 
-    def to_json_dict(self, arity: int | None = None) -> dict:
+    def to_json_dict(self, arity: int) -> dict:
+        """The settings as an explanation records them, the kernel width
+        resolved for ``arity`` features."""
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.mode != PROCESS_AWARE:
             data["strategy"] = None
-        if self.kernel_width is None and arity is not None:
-            data["kernel_width"] = self.resolved_width(arity)
+        data["kernel_width"] = self.resolved_width(arity)
         return data
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSet:
-    """Samples (row 0 is the instance itself), predictions, kernel weights.
+    """Samples (row 0 is the instance itself), predictions, kernel weights;
+    the mode and strategy that made them are on the :class:`Explanation`.
 
     ``samples`` has shape ``(n + 1, k)`` but is the transposed view of the
     feature-major sample block, so it may be Fortran-ordered; use
     ``np.ascontiguousarray`` where row-major memory matters.
     """
 
-    instance: np.ndarray
     samples: np.ndarray
     predictions: np.ndarray
     kernel_weights: np.ndarray
-    mode: str
-    strategy: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,6 @@ class Explanation:
 
 def _explain(
     model: LogisticModel,
-    instance: np.ndarray,
     samples: np.ndarray,
     config: ExplainConfig,
     instance_id: str,
@@ -503,15 +501,7 @@ def _explain(
         kernel_width=width,
         config=tuple(sorted(config.to_json_dict(schema.arity).items())),
     )
-    perturbations = PerturbationSet(
-        instance=instance,
-        samples=samples,
-        predictions=predictions,
-        kernel_weights=weights,
-        mode=config.mode,
-        strategy=strategy,
-    )
-    return explanation, perturbations
+    return explanation, PerturbationSet(samples, predictions, weights)
 
 
 def _checked_instance(
@@ -544,7 +534,7 @@ def explain_detailed(
     model.schema.check_definition(defn)
     instance = _checked_instance(model.schema, defn, instance)
     samples = _sampler(defn, model.schema, model.scaler, config)(instance)
-    return _explain(model, instance, samples, config, instance_id)
+    return _explain(model, samples, config, instance_id)
 
 
 def explain(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -43,6 +43,7 @@ __all__ = [
     "predict_proba",
     "predict_proba_standardized",
     "evaluate",
+    "TEST_FRACTION",
     "split_log",
     "save_model",
     "load_model",
@@ -90,7 +91,7 @@ class LogisticModel:
     weights: np.ndarray
     bias: float
     config: TrainConfig
-    train_meta: dict = field(default_factory=dict)
+    train_meta: dict
 
 
 def labels_to_targets(labels: tuple[str, ...]) -> np.ndarray:
@@ -303,11 +304,17 @@ def evaluate(model: LogisticModel, log: EventLog) -> EvalMetrics:
     )
 
 
+TEST_FRACTION = 0.2
+"""The held-out share of a log when none is given; ``procex train`` echoes
+it as its ``split``."""
+
+
 def split_log(
-    log: EventLog, test_fraction: float = 0.2, seed: int = TrainConfig.seed
+    log: EventLog, test_fraction: float = TEST_FRACTION, seed: int = TrainConfig.seed
 ) -> tuple[EventLog, EventLog]:
-    """Shuffle case indices with the seed and split; order inside each part
-    follows the original log."""
+    """Shuffle case indices with the seed and split into (train, test) logs
+    under the same process name; order inside each part follows the
+    original log. The parts do not record the split."""
     if not log.traces:
         raise EmptyLogError("cannot split an empty event log")
     if not 0.0 < test_fraction < 1.0:
@@ -318,20 +325,12 @@ def split_log(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_test = int(round(n * test_fraction))
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
 
-    def subset(indices: np.ndarray, part: str) -> EventLog:
-        return EventLog(
-            process_name=log.process_name,
-            traces=tuple(log.traces[i] for i in indices),
-            provenance={
-                **dict(log.provenance),
-                "split": {"part": part, "test_fraction": test_fraction, "seed": seed},
-            },
-        )
+    def subset(indices: np.ndarray) -> EventLog:
+        traces = tuple(log.traces[i] for i in np.sort(indices))
+        return EventLog(log.process_name, traces)
 
-    return subset(train_idx, "train"), subset(test_idx, "test")
+    return subset(perm[n_test:]), subset(perm[:n_test])
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +353,27 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
         fh.write(json.dumps(model_to_json_dict(model), indent=2) + "\n")
 
 
+def _model_number(value: object, what: str, non_negative: bool = False) -> float:
+    """``value`` as a float if it is a finite JSON number (not negative, if
+    so asked); otherwise ``MalformedModelError`` names ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedModelError(f"model file {what} is {json.dumps(value)}, not a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number) or (non_negative and number < 0):
+        kind = "finite non-negative" if non_negative else "finite"
+        raise MalformedModelError(f"model file {what} is {number!r}, not a {kind} number")
+    return number
+
+
 def load_model(
     path: str | Path, definition: ProcessDefinition | None = None
 ) -> LogisticModel:
     """Read a model file; with a definition given, refuse schema mismatches.
-    A non-finite weight, bias or scaler statistic, or a negative scaler std,
-    raises ``MalformedModelError``."""
+    A weight, bias or scaler statistic that is not a finite JSON number, or
+    a negative scaler std, raises ``MalformedModelError``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     schema = FeatureSchema.from_json_dict(data["schema"])
@@ -371,32 +385,28 @@ def load_model(
         )
     if definition is not None:
         schema.check_definition(definition)
-    scaler = Scaler.from_json_dict(data["scaler"])
-    weights = np.asarray(data["weights"], dtype=float)
-    for what, values in (
-        ("weights", weights), ("scaler mean", scaler.mean), ("scaler std", scaler.std)
-    ):
-        if values.shape != (schema.arity,):
+    vectors = {
+        "weights": data["weights"],
+        "scaler mean": data["scaler"]["mean"],
+        "scaler std": data["scaler"]["std"],
+    }
+    for what, values in vectors.items():
+        if not isinstance(values, list):
+            raise MalformedModelError(
+                f"model file {what} is {json.dumps(values)}, not a list of numbers"
+            )
+        if len(values) != schema.arity:
             raise SchemaMismatchError(
-                f"model file {what} have shape {values.shape} but its schema has "
+                f"model file {what} have shape ({len(values)},) but its schema has "
                 f"{schema.arity} features"
             )
-        std = what == "scaler std"
-        bad = ~np.isfinite(values) | (std & (values < 0))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise MalformedModelError(
-                f"model file {what} of feature {schema.names[j]!r} is "
-                f"{float(values[j])!r}, not a finite{' non-negative' if std else ''} number"
-            )
-    bias = float(data["bias"])
-    if not math.isfinite(bias):
-        raise MalformedModelError(f"model file bias is {bias!r}, not a finite number")
+        for name, value in zip(schema.names, values):
+            _model_number(value, f"{what} of feature {name!r}", what == "scaler std")
     return LogisticModel(
         schema=schema,
-        scaler=scaler,
-        weights=weights,
-        bias=bias,
+        scaler=Scaler.from_json_dict(data["scaler"]),
+        weights=np.asarray(data["weights"], dtype=float),
+        bias=_model_number(data["bias"], "bias"),
         config=TrainConfig.from_json_dict(data["hyperparams"]),
         train_meta=data.get("train_meta", {}),
     )

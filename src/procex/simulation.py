@@ -16,13 +16,15 @@ path order, then one for label noise; a shorter path leaves the last
 columns unread. Cases that take the same path share one activity tuple, and
 so do traces read back from JSONL.
 
-Event logs are JSONL, one ``json.dumps`` record per line. The writer builds
-the lines a column at a time: each distinct activity tuple, label and
-attribute name is encoded once per log, and per line only the case id and
-each value's ``float.__repr__`` are formatted. It refuses, before opening
-the file, what standard JSON cannot hold: a case id that is not a string, an
-attribute value that is not finite. The reader streams line by line and
-refuses the same.
+An :class:`EventLog` is a process name and its traces, nothing more: it
+keeps no record of how it was made (simulation config, source file, split).
+On disk, event logs are JSONL, one ``json.dumps`` record per line. The
+writer builds the lines a column at a time: each distinct activity tuple,
+label and attribute name is encoded once per log, and per line only the
+case id and each value's ``float.__repr__`` are formatted. It refuses,
+before opening the file, what standard JSON cannot hold: a case id that is
+not a string, an attribute value that is not finite. The reader streams
+line by line and refuses the same.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, one forward pass over the
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field, fields
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -192,9 +194,11 @@ class Trace:
 
 @dataclass(frozen=True)
 class EventLog:
+    """A process's traces; the name is the caller's label, not read from
+    the log file."""
+
     process_name: str
     traces: tuple[Trace, ...]
-    provenance: Mapping[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -300,15 +304,7 @@ def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
     paths, labels = _run(defn, columns, stream[:, len(names):], config.label_noise)
     case_ids = [f"c{i:06d}" for i in range(1, config.n_cases + 1)]
     attrs = [dict(zip(names, row)) for row in values.tolist()]
-    traces = tuple(map(Trace, case_ids, attrs, paths, labels))
-    provenance: dict[str, Any] = {
-        "kind": "simulated",
-        "process": defn.name,
-        "config": config.to_json_dict(),
-    }
-    if config.n_cases == 0:
-        provenance["warnings"] = ["n_cases is 0; log is empty"]
-    return EventLog(process_name=defn.name, traces=traces, provenance=provenance)
+    return EventLog(defn.name, tuple(map(Trace, case_ids, attrs, paths, labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +479,7 @@ def iter_log_jsonl(path: str | Path) -> Iterator[Trace]:
 
 def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
     """Read a JSONL event log; the format does not carry the process name."""
-    return EventLog(
-        process_name=process_name,
-        traces=tuple(iter_log_jsonl(path)),
-        provenance={"kind": "imported", "source": str(path)},
-    )
+    return EventLog(process_name, tuple(iter_log_jsonl(path)))
 
 
 def import_log_csv(
@@ -496,9 +488,9 @@ def import_log_csv(
     activity_column: str = "activity",
     label_column: str = "label",
     case_column: str = "case_id",
-    process_name: str = "",
 ) -> EventLog:
-    """Assemble traces from an event-per-row CSV.
+    """Assemble traces from an event-per-row CSV; the log has no process
+    name.
 
     Rows are grouped by the case column in first-seen order; attributes and
     the label are read from each case's first row, activities from every row
@@ -555,8 +547,4 @@ def import_log_csv(
         )
         for case_id in order
     )
-    return EventLog(
-        process_name=process_name,
-        traces=traces,
-        provenance={"kind": "imported", "source": str(path)},
-    )
+    return EventLog("", traces)

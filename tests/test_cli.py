@@ -504,6 +504,21 @@ class TestExplain:
         )
         assert not out_path.exists()
 
+    def test_mistyped_bias_is_refused(self, run, workspace, tmp_path):
+        data = json.loads(workspace["model"].read_text())
+        data["bias"] = "abc"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        code, out, err = run(
+            "explain", LOAN,
+            "--model", str(model),
+            "--attrs", "credit_score=580,loan_amount=300000",
+            "--mode", "vanilla",
+            "--samples", "100",
+        )
+        assert (code, out) == (1, "")
+        assert err == 'MalformedModelError: model file bias is "abc", not a number\n'
+
     def test_missing_attribute_value(self, run, workspace):
         code, _, err = run(
             "explain", LOAN,

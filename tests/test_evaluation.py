@@ -265,6 +265,13 @@ class TestRunComparison:
         with pytest.raises(SchemaMismatchError, match="credit_score"):
             run_comparison(loan, loan_model, EventLog(model_log.process_name, traces), SMALL)
 
+    def test_top_k_above_the_arity_fails_before_any_draw(
+        self, loan, loan_model, model_log, monkeypatch
+    ):
+        _refuse_generators(monkeypatch)
+        with pytest.raises(ConfigError, match="top_k must be at most the 5 features, got 6"):
+            run_comparison(loan, loan_model, model_log, replace(SMALL, top_k=6))
+
     def test_definition_of_another_schema_is_refused(
         self, loan_model, model_log, monkeypatch
     ):
@@ -285,6 +292,11 @@ class TestRunComparison:
             ComparisonConfig(ridge=float("nan"))
         with pytest.raises(ConfigError, match="spread"):
             ComparisonConfig(spread=-1.0)
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_is_refused(self, top_k):
+        with pytest.raises(ConfigError, match=f"top_k must be positive, got {top_k}"):
+            ComparisonConfig(top_k=top_k)
 
 
 class TestReportFiles:

@@ -322,11 +322,6 @@ class TestSplit:
         assert first[0].traces == second[0].traces
         assert first[1].traces == second[1].traces
 
-    def test_split_is_recorded_in_provenance(self, small_log):
-        train_part, test_part = split_log(small_log, 0.25, seed=7)
-        assert train_part.provenance["split"]["part"] == "train"
-        assert test_part.provenance["split"]["seed"] == 7
-
     def test_bad_fraction_rejected(self, small_log):
         for fraction in (1.5, 0.0, -0.1, math.nan):
             with pytest.raises(ConfigError, match="test_fraction must lie in"):
@@ -398,19 +393,43 @@ class TestModelFiles:
             ("bias", None, "Infinity", "model file bias is inf, not a finite number"),
             # Finite in the file, but it overflows to inf when read.
             ("bias", None, "1e400", "model file bias is inf, not a finite number"),
+            # Not numbers at all.
+            ("bias", None, '"abc"', 'model file bias is "abc", not a number'),
+            ("bias", None, "null", "model file bias is null, not a number"),
+            ("bias", None, "[1.5]", "model file bias is [1.5], not a number"),
+            ("bias", None, '{"a": 1}', 'model file bias is {"a": 1}, not a number'),
+            ("bias", None, "true", "model file bias is true, not a number"),
+            # An integer literal too long for a float reads as inf.
+            ("bias", None, "1" + "0" * 400, "model file bias is inf, not a finite number"),
+            ("weights", None, '"abc"', 'model file weights is "abc", not a list of numbers'),
+            ("mean", None, '{"credit_score": 1}', 'model file scaler mean is '
+             '{"credit_score": 1}, not a list of numbers'),
+            ("std", None, "2.0", "model file scaler std is 2.0, not a list of numbers"),
+            ("weights", 1, '"0.5"', "model file weights of feature 'loan_amount' is "
+             '"0.5", not a number'),
+            ("mean", 0, "null", "model file scaler mean of feature 'credit_score' is "
+             "null, not a number"),
+            ("std", 3, "[1.0]", "model file scaler std of feature 'standard_review' is "
+             "[1.0], not a number"),
+            ("std", 4, "-1" + "0" * 400, "model file scaler std of feature "
+             "'submit_application' is -inf, not a finite non-negative number"),
         ],
         ids=["nan-weight", "inf-mean", "minus-inf-std", "negative-std", "inf-bias",
-             "overflowing-bias"],
+             "overflowing-bias",
+             "string-bias", "null-bias", "list-bias", "object-bias", "bool-bias",
+             "long-int-bias", "string-weights", "object-mean", "number-std",
+             "string-weight", "null-mean", "list-std", "long-int-std"],
     )
     def test_non_finite_or_negative_numbers_are_refused(
         self, tmp_path, loan_model, field, index, literal, shown
     ):
         path = tmp_path / "model.json"
         data = model_to_json_dict(loan_model)
-        if field == "bias":
-            data["bias"] = "LITERAL"
+        holder = data if field in ("bias", "weights") else data["scaler"]
+        if index is None:
+            holder[field] = "LITERAL"
         else:
-            (data["weights"] if field == "weights" else data["scaler"][field])[index] = "LITERAL"
+            holder[field][index] = "LITERAL"
         # json.load reads NaN, Infinity and -Infinity, which strict JSON lacks.
         path.write_text(json.dumps(data).replace('"LITERAL"', literal))
         with pytest.raises(MalformedModelError, match=re.escape(shown)):

@@ -8,6 +8,7 @@ from procex.errors import (
     CyclicGraphError,
     DslSyntaxError,
     DuplicateNameError,
+    InvalidDefinitionError,
     MissingAttributeError,
     UnknownAttributeError,
     UnknownTargetError,
@@ -15,10 +16,14 @@ from procex.errors import (
 )
 from procex.process_model import (
     GUARD_MAX_DEPTH,
+    POSITIVE,
     And,
+    AttributeDecl,
     Comparison,
+    EndNode,
     Not,
     Or,
+    ProcessDefinition,
     derive_causality_graph,
     eval_guard_batch,
     fixture_path,
@@ -303,6 +308,137 @@ class TestValidateAsData:
         report = validate(parse_process_structure(text))
         rules = {f.rule for f in report.findings}
         assert {"BadAttributeBounds", "BadProbabilitySum"} <= rules
+
+
+# One row per rule: a definition, the exact (rule, subject) findings of
+# `validate`, and the class `parse_process` raises (None where no text can
+# state the definition, since the parser refuses it first).
+RULE_TABLE = {
+    "BadName": (
+        ProcessDefinition(
+            "1p", (AttributeDecl("a b", 0.0, 1.0),), "end", (EndNode("end", POSITIVE),)
+        ),
+        [("BadName", "1p"), ("BadName", "a b"), ("BadName", "end")],
+        None,
+    ),
+    "DuplicateName": (
+        MINIMAL.replace("start", "attr a: numeric in [2, 3]\nstart"),
+        [("DuplicateName", "a")],
+        DuplicateNameError,
+    ),
+    "BadAttributeBounds": (
+        MINIMAL.replace("[0, 1]", "[5, 1]"),
+        [("BadAttributeBounds", "a")],
+        InvalidDefinitionError,
+    ),
+    "BadLabel": (
+        ProcessDefinition("p", (), "done", (EndNode("done", "MAYBE"),)),
+        [("BadLabel", "done")],
+        None,
+    ),
+    "BadProbabilityValue": (
+        "process p\nstart -> g\ngateway g choice { 1.5 -> e1 -0.5 -> e2 }\n"
+        "end e1 label POSITIVE\nend e2 label NEGATIVE\n",
+        [("BadProbabilityValue", "g"), ("BadProbabilityValue", "g")],
+        BadProbabilitySumError,
+    ),
+    "BadProbabilitySum": (
+        "process p\nstart -> g\ngateway g choice { 0.5 -> a 0.6 -> b }\n"
+        "end a label POSITIVE\nend b label NEGATIVE\n",
+        [("BadProbabilitySum", "g")],
+        BadProbabilitySumError,
+    ),
+    "MissingStart": (
+        "process p\nend done label POSITIVE\n",
+        [("MissingStart", "p")],
+        InvalidDefinitionError,
+    ),
+    "UnknownTarget on the start edge": (
+        MINIMAL.replace("start -> done", "start -> missing"),
+        [("UnknownTarget", "missing")],
+        UnknownTargetError,
+    ),
+    "UnknownTarget on an edge": (
+        MINIMAL.replace("start -> done", "start -> x\nactivity x -> nowhere"),
+        [("UnknownTarget", "nowhere")],
+        UnknownTargetError,
+    ),
+    "UnknownAttribute": (
+        "process p\nattr a: numeric in [0, 1]\nstart -> g\n"
+        "gateway g { when b < 0.5 -> fin otherwise -> fin }\nend fin label POSITIVE\n",
+        [("UnknownAttribute", "b")],
+        UnknownAttributeError,
+    ),
+    "NoEndNode": (
+        "process p\nstart -> x\nactivity x -> x\n",
+        [("NoEndNode", "p"), ("CyclicGraph", "p")],
+        InvalidDefinitionError,
+    ),
+    "CyclicGraph": (
+        "process p\nstart -> x\nactivity x -> y\nactivity y -> x\nend fin label POSITIVE\n",
+        [("CyclicGraph", "p")],
+        CyclicGraphError,
+    ),
+    "UnreachableNode": (
+        MINIMAL + "activity orphan -> done\n",
+        [("UnreachableNode", "orphan")],
+        UnreachableNodeError,
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_TABLE)
+def test_every_validation_rule(rule):
+    source, findings, raised = RULE_TABLE[rule]
+    defn = source if raised is None else parse_process_structure(source)
+    assert [(f.rule, f.subject) for f in validate(defn).findings] == findings
+    if raised is not None:
+        with pytest.raises(raised):
+            parse_process(source)
+
+
+def test_the_rule_table_covers_every_documented_rule():
+    documented = validate.__doc__.split("Rules reported:")[1].replace("\n", " ")
+    documented = {rule.strip(" .") for rule in documented.split(",")}
+    covered = {rule for _, findings, _ in RULE_TABLE.values() for rule, _ in findings}
+    assert covered == documented
+
+
+@pytest.mark.parametrize(
+    "parse, text, raised, where",
+    [
+        (parse_process, "process p$\n", DslSyntaxError, (1, 10, "a token")),
+        (parse_process, MINIMAL + "start -> done\n", DuplicateNameError, None),
+        (
+            parse_process, "process p\nstart -> done\nend done label MAYBE\n",
+            DslSyntaxError, (3, 16, "'POSITIVE' or 'NEGATIVE'"),
+        ),
+        (
+            parse_process,
+            "process p\nattr a: numeric in [0, 1]\nstart -> g\n"
+            "gateway g { when a -> x otherwise -> x }\n",
+            DslSyntaxError, (4, 20, "a comparison operator"),
+        ),
+        (
+            parse_process, "process p\nstart -> g\ngateway g { x }\n",
+            DslSyntaxError, (3, 13, "'when' or 'otherwise'"),
+        ),
+        (
+            parse_process, "process p\nnode x\n",
+            DslSyntaxError, (2, 1, "one of 'attr', 'start', 'activity', 'gateway', 'end'"),
+        ),
+        (parse_process, "process p\n42\n", DslSyntaxError, (2, 1, "a declaration keyword")),
+        (parse_guard, "a < 1 b", DslSyntaxError, (1, 7, "end of input")),
+    ],
+    ids=["illegal-character", "second-start-edge", "bad-end-label", "missing-operator",
+         "bad-gateway-body", "unknown-declaration", "number-for-declaration",
+         "trailing-guard-token"],
+)
+def test_syntax_errors(parse, text, raised, where):
+    with pytest.raises(raised) as caught:
+        parse(text)
+    if where is not None:
+        assert (caught.value.line, caught.value.col, caught.value.expected) == where
 
 
 class TestSerialization:

