@@ -327,8 +327,11 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
 
 
 def write_report_json(report: ExperimentReport, path: str | Path) -> None:
+    """Write ``report`` as strict JSON. A non-finite number raises
+    ``ValueError`` before the file is opened."""
+    text = json.dumps(report_to_json_dict(report), indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report_to_json_dict(report), indent=2) + "\n")
+        fh.write(text)
 
 
 def write_figdata_csv(report: ExperimentReport, path: str | Path) -> None:

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -74,12 +74,6 @@ class TrainConfig:
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "TrainConfig":
-        # Files written by the gradient-descent trainer also carry a
-        # ``learning_rate``; it no longer means anything and is not read.
-        return TrainConfig(**{f.name: data[f.name] for f in fields(TrainConfig)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,15 +343,33 @@ def model_to_json_dict(model: LogisticModel) -> dict:
 
 
 def save_model(model: LogisticModel, path: str | Path) -> None:
+    """Write ``model`` as strict JSON. What :func:`load_model` would refuse,
+    such as a non-finite weight, raises ``MalformedModelError`` first."""
+    data = model_to_json_dict(model)
+    _model_from_json(data)
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(model_to_json_dict(model), indent=2) + "\n")
+        fh.write(text)
+
+
+def _model_json(
+    value: object, what: str, kind: type | tuple = dict, noun: str = "an object",
+    keys: Iterable[str] = (),
+) -> Any:
+    """``value`` if it has JSON type ``kind`` (a ``dict`` is an object) and
+    holds each of ``keys``; otherwise ``MalformedModelError`` names ``what``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedModelError(f"{what} is {json.dumps(value)}, not {noun}")
+    for key in keys:
+        if key not in value:
+            raise MalformedModelError(f"{what} has no {key!r}")
+    return value
 
 
 def _model_number(value: object, what: str, non_negative: bool = False) -> float:
     """``value`` as a float if it is a finite JSON number (not negative, if
     so asked); otherwise ``MalformedModelError`` names ``what``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedModelError(f"model file {what} is {json.dumps(value)}, not a number")
+    _model_json(value, f"model file {what}", (int, float), "a number")
     try:
         number = float(value)
     except OverflowError:  # an integer literal past the float range
@@ -372,12 +384,27 @@ def load_model(
     path: str | Path, definition: ProcessDefinition | None = None
 ) -> LogisticModel:
     """Read a model file; with a definition given, refuse schema mismatches.
-    A weight, bias or scaler statistic that is not a finite JSON number, or
-    a negative scaler std, raises ``MalformedModelError``."""
+    A missing field, a field of the wrong JSON type, a weight, bias or
+    scaler statistic that is not a finite number, or a negative scaler std
+    raises ``MalformedModelError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    schema = FeatureSchema.from_json_dict(data["schema"])
-    stored_hash = data["schema"].get("hash")
+        return _model_from_json(json.load(fh), definition)
+
+
+def _model_from_json(
+    data: object, definition: ProcessDefinition | None = None
+) -> LogisticModel:
+    data = _model_json(
+        data, "model file", keys=("schema", "scaler", "weights", "bias", "hyperparams")
+    )
+    stored = _model_json(data["schema"], "model file schema", keys=("process", "features"))
+    features = _model_json(stored["features"], "model file schema features", list, "a list")
+    for i, feature in enumerate(features):
+        _model_json(
+            feature, f"model file schema feature {i}", keys=("name", "kind", "lower", "upper")
+        )
+    schema = FeatureSchema.from_json_dict(stored)
+    stored_hash = stored.get("hash")
     if stored_hash is not None and stored_hash != schema.schema_hash:
         raise SchemaMismatchError(
             f"model file schema hash {stored_hash} does not match its own "
@@ -385,16 +412,14 @@ def load_model(
         )
     if definition is not None:
         schema.check_definition(definition)
+    scaler = _model_json(data["scaler"], "model file scaler", keys=("mean", "std"))
     vectors = {
         "weights": data["weights"],
-        "scaler mean": data["scaler"]["mean"],
-        "scaler std": data["scaler"]["std"],
+        "scaler mean": scaler["mean"],
+        "scaler std": scaler["std"],
     }
     for what, values in vectors.items():
-        if not isinstance(values, list):
-            raise MalformedModelError(
-                f"model file {what} is {json.dumps(values)}, not a list of numbers"
-            )
+        _model_json(values, f"model file {what}", list, "a list of numbers")
         if len(values) != schema.arity:
             raise SchemaMismatchError(
                 f"model file {what} have shape ({len(values)},) but its schema has "
@@ -402,11 +427,19 @@ def load_model(
             )
         for name, value in zip(schema.names, values):
             _model_number(value, f"{what} of feature {name!r}", what == "scaler std")
+    # Files written by the gradient-descent trainer also carry a
+    # ``learning_rate``; it no longer means anything and is not read.
+    names = [f.name for f in fields(TrainConfig)]
+    hyperparams = _model_json(data["hyperparams"], "model file hyperparams", keys=names)
+    for name in ("l2", "tol"):
+        _model_number(hyperparams[name], f"hyperparams {name}", non_negative=True)
+    for name in ("epochs", "seed"):
+        _model_json(hyperparams[name], f"model file hyperparams {name}", int, "an integer")
     return LogisticModel(
         schema=schema,
-        scaler=Scaler.from_json_dict(data["scaler"]),
+        scaler=Scaler.from_json_dict(scaler),
         weights=np.asarray(data["weights"], dtype=float),
         bias=_model_number(data["bias"], "bias"),
-        config=TrainConfig.from_json_dict(data["hyperparams"]),
+        config=TrainConfig(**{name: hyperparams[name] for name in names}),
         train_meta=data.get("train_meta", {}),
     )

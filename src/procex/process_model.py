@@ -972,36 +972,38 @@ def conformant_rows(
     ``indicators`` has one row per case and one column per entry of
     ``defn.activity_names``; a non-zero cell means the activity occurred.
     One pass over :func:`topological_order`, shaped like
-    :func:`execute_rows`, keeps for each node and row the largest number of
-    activities on a path from the start to that node that visits only the
-    row's present activities, or -1 when no such path reaches the node. An
-    activity adds 1 on rows that have it and gives -1 on the others, an xor
-    gateway passes each row to the successor :func:`xor_branch_rows` gives
-    it, a choice gateway to every branch, and values meeting at a node take
-    their maximum. A path visits each activity at most once, so a row
-    conforms iff the largest value at an end node is its number of present
-    activities.
+    :func:`execute_rows`, keeps for each node and row 0 if no path from the
+    start reaches it visiting only the row's present activities, else 1 plus
+    the most activities on such a path, in the smallest unsigned type that
+    holds 1 plus every activity. An activity adds 1 to the non-zero counts
+    of rows that have it and zeroes the others, an xor gateway passes each
+    row to the successor :func:`xor_branch_rows` gives it, a choice gateway
+    to every branch, and values meeting at a node take their maximum. A path
+    visits each activity at most once, so a row conforms iff the largest
+    value at an end node is 1 plus its number of present activities.
     """
     import numpy as np
     present = np.asarray(indicators) != 0
     n = len(present)
     col = {name: i for i, name in enumerate(defn.activity_names)}
-    # No array is written in place, so the nodes not reached yet share one.
-    unreached = np.full(n, -1, dtype=np.intp)
+    dtype = np.min_scalar_type(len(col) + 1)
+    # Only fresh arrays are written in place, so unreached nodes share one.
+    unreached = np.zeros(n, dtype=dtype)
     most = dict.fromkeys((node.name for node in defn.nodes), unreached)
-    most[defn.start] = np.zeros(n, dtype=np.intp)
+    most[defn.start] = np.ones(n, dtype=dtype)
     best = unreached
     for name in topological_order(defn):
         node = defn.node(name)
         # Dropped once read, so only the nodes still to come hold an array.
         count = most.pop(name)
         if isinstance(node, Activity):
-            passed = np.where(present[:, col[name]] & (count >= 0), count + 1, -1)
+            passed = count + (count > 0)
+            passed *= present[:, col[name]]
             most[node.successor] = np.maximum(most[node.successor], passed)
         elif isinstance(node, XorGateway):
             branch_rows = xor_branch_rows(node, attr_columns, n)
             for target, rows in zip(node_successors(node), branch_rows):
-                most[target] = np.maximum(most[target], np.where(rows, count, -1))
+                most[target] = np.maximum(most[target], count * rows)
         elif isinstance(node, ChoiceGateway):
             for target in node_successors(node):
                 most[target] = np.maximum(most[target], count)
@@ -1009,7 +1011,7 @@ def conformant_rows(
             best = np.maximum(best, count)
         else:
             raise TypeError(f"not a node: {node!r}")
-    return best == np.count_nonzero(present, axis=1)
+    return best == 1 + present.sum(axis=1, dtype=dtype)
 
 
 def reachable_indicators(

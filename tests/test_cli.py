@@ -519,6 +519,53 @@ class TestExplain:
         assert (code, out) == (1, "")
         assert err == 'MalformedModelError: model file bias is "abc", not a number\n'
 
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            (lambda d: d.update(scaler=[]), "model file scaler is [], not an object"),
+            (lambda d: d["hyperparams"].update(l2="abc"),
+             'model file hyperparams l2 is "abc", not a number'),
+            (lambda d: d.pop("bias"), "model file has no 'bias'"),
+            (lambda d: d["hyperparams"].update(epochs=2.5),
+             "model file hyperparams epochs is 2.5, not an integer"),
+            (lambda d: d["hyperparams"].pop("tol"), "model file hyperparams has no 'tol'"),
+            (lambda d: d["scaler"].pop("std"), "model file scaler has no 'std'"),
+            (lambda d: d.update(schema="loan"), 'model file schema is "loan", not an object'),
+            (lambda d: d["schema"].update(features=3),
+             "model file schema features is 3, not a list"),
+            (lambda d: d["schema"]["features"][2].pop("kind"),
+             "model file schema feature 2 has no 'kind'"),
+        ],
+        ids=["list-scaler", "string-l2", "no-bias", "float-epochs", "no-tol", "no-std",
+             "string-schema", "number-features", "feature-without-kind"],
+    )
+    def test_malformed_model_field_is_refused(self, run, workspace, tmp_path, edit, shown):
+        data = json.loads(workspace["model"].read_text())
+        edit(data)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        code, out, err = run(
+            "explain", LOAN,
+            "--model", str(model),
+            "--attrs", "credit_score=580,loan_amount=300000",
+            "--mode", "vanilla",
+            "--samples", "100",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"MalformedModelError: {shown}\n"
+
+    def test_model_file_that_is_not_an_object_is_refused(self, run, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text("[]")
+        code, out, err = run(
+            "explain", LOAN,
+            "--model", str(model),
+            "--attrs", "credit_score=580,loan_amount=300000",
+            "--mode", "vanilla",
+        )
+        assert (code, out) == (1, "")
+        assert err == "MalformedModelError: model file is [], not an object\n"
+
     def test_missing_attribute_value(self, run, workspace):
         code, _, err = run(
             "explain", LOAN,

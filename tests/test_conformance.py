@@ -142,6 +142,41 @@ def test_chain_past_the_recursion_limit_agrees():
         assert conformant_rows(deep, {"x": np.full(len(rows), x)}, rows).all()
 
 
+@pytest.mark.parametrize("tail", [243, 244, 1490])
+def test_chains_either_side_of_the_uint8_width_agree(tail):
+    # Counts are 1 plus the present activities on a path: 254 activities
+    # keep them in uint8, 255 and 1501 widen them.
+    chain = long_chain(arm=5, tail=tail)
+    names = chain.activity_names
+    assert len(names) == {243: 254, 244: 255, 1490: 1501}[tail]
+    for x in (0.2, 0.8):
+        paths = path_indicators(chain, {"x": x})
+        rows = []
+        for vector in sorted(paths):
+            for j in (0, 253, 254, len(names) - 1):
+                if j < len(names):
+                    flipped = list(vector)
+                    flipped[j] = 1 - flipped[j]
+                    rows.extend([vector, tuple(flipped)])
+        verdicts = conformant_rows(chain, {"x": np.full(len(rows), x)}, np.array(rows))
+        np.testing.assert_array_equal(verdicts, [row in paths for row in rows])
+        assert verdicts.any() and not verdicts.all()
+
+
+def test_indicator_dtype_and_layout_give_the_same_verdicts(loan):
+    _, samples = vanilla_rows(loan, 600, 0.5, 1)
+    m = len(loan.attribute_names)
+    columns = {name: samples[1:, i] for i, name in enumerate(loan.attribute_names)}
+    # The indicator block of a sample set, as the comparison passes it: a
+    # Fortran-ordered float view.
+    view = samples[1:, m:]
+    assert view.strides[0] == view.itemsize and not view.flags.c_contiguous
+    want = conformant_rows(loan, columns, np.ascontiguousarray(view, dtype=np.int8))
+    assert want.any() and not want.all()
+    for indicators in (view, view.astype(bool), np.ascontiguousarray(view), 2 * view):
+        np.testing.assert_array_equal(conformant_rows(loan, columns, indicators), want)
+
+
 def test_xor_branch_rows_first_match_wins():
     columns = {
         "a": np.array([1.0, 4.0, 4.0, 7.0, 7.0, 7.0]),

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -312,6 +313,15 @@ class TestReportFiles:
         write_report_json(report, a)
         write_report_json(report, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_finite_report_is_refused_and_keeps_the_old_file(self, tmp_path, report):
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        before = path.read_bytes()
+        broken = replace(report, aggregates={**report.aggregates, "mean_top_k_overlap": math.nan})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report_json(broken, path)
+        assert path.read_bytes() == before
 
     def test_figdata_layout(self, tmp_path, report):
         path = tmp_path / "fig.csv"

@@ -18,7 +18,7 @@ from procex.errors import (
     SchemaMismatchError,
     SingleClassLogError,
 )
-from procex.features import build_schema, encode_log
+from procex.features import Scaler, build_schema, encode_log
 from procex.predictor import (
     TrainConfig,
     _average_ranks,
@@ -381,6 +381,29 @@ class TestModelFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaMismatchError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "change, shown",
+        [
+            (lambda m: replace(m, bias=math.inf), "model file bias is inf"),
+            (lambda m: replace(m, weights=np.r_[m.weights[:1], math.nan, m.weights[2:]]),
+             "model file weights of feature 'loan_amount' is nan"),
+            (lambda m: replace(m, scaler=Scaler(np.r_[math.inf, m.scaler.mean[1:]], m.scaler.std)),
+             "scaler mean of feature 'credit_score' is inf"),
+            (lambda m: replace(m, scaler=Scaler(m.scaler.mean, np.r_[m.scaler.std[:4], -1.0])),
+             "scaler std of feature 'submit_application' is -1.0"),
+        ],
+        ids=["inf-bias", "nan-weight", "inf-mean", "negative-std"],
+    )
+    def test_save_refuses_what_load_would_and_keeps_the_old_file(
+        self, tmp_path, loan_model, change, shown
+    ):
+        path = tmp_path / "model.json"
+        save_model(loan_model, path)
+        before = path.read_bytes()
+        with pytest.raises(MalformedModelError, match=re.escape(shown)):
+            save_model(change(loan_model), path)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize(
         "field, index, literal, shown",
