@@ -10,10 +10,12 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from procex import load_fixture
 from procex.simulation import (
     SimulationConfig,
-    TruncatedNormal,
+    execute_case,
     generate_log,
     read_log_jsonl,
     write_log_jsonl,
@@ -42,19 +44,21 @@ noisy = generate_log(loan, SimulationConfig(n_cases=5000, seed=42, label_noise=0
 flipped = sum(a.label != b.label for a, b in zip(log.traces, noisy.traces))
 print(f"labels flipped by 10% noise: {flipped} of {len(log)}")
 
-# Per-attribute distributions can be overridden as long as their support
-# stays inside the declared bounds.
-shifted = generate_log(
-    loan,
-    SimulationConfig(
-        n_cases=5000,
-        seed=42,
-        distributions={"credit_score": TruncatedNormal(600.0, 40.0, 300.0, 850.0)},
-    ),
-)
+# generate_log draws every attribute uniformly over its declared bounds. For
+# another distribution, draw the attributes yourself and execute each case:
+# here scores follow a normal centred at 600, clipped to the declared bounds.
+rng = np.random.default_rng(42)
+score_lo, score_hi = loan.attribute_bounds["credit_score"]
+amount_lo, amount_hi = loan.attribute_bounds["loan_amount"]
+scores = np.clip(rng.normal(600.0, 40.0, 2000), score_lo, score_hi)
+amounts = rng.uniform(amount_lo, amount_hi, 2000)
+shifted = [
+    execute_case(loan, {"credit_score": s, "loan_amount": a}, rng, case_id=f"s{i}")
+    for i, (s, a) in enumerate(zip(scores.tolist(), amounts.tolist()))
+]
 shifted_routes = Counter(
     "skilled" if "skilled_agent_review" in t.activities else "standard"
-    for t in shifted.traces
+    for t in shifted
 )
 print("routes with scores centered at 600:", dict(shifted_routes))
 

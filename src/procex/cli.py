@@ -309,11 +309,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.top is not None:
         payload["attributions"] = payload["attributions"][: args.top]
         payload["attributions_raw"] = payload["attributions_raw"][: args.top]
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            fh.write(text + "\n")
         _log(args, f"wrote explanation to {args.out}")
-    _emit(payload)
+    print(text)
     return 0
 
 

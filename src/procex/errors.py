@@ -79,7 +79,7 @@ class EmptyLogError(ProcexError):
 
 
 class MissingColumnError(ProcexError):
-    """A CSV import referenced a column that is absent from the header."""
+    """A CSV import referenced a column absent from the header or from a row."""
 
 
 class UnparsableNumberError(ProcexError):

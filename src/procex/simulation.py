@@ -1,20 +1,19 @@
 """Case simulation, event logs, and the one-case conformance check.
 
-Simulation draws case attributes from per-attribute distributions (uniform
-over the declared bounds by default), executes the process graph, and records
-one trace per case, through the executor the explainer also uses,
-:func:`~procex.process_model.execute_rows`. Reproducibility contract: cases
-are drawn in chunks of :data:`CHUNK`, and chunk ``k`` has its own RNG
-substream built as ``SeedSequence(entropy=seed, spawn_key=(k,))`` feeding a
-PCG64 generator, which draws one ``(CHUNK, A + C + 1)`` matrix of uniform
-variates (``A`` attributes, ``C`` choice gateways). Case ``i`` reads row
-``i % CHUNK`` of chunk ``i // CHUNK``. Every chunk is drawn in full and then
-truncated, so trace ``i`` is byte-identical no matter how many cases
-surround it. A case reads its row as one variate per attribute in
-lexicographic name order, then one per choice gateway on the case's path in
-path order, then one for label noise; a shorter path leaves the last
-columns unread. Cases that take the same path share one activity tuple, and
-so do traces read back from JSONL.
+Simulation draws each case attribute uniformly over its declared bounds,
+executes the process graph, and records one trace per case, through the
+executor the explainer also uses, :func:`~procex.process_model.execute_rows`.
+Reproducibility contract: cases are drawn in chunks of :data:`CHUNK`, and
+chunk ``k`` has its own RNG substream built as
+``SeedSequence(entropy=seed, spawn_key=(k,))`` feeding a PCG64 generator,
+which draws one ``(CHUNK, A + C + 1)`` matrix of uniform variates (``A``
+attributes, ``C`` choice gateways). Case ``i`` reads row ``i % CHUNK`` of
+chunk ``i // CHUNK``. Every chunk is drawn in full and then truncated, so
+trace ``i`` is byte-identical no matter how many cases surround it. A case
+reads its row as one variate per attribute in lexicographic name order, then
+one per choice gateway on the case's path in path order, then one for label
+noise; a shorter path leaves the last columns unread. Cases that take the same
+path share one activity tuple, and so do traces read back from JSONL.
 
 An :class:`EventLog` is a process name and its traces, nothing more: it
 keeps no record of how it was made (simulation config, source file, split).
@@ -22,9 +21,10 @@ On disk, event logs are JSONL, one ``json.dumps`` record per line. The
 writer builds the lines a column at a time: each distinct activity tuple,
 label and attribute name is encoded once per log, and per line only the
 case id and each value's ``float.__repr__`` are formatted. It refuses,
-before opening the file, what standard JSON cannot hold: a case id that is
-not a string, an attribute value that is not finite. The reader streams
-line by line and refuses the same.
+before opening the file, what the reader would refuse: a case id or an
+activity that is not a string, an attribute value that is not finite, a
+label outside ``LABELS``. The reader streams line by line and also refuses
+an attribute value that is not a JSON number.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, one forward pass over the
@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .errors import (
     MalformedLogError,
     MissingColumnError,
     SchemaMismatchError,
-    UnknownAttributeError,
     UnparsableNumberError,
 )
 from .process_model import (
@@ -64,9 +63,6 @@ from .process_model import (
 )
 
 __all__ = [
-    "Uniform",
-    "TruncatedNormal",
-    "Distribution",
     "SimulationConfig",
     "Trace",
     "EventLog",
@@ -85,47 +81,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Uniform:
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class TruncatedNormal:
-    mean: float
-    std: float
-    lower: float
-    upper: float
-
-
-Distribution = Union[Uniform, TruncatedNormal]
-
-
-def _dist_to_json(dist: Distribution) -> dict:
-    if isinstance(dist, Uniform):
-        return {"kind": "uniform", "lower": dist.lower, "upper": dist.upper}
-    return {
-        "kind": "truncated_normal",
-        "mean": dist.mean,
-        "std": dist.std,
-        "lower": dist.lower,
-        "upper": dist.upper,
-    }
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """How many cases to draw, from which seed, and with what noise.
 
-    ``distributions`` overrides the default uniform-over-bounds sampler for
-    selected attributes; ``label_noise`` flips the end label (never the path)
-    with the given probability.
+    Attributes are drawn uniformly over their declared bounds (for another
+    distribution, draw them and call :func:`execute_case` per case);
+    ``label_noise`` flips the end label, never the path, with that probability.
     """
 
     n_cases: int
     seed: int = 0
     label_noise: float = 0.0
-    distributions: Mapping[str, Distribution] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_cases < 0:
@@ -138,44 +104,7 @@ class SimulationConfig:
             )
 
     def to_json_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["distributions"] = {
-            name: _dist_to_json(dist)
-            for name, dist in sorted(self.distributions.items())
-        }
-        return data
-
-
-def _resolve_distributions(
-    defn: ProcessDefinition, config: SimulationConfig
-) -> dict[str, Distribution]:
-    bounds = defn.attribute_bounds
-    for name in config.distributions:
-        if name not in bounds:
-            raise UnknownAttributeError(
-                f"distribution given for undeclared attribute {name!r}"
-            )
-    resolved: dict[str, Distribution] = {}
-    for name in defn.attribute_names:
-        lo, hi = bounds[name]
-        dist = config.distributions.get(name, Uniform(lo, hi))
-        if isinstance(dist, Uniform):
-            d_lo, d_hi = dist.lower, dist.upper
-            if not d_lo < d_hi:
-                raise ConfigError(f"{name}: uniform bounds [{d_lo}, {d_hi}] are empty")
-        else:
-            d_lo, d_hi = dist.lower, dist.upper
-            if dist.std <= 0:
-                raise ConfigError(f"{name}: truncated normal needs std > 0")
-            if not d_lo < d_hi:
-                raise ConfigError(f"{name}: truncation [{d_lo}, {d_hi}] is empty")
-        if d_lo < lo or d_hi > hi:
-            raise ConfigError(
-                f"{name}: distribution support [{d_lo}, {d_hi}] exceeds "
-                f"declared bounds [{lo}, {hi}]"
-            )
-        resolved[name] = dist
-    return resolved
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +150,6 @@ def _uniform_rows(seed: int, n: int, width: int) -> np.ndarray:
         for k in range(-(-n // CHUNK))
     ]
     return np.concatenate(chunks)[:n] if chunks else np.empty((0, width))
-
-
-def _variates(dist: Distribution, u: np.ndarray) -> np.ndarray:
-    """What ``rng.uniform`` or ``truncnorm.rvs`` makes of the variates ``u``."""
-    if isinstance(dist, Uniform):
-        return dist.lower + (dist.upper - dist.lower) * u
-    # Imported here: scipy.stats costs over a second of start-up, and only
-    # truncated normals need it.
-    from scipy import stats
-
-    a = (dist.lower - dist.mean) / dist.std
-    b = (dist.upper - dist.mean) / dist.std
-    return stats.truncnorm.ppf(u, a, b, loc=dist.mean, scale=dist.std)
 
 
 def _run(
@@ -292,14 +208,17 @@ def execute_case(
 
 
 def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
-    """Simulate ``config.n_cases`` cases; pure function of its arguments."""
-    distributions = _resolve_distributions(defn, config)
+    """Simulate ``config.n_cases`` cases; pure function of its arguments.
+    Raises ``ConfigError`` for an attribute whose bounds do not increase."""
     names = defn.attribute_names
+    bounds = [defn.attribute_bounds[name] for name in names]
+    for name, (lo, hi) in zip(names, bounds):
+        if not lo < hi:
+            raise ConfigError(f"{name}: bounds [{lo}, {hi}] are not an increasing interval")
+    lower, upper = np.array(bounds, dtype=float).reshape(-1, 2).T
     width = len(names) + len(defn.choice_gateways) + 1
     stream = _uniform_rows(config.seed, config.n_cases, width)
-    values = np.empty((config.n_cases, len(names)))
-    for j, name in enumerate(names):
-        values[:, j] = _variates(distributions[name], stream[:, j])
+    values = lower + (upper - lower) * stream[:, : len(names)]
     columns = {name: values[:, j] for j, name in enumerate(names)}
     paths, labels = _run(defn, columns, stream[:, len(names):], config.label_noise)
     case_ids = [f"c{i:06d}" for i in range(1, config.n_cases + 1)]
@@ -338,8 +257,9 @@ def is_conformant(
 # ---------------------------------------------------------------------------
 
 def _refuse_unwritable(traces: Sequence[Trace]) -> None:
-    """Raise for the first field, in file order, that has no standard JSON
-    form: a case id that is not a string, or a non-finite attribute value."""
+    """Raise for the first field, in file order, that the reader would refuse:
+    a case id that is not a string, a non-finite attribute value, an activity
+    that is not a string, or a label outside ``LABELS``."""
     for index, trace in enumerate(traces, start=1):
         if not isinstance(trace.case_id, str):
             raise MalformedLogError(
@@ -353,6 +273,15 @@ def _refuse_unwritable(traces: Sequence[Trace]) -> None:
                     f"case {trace.case_id!r}: attribute {name!r} is {number}, "
                     "not a finite number"
                 )
+        if not all(isinstance(a, str) for a in trace.activities):
+            raise MalformedLogError(
+                f"case {trace.case_id!r}: 'activities' is not a list of names"
+            )
+        if trace.label not in LABELS:
+            raise BadLabelError(
+                f"case {trace.case_id!r}: label {trace.label!r} is neither "
+                "POSITIVE nor NEGATIVE"
+            )
 
 
 def _jsonl_lines(traces: Sequence[Trace]) -> list[str]:
@@ -363,10 +292,16 @@ def _jsonl_lines(traces: Sequence[Trace]) -> list[str]:
     value are formatted. Traces with the same attribute names share one
     ``attrs`` template, filled a column at a time.
     """
-    if not all(isinstance(t.case_id, str) for t in traces):
+    paths = {t.activities for t in traces}
+    names = {t.label for t in traces}
+    if not (
+        all(isinstance(t.case_id, str) for t in traces)
+        and all(isinstance(a, str) for path in paths for a in path)
+        and names.issubset(LABELS)
+    ):
         _refuse_unwritable(traces)
-    activities = {a: json.dumps(list(a)) for a in {t.activities for t in traces}}
-    labels = {label: json.dumps(label) for label in {t.label for t in traces}}
+    activities = {a: json.dumps(list(a)) for a in paths}
+    labels = {label: json.dumps(label) for label in names}
     groups: dict[tuple[str, ...], list[int]] = {}
     for index, trace in enumerate(traces):
         groups.setdefault(tuple(trace.attrs), []).append(index)
@@ -394,8 +329,10 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
     ``case_id``, ``attrs`` (sorted by name), ``activities`` and ``label``;
     stable key order makes output byte-stable.
 
-    Raises ``MalformedLogError``, before the file is opened, for a case id
-    that is not a string or an attribute value that is not finite.
+    Raises, before the file is opened, what the reader would raise: a
+    ``MalformedLogError`` for a case id or an activity that is not a string
+    or an attribute value that is not finite, a ``BadLabelError`` for a
+    label outside ``LABELS``.
     """
     lines = _jsonl_lines(log.traces)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -403,6 +340,8 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
 
 
 _RECORD_FIELDS = ("case_id", "attrs", "activities", "label")
+_NUMBERS = frozenset({int, float})
+"""The types ``json`` decodes a number to; ``bool`` is not among them."""
 
 
 def iter_log_jsonl(path: str | Path) -> Iterator[Trace]:
@@ -453,17 +392,21 @@ def iter_log_jsonl(path: str | Path) -> Iterator[Trace]:
                     f"line {line_no}: label {label!r} is neither POSITIVE nor NEGATIVE"
                 )
             try:
-                attrs = {k: float(v) for k, v in sorted(attrs.items())}
-            except (AttributeError, TypeError, ValueError):
+                values = {k: float(v) for k, v in sorted(attrs.items())}
+                for name, value in values.items():
+                    if not math.isfinite(value):
+                        raise MalformedLogError(
+                            f"line {line_no}: attribute {name!r} is {value}, "
+                            "not a finite number"
+                        )
+                numbers = all(map(_NUMBERS.__contains__, map(type, attrs.values())))
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                numbers = False
+            if not numbers:  # a string, a bool, null, a list or an object
                 raise MalformedLogError(
                     f"line {line_no}: 'attrs' is not an object of numbers"
-                ) from None
-            for name, value in attrs.items():
-                if not math.isfinite(value):
-                    raise MalformedLogError(
-                        f"line {line_no}: attribute {name!r} is {value}, "
-                        "not a finite number"
-                    )
+                )
+            attrs = values
             # None, for a value that is not a list, is never a key of paths.
             key = tuple(activities) if isinstance(activities, list) else None
             try:
@@ -494,7 +437,7 @@ def import_log_csv(
 
     Rows are grouped by the case column in first-seen order; attributes and
     the label are read from each case's first row, activities from every row
-    in file order.
+    in file order. A row that ends before its activity cell is refused.
     """
     import csv
 
@@ -505,14 +448,14 @@ def import_log_csv(
         for column in required:
             if column not in header:
                 raise MissingColumnError(f"CSV has no column {column!r}")
-        order: list[str] = []
-        attrs_by_case: dict[str, dict[str, float]] = {}
-        acts_by_case: dict[str, list[str]] = {}
-        label_by_case: dict[str, str] = {}
+        # Per case, in first-seen order: attributes, activities, label.
+        cases: dict[str, tuple[dict[str, float], list[str], str]] = {}
         for row_no, row in enumerate(reader, start=2):
+            activity = row[activity_column]
+            if activity is None:  # the row ends before the column
+                raise MissingColumnError(f"row {row_no} has no {activity_column!r} cell")
             case_id = row[case_column]
-            if case_id not in attrs_by_case:
-                order.append(case_id)
+            if case_id not in cases:
                 attrs: dict[str, float] = {}
                 for column in attr_columns:
                     cell = row[column]
@@ -526,25 +469,18 @@ def import_log_csv(
                             f"cannot parse {cell!r} as a finite number"
                         )
                     attrs[column] = value
-                attrs_by_case[case_id] = dict(sorted(attrs.items()))
                 label = (row[label_column] or "").strip().upper()
                 if label not in LABELS:
                     raise BadLabelError(
                         f"row {row_no}: label {row[label_column]!r} is neither "
                         "POSITIVE nor NEGATIVE"
                     )
-                label_by_case[case_id] = label
-                acts_by_case[case_id] = []
-            acts_by_case[case_id].append(row[activity_column])
-    if not order:
+                cases[case_id] = (dict(sorted(attrs.items())), [], label)
+            cases[case_id][1].append(activity)
+    if not cases:
         raise EmptyLogError(f"{path}: no event rows found")
-    traces = tuple(
-        Trace(
-            case_id=case_id,
-            attrs=attrs_by_case[case_id],
-            activities=tuple(acts_by_case[case_id]),
-            label=label_by_case[case_id],
-        )
-        for case_id in order
+    traces = (
+        Trace(case_id, attrs, tuple(activities), label)
+        for case_id, (attrs, activities, label) in cases.items()
     )
-    return EventLog("", traces)
+    return EventLog("", tuple(traces))

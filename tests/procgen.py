@@ -32,7 +32,6 @@ import itertools
 import operator
 
 import numpy as np
-from scipy import stats
 
 from procex.features import FeatureSchema, Scaler
 from procex.process_model import (
@@ -350,7 +349,6 @@ def simulate_reference(
     n_cases: int,
     seed: int,
     label_noise: float = 0.0,
-    distributions: dict | None = None,
 ) -> list[tuple[dict[str, float], tuple[str, ...], str]]:
     """Walk each case on its own, one draw at a time: the simulator reference.
 
@@ -358,13 +356,10 @@ def simulate_reference(
     ``rng.random((1024, A + C + 1))`` from ``SeedSequence(entropy=seed,
     spawn_key=(k,))``, for ``A`` attributes and ``C`` choice gateways. The
     row is read left to right: first one variate per attribute in name order
-    (scaled onto the declared bounds or a uniform override as
-    ``rng.uniform`` scales it, through ``truncnorm.ppf`` for an override
-    with a ``mean``), then one per choice gateway as the walk reaches it,
-    then one for label noise. Xor gateways route by this module's own guard
-    evaluation. Returns ``(attrs, activities, label)`` per case.
+    (scaled onto the declared bounds as ``rng.uniform`` scales it), then one
+    per choice gateway as the walk reaches it, then one for label noise. Xor
+    gateways route by this module's own guard evaluation. Returns ``(attrs, activities, label)`` per case.
     """
-    distributions = distributions or {}
     n_choices = sum(isinstance(node, ChoiceGateway) for node in defn.nodes)
     width = len(defn.attributes) + n_choices + 1
     chunks: dict[int, np.ndarray] = {}
@@ -379,18 +374,7 @@ def simulate_reference(
         row = iter(chunks[chunk][offset].tolist())
         attrs: dict[str, float] = {}
         for decl in sorted(defn.attributes, key=lambda d: d.name):
-            dist = distributions.get(decl.name)
-            u = next(row)
-            if dist is None:
-                attrs[decl.name] = decl.lower + (decl.upper - decl.lower) * u
-            elif not hasattr(dist, "mean"):
-                attrs[decl.name] = dist.lower + (dist.upper - dist.lower) * u
-            else:
-                a = (dist.lower - dist.mean) / dist.std
-                b = (dist.upper - dist.mean) / dist.std
-                attrs[decl.name] = float(
-                    stats.truncnorm.ppf(u, a, b, loc=dist.mean, scale=dist.std)
-                )
+            attrs[decl.name] = decl.lower + (decl.upper - decl.lower) * next(row)
         activities: list[str] = []
         node = defn.node(defn.start)
         while not isinstance(node, EndNode):

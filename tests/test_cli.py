@@ -259,6 +259,27 @@ class TestImport:
         )
         assert not out_path.exists()
 
+    def test_row_without_activity_cell_fails(self, run, tmp_path):
+        """A row that ends before its activity cell would be written as a
+        null activity that ``train`` refuses; import refuses it instead."""
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text(
+            "case_id,credit_score,loan_amount,label,activity\n"
+            "c1,600,1000,POSITIVE,submit_application\n"
+            "c1,600,1000,POSITIVE\n"
+        )
+        out_path = tmp_path / "log.jsonl"
+        code, out, err = run(
+            "import",
+            "--csv", str(csv_path),
+            "--attrs", "credit_score,loan_amount",
+            "--label", "label",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "MissingColumnError: row 3 has no 'activity' cell\n"
+        assert not out_path.exists()
+
 
 class TestTrain:
     def test_model_file_and_metrics(self, workspace):
@@ -910,8 +931,8 @@ def test_console_entry_point():
 
 
 def test_start_up_path_loads_no_scipy(fresh_python, tmp_path):
-    """validate, causal-graph, simulate, train and process-aware explain
-    (propagate and reject) all run without loading any scipy module."""
+    """All seven commands, process-aware explain with both strategies, run
+    without loading any scipy module."""
     source = f"""
 import json, sys
 import procex, procex.cli
@@ -928,10 +949,15 @@ def scipy_modules():
 
 loan, log = {LOAN!r}, {str(tmp_path / "log.jsonl")!r}
 model = {str(tmp_path / "model.json")!r}
+csv, report = {str(tmp_path / "events.csv")!r}, {str(tmp_path / "report.json")!r}
+with open(csv, "w") as fh:
+    fh.write({CSV_TEXT!r})
 codes = [
     run("validate", loan),
     run("causal-graph", loan),
     run("simulate", loan, "--n", "200", "--out", log),
+    run("import", "--csv", csv, "--attrs", "credit_score,loan_amount", "--label", "label",
+        "--out", {str(tmp_path / "imported.jsonl")!r}),
 ]
 before = scipy_modules()
 codes.append(run("train", loan, "--log", log, "--out", model))
@@ -941,16 +967,22 @@ for strategy in ("propagate", "reject"):
         "explain", loan, "--model", model, "--attrs", "credit_score=580,loan_amount=300000",
         "--mode", "process-aware", "--strategy", strategy, "--samples", "300",
     ))
+after_explain = scipy_modules()
+codes.append(run(
+    "evaluate", loan, "--model", model, "--log", log, "--instances", "2", "--seeds", "0",
+    "--samples", "300", "--out", report,
+))
 print(json.dumps({{
     "codes": codes, "before": before, "after_train": after_train,
-    "after_explain": scipy_modules(),
+    "after_explain": after_explain, "after_evaluate": scipy_modules(),
 }}))
 """
     result = json.loads(fresh_python(source).splitlines()[-1])
-    assert result["codes"] == [0] * 6
+    assert result["codes"] == [0] * 8
     assert result["before"] == []
     assert result["after_train"] == []
     assert result["after_explain"] == []
+    assert result["after_evaluate"] == []
 
 
 def test_definition_commands_load_no_numpy(fresh_python, run):

@@ -13,16 +13,19 @@ from procex.errors import (
     MalformedLogError,
     MissingColumnError,
     SchemaMismatchError,
-    UnknownAttributeError,
     UnparsableNumberError,
 )
-from procex.process_model import NEGATIVE, POSITIVE, parse_process
+from procex.process_model import (
+    NEGATIVE,
+    POSITIVE,
+    fixture_path,
+    parse_process,
+    parse_process_structure,
+)
 from procex.simulation import (
     EventLog,
     SimulationConfig,
     Trace,
-    TruncatedNormal,
-    Uniform,
     execute_case,
     generate_log,
     import_log_csv,
@@ -143,43 +146,6 @@ class TestGenerateLog:
             for name, (lo, hi) in loan.attribute_bounds.items():
                 assert lo <= trace.attrs[name] <= hi
 
-    def test_truncated_normal_override(self, loan):
-        config = SimulationConfig(
-            n_cases=300,
-            seed=3,
-            distributions={"credit_score": TruncatedNormal(600.0, 30.0, 500.0, 700.0)},
-        )
-        log = generate_log(loan, config)
-        scores = np.array([t.attrs["credit_score"] for t in log.traces])
-        assert scores.min() >= 500.0 and scores.max() <= 700.0
-        assert abs(scores.mean() - 600.0) < 10.0
-
-    def test_truncated_normal_in_fresh_interpreter(self, loan, fresh_python):
-        """scipy.stats is imported on first use; a process that has not
-        loaded it yet draws the same traces."""
-        source = """
-import json, sys
-from procex.process_model import load_fixture
-from procex.simulation import SimulationConfig, TruncatedNormal, generate_log
-
-assert "scipy.stats" not in sys.modules
-config = SimulationConfig(
-    n_cases=300,
-    seed=3,
-    distributions={"credit_score": TruncatedNormal(600.0, 30.0, 500.0, 700.0)},
-)
-log = generate_log(load_fixture(), config)
-print(json.dumps([[t.attrs, list(t.activities), t.label] for t in log.traces]))
-"""
-        config = SimulationConfig(
-            n_cases=300,
-            seed=3,
-            distributions={"credit_score": TruncatedNormal(600.0, 30.0, 500.0, 700.0)},
-        )
-        want = [[t.attrs, list(t.activities), t.label] for t in generate_log(loan, config).traces]
-        assert json.loads(fresh_python(source)) == want
-
-
 class TestReferenceWalk:
     """``generate_log`` against ``procgen.simulate_reference``, which walks
     one case at a time with sequential draws."""
@@ -187,25 +153,12 @@ class TestReferenceWalk:
     @staticmethod
     def check(defn, config):
         log = generate_log(defn, config)
-        want = simulate_reference(
-            defn, config.n_cases, config.seed, config.label_noise,
-            dict(config.distributions),
-        )
+        want = simulate_reference(defn, config.n_cases, config.seed, config.label_noise)
         assert [(t.attrs, t.activities, t.label) for t in log.traces] == want
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_loan(self, loan, noise):
         self.check(loan, SimulationConfig(n_cases=2000, seed=42, label_noise=noise))
-
-    def test_loan_with_overrides(self, loan):
-        distributions = {
-            "credit_score": TruncatedNormal(600.0, 30.0, 500.0, 700.0),
-            "loan_amount": Uniform(5000.0, 400000.0),
-        }
-        config = SimulationConfig(
-            n_cases=500, seed=3, label_noise=0.1, distributions=distributions
-        )
-        self.check(loan, config)
 
     def test_random_processes(self):
         for i in range(30):
@@ -235,17 +188,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(n_cases=1, label_noise=0.7)
 
-    def test_unknown_distribution_attribute(self, loan):
-        config = SimulationConfig(n_cases=1, distributions={"income": Uniform(0, 1)})
-        with pytest.raises(UnknownAttributeError):
-            generate_log(loan, config)
-
-    def test_distribution_outside_declared_bounds(self, loan):
-        config = SimulationConfig(
-            n_cases=1, distributions={"credit_score": Uniform(0.0, 850.0)}
+    @pytest.mark.parametrize("bounds", ["[850, 300]", "[5, 5]"])
+    def test_bounds_that_are_not_increasing_are_refused(self, bounds):
+        """``parse_process_structure`` keeps such bounds; the simulator
+        refuses them instead of drawing from a reversed or empty range."""
+        text = fixture_path().read_text().replace("[300, 850]", bounds)
+        defn = parse_process_structure(text)
+        lo, hi = defn.attribute_bounds["credit_score"]
+        with pytest.raises(ConfigError) as exc:
+            generate_log(defn, SimulationConfig(n_cases=10))
+        assert str(exc.value) == (
+            f"credit_score: bounds [{lo}, {hi}] are not an increasing interval"
         )
-        with pytest.raises(ConfigError):
-            generate_log(loan, config)
 
 
 class TestConformance:
@@ -321,6 +275,10 @@ class TestJsonl:
         "{not json",
         '{"case_id": "c1", "attrs": [], "activities": [], "label": "POSITIVE"}',
         '{"case_id": "c1", "attrs": {"a": "x"}, "activities": [], "label": "POSITIVE"}',
+        '{"case_id": "c1", "attrs": {"a": "600"}, "activities": [], "label": "POSITIVE"}',
+        '{"case_id": "c1", "attrs": {"a": true}, "activities": [], "label": "POSITIVE"}',
+        pytest.param('{"case_id": "c1", "attrs": {"a": 1%s}, "activities": [], '
+                     '"label": "POSITIVE"}' % ("0" * 400), id="overflowing-int"),
         '{"case_id": "c1", "attrs": {}, "activities": "submit", "label": "POSITIVE"}',
     ])
     def test_malformed_line_is_refused(self, tmp_path, line):
@@ -434,6 +392,23 @@ class TestJsonlWriter:
         assert str(exc.value) == (
             f"trace 2 (case {case_id!r}): 'case_id' is {type(case_id).__name__}, not a string"
         )
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad,error,message", [
+        (Trace("c2", {}, ("a", None), POSITIVE), MalformedLogError,
+         "case 'c2': 'activities' is not a list of names"),
+        (Trace("c2", {}, (("a",),), POSITIVE), MalformedLogError,
+         "case 'c2': 'activities' is not a list of names"),
+        (Trace("c2", {}, ("a",), "positive"), BadLabelError,
+         "case 'c2': label 'positive' is neither POSITIVE nor NEGATIVE"),
+        (Trace("c2", {}, ("a",), None), BadLabelError,
+         "case 'c2': label None is neither POSITIVE nor NEGATIVE"),
+    ], ids=["null-activity", "list-activity", "lowercase-label", "null-label"])
+    def test_what_the_reader_refuses_is_refused_before_writing(self, tmp_path, bad, error, message):
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(error) as exc:
+            write_log_jsonl(EventLog("p", (CRAFTED[0], bad)), path)
+        assert str(exc.value) == message
         assert not path.exists()
 
     def test_first_unwritable_trace_is_named(self, tmp_path):
