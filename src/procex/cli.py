@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from collections import Counter
-from contextlib import closing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -174,14 +173,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _config(SimulationConfig, args)
     log = generate_log(defn, config)
     write_log_jsonl(log, args.out)
-    _log(args, f"wrote {len(log.traces)} traces to {args.out}")
+    _log(args, f"wrote {len(log)} traces to {args.out}")
     _emit(
         {
             "command": "simulate",
             "process": defn.name,
             "config": config.to_json_dict(),
             "out": args.out,
-            "label_counts": dict(sorted(Counter(t.label for t in log.traces).items())),
+            "label_counts": dict(sorted(Counter(log.labels).items())),
         }
     )
     return 0
@@ -195,14 +194,14 @@ def _cmd_import(args: argparse.Namespace) -> int:
         **_given(args, "attr_columns", "activity_column", "label_column", "case_column"),
     )
     write_log_jsonl(log, args.out)
-    _log(args, f"imported {len(log.traces)} cases from {args.csv}")
+    _log(args, f"imported {len(log)} cases from {args.csv}")
     _emit(
         {
             "command": "import",
             "csv": args.csv,
             "out": args.out,
-            "n_cases": len(log.traces),
-            "label_counts": dict(sorted(Counter(t.label for t in log.traces).items())),
+            "n_cases": len(log),
+            "label_counts": dict(sorted(Counter(log.labels).items())),
         }
     )
     return 0
@@ -234,7 +233,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = train(train_log, schema, config)
     save_model(model, args.out)
     metrics = {"train": evaluate(model, train_log).to_json_dict()}
-    if test_log is not None and test_log.traces:
+    if test_log is not None and len(test_log):
         metrics["test"] = evaluate(model, test_log).to_json_dict()
     _log(args, f"wrote model to {args.out}")
     if not model.train_meta["converged"]:
@@ -260,14 +259,14 @@ def _resolve_instance(args: argparse.Namespace, defn, schema, seed: int):
     import numpy as np
 
     from .features import encode_trace
-    from .simulation import execute_case, iter_log_jsonl
+    from .simulation import _records, execute_case
 
     if args.case_id is not None:
         # Stops at the first match: later lines are neither read nor checked.
-        with closing(iter_log_jsonl(args.log)) as traces:
-            for trace in traces:
-                if trace.case_id == args.case_id:
-                    return encode_trace(schema, trace), trace.case_id
+        with open(args.log, "r", encoding="utf-8") as fh:
+            for record in _records(fh):
+                if record[0] == args.case_id:
+                    return encode_trace(schema, record), args.case_id
         raise NoMatchingInstancesError(
             f"log {args.log} has no case {args.case_id!r}"
         )

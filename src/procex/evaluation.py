@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -156,22 +157,17 @@ class ExperimentReport:
     aggregates: dict
 
 
-def _select_instances(
-    log: EventLog, config: ComparisonConfig
-) -> list:
-    selected = []
-    for trace in log.traces:
-        if trace.label != config.select_label:
-            continue
-        if (
-            config.require_activity is not None
-            and config.require_activity not in trace.activities
-        ):
-            continue
-        selected.append(trace)
-        if len(selected) == config.n_instances:
-            break
-    if not selected:
+def _select_instances(log: EventLog, config: ComparisonConfig) -> EventLog:
+    """The first ``n_instances`` cases with the selected label and, if one is
+    required, activity."""
+    # None, the activity no selection requires, is on every path.
+    on_path = [config.require_activity in (None, *path) for path in log.paths]
+    matches = (
+        i for i, (label, k) in enumerate(zip(log.labels, log.path_of))
+        if label == config.select_label and on_path[k]
+    )
+    rows = list(islice(matches, config.n_instances))
+    if not rows:
         raise NoMatchingInstancesError(
             f"no trace with label {config.select_label!r}"
             + (
@@ -180,7 +176,7 @@ def _select_instances(
                 else ""
             )
         )
-    return selected
+    return log.take(rows)
 
 
 def compute_aggregates(
@@ -258,7 +254,7 @@ def run_comparison(
         raise ConfigError(
             f"top_k must be at most the {schema.arity} features, got {config.top_k}"
         )
-    case_ids = [trace.case_id for trace in instances]
+    case_ids = list(instances.case_ids)
 
     def scored(
         mode_config: ExplainConfig,
@@ -271,7 +267,7 @@ def run_comparison(
         explanation, samples = _explain(model, sampler(vector), mode_config, case_id)
         return explanation, conformance_rate(defn, samples, schema)
 
-    grid: list[list[InstanceRun]] = [[] for _ in instances]
+    grid: list[list[InstanceRun]] = [[] for _ in case_ids]
     for seed in config.seeds:
         # Each mode's sampler draws its variates once, for every instance.
         vanilla_config = config.explain_config(VANILLA, seed)

@@ -6,11 +6,10 @@ blocks sorted lexicographically by name. Feature vectors are plain float64
 arrays aligned to that order. A short content hash of the schema travels with
 serialized models so mismatched artifacts fail loudly instead of silently.
 
-There is one encoder, ``_encode``: it fills each numeric column from one list
-of attribute values, maps each distinct activity tuple to its indicator
-columns once, and sets every indicator cell with one mask. ``encode_log``
-runs it on a whole log and ``encode_trace`` is its one-row view, as
-``split_vector`` is of ``split_columns``.
+There is one encoder, ``_encode``: it maps each of a log's distinct paths to
+one indicator row, takes that row per case, and copies the attribute columns
+in. ``encode_log`` runs it on a whole log and ``encode_trace`` is its one-row
+view, as ``split_vector`` is of ``split_columns``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyLogError, SchemaMismatchError
 from .process_model import ProcessDefinition
-from .simulation import EventLog, Trace
+from .simulation import EventLog
 
 __all__ = [
     "Feature",
@@ -153,63 +152,51 @@ def build_schema(defn: ProcessDefinition) -> FeatureSchema:
     return FeatureSchema(process_name=defn.name, features=tuple(features))
 
 
-def _refuse_unencodable(schema: FeatureSchema, traces: Sequence[Trace]) -> None:
-    """Raise for the first trace, in order, that lacks an attribute of the
-    schema or holds an activity outside it; attributes are checked first."""
-    numeric = [schema.names[i] for i in schema.numeric_indices]
-    for trace in traces:
-        for name in numeric:
-            if name not in trace.attrs:
-                raise SchemaMismatchError(
-                    f"trace {trace.case_id!r} lacks attribute {name!r}"
-                )
-        for activity in trace.activities:
-            if activity not in schema._index:
-                raise SchemaMismatchError(
-                    f"trace {trace.case_id!r} contains unknown activity {activity!r}"
-                )
+def _encode(schema: FeatureSchema, log: EventLog) -> np.ndarray:
+    """The one encoder: a ``(len(log), arity)`` matrix, a column at a time.
 
-
-def _encode(schema: FeatureSchema, traces: Sequence[Trace]) -> np.ndarray:
-    """The one encoder: a ``(len(traces), arity)`` matrix, a column at a time.
-
-    Each numeric column is filled from one list of attribute values. Each
-    distinct activity tuple is mapped to its columns once, and one boolean
-    mask sets every indicator cell.
+    Each distinct path is mapped to one indicator row, taken per case; the
+    attribute columns are copied in. Raises ``SchemaMismatchError`` for the
+    first case, in order, that lacks an attribute of the schema or holds an
+    activity outside it; attributes are checked first.
     """
-    matrix = np.zeros((len(traces), schema.arity))
-    patterns: dict[tuple[str, ...], int] = {}
-    try:
-        for i in schema.numeric_indices.tolist():
-            name = schema.names[i]
-            matrix[:, i] = [trace.attrs[name] for trace in traces]
-        path_of = [patterns.setdefault(t.activities, len(patterns)) for t in traces]
-        present = np.zeros((len(patterns), schema.arity), dtype=bool)
-        for row, activities in enumerate(patterns):
-            present[row, [schema._index[a] for a in activities]] = True
-    except KeyError:
-        _refuse_unencodable(schema, traces)
-        raise
-    matrix[present[path_of]] = 1.0
+    numeric = [schema.names[i] for i in schema.numeric_indices]
+    column = {name: j for j, name in enumerate(log.attribute_names)}
+    # A schema attribute the log does not name reads the all-NaN last column.
+    padded = np.column_stack([log.values, np.full(len(log), np.nan)])
+    values = padded[:, [column.get(name, -1) for name in numeric]]
+    known = np.array([set(path) <= schema._index.keys() for path in log.paths], dtype=bool)
+    bad = np.isnan(values).any(axis=1) | ~known[log.path_of]
+    if bad.any():
+        i = int(np.argmax(bad))
+        path = log.paths[log.path_of[i]]
+        problems = [f"lacks attribute {n!r}" for n, v in zip(numeric, values[i]) if np.isnan(v)]
+        problems += [f"contains unknown activity {a!r}" for a in path if a not in schema._index]
+        raise SchemaMismatchError(f"trace {log.case_ids[i]!r} {problems[0]}")
+    indicators = np.zeros((len(log.paths), schema.arity))
+    for k in np.flatnonzero(known).tolist():
+        indicators[k, [schema._index[a] for a in log.paths[k]]] = 1.0
+    matrix = indicators[log.path_of]
+    matrix[:, schema.numeric_indices] = values
     return matrix
 
 
-def encode_trace(schema: FeatureSchema, trace: Trace) -> np.ndarray:
-    """Vectorize one trace, attribute values then 0/1 activity presence: a
-    one-row view of the encoder behind :func:`encode_log`."""
-    return _encode(schema, (trace,))[0]
+def encode_trace(schema: FeatureSchema, trace: Sequence) -> np.ndarray:
+    """Vectorize one ``(case_id, attrs, activities, label)`` record, such as
+    a :class:`~procex.simulation.Trace`, attribute values then 0/1 activity
+    presence: a one-row view of the encoder behind :func:`encode_log`."""
+    return _encode(schema, EventLog.from_records(schema.process_name, (trace,)))[0]
 
 
 def encode_log(schema: FeatureSchema, log: EventLog) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Encode every trace; returns the design matrix and the label sequence.
+    """Encode every case; returns the design matrix and the label sequence.
 
-    Raises ``SchemaMismatchError`` naming the first trace that lacks an
+    Raises ``SchemaMismatchError`` naming the first case that lacks an
     attribute or holds an unknown activity.
     """
-    if not log.traces:
+    if not len(log):
         raise EmptyLogError("cannot encode an empty event log")
-    labels = tuple(t.label for t in log.traces)
-    return _encode(schema, log.traces), labels
+    return _encode(schema, log), log.labels
 
 
 def split_vector(

@@ -194,7 +194,7 @@ def train(
         converged = float(np.max(np.abs(grad))) < config.tol
 
     train_meta: dict[str, Any] = {
-        "n_cases": len(log.traces),
+        "n_cases": len(log),
         "epochs_run": epochs_run,
         "converged": converged,
         "final_loss": loss,
@@ -309,22 +309,17 @@ def split_log(
     """Shuffle case indices with the seed and split into (train, test) logs
     under the same process name; order inside each part follows the
     original log. The parts do not record the split."""
-    if not log.traces:
+    if not len(log):
         raise EmptyLogError("cannot split an empty event log")
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    n = len(log.traces)
+    n = len(log)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_test = int(round(n * test_fraction))
-
-    def subset(indices: np.ndarray) -> EventLog:
-        traces = tuple(log.traces[i] for i in np.sort(indices))
-        return EventLog(log.process_name, traces)
-
-    return subset(perm[n_test:]), subset(perm[:n_test])
+    return log.take(np.sort(perm[n_test:])), log.take(np.sort(perm[:n_test]))
 
 
 # ---------------------------------------------------------------------------

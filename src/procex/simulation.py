@@ -1,7 +1,7 @@
 """Case simulation, event logs, and the one-case conformance check.
 
 Simulation draws each case attribute uniformly over its declared bounds,
-executes the process graph, and records one trace per case, through the
+executes the process graph, and records one case per row, through the
 executor the explainer also uses, :func:`~procex.process_model.execute_rows`.
 Reproducibility contract: cases are drawn in chunks of :data:`CHUNK`, and
 chunk ``k`` has its own RNG substream built as
@@ -9,22 +9,23 @@ chunk ``k`` has its own RNG substream built as
 which draws one ``(CHUNK, A + C + 1)`` matrix of uniform variates (``A``
 attributes, ``C`` choice gateways). Case ``i`` reads row ``i % CHUNK`` of
 chunk ``i // CHUNK``. Every chunk is drawn in full and then truncated, so
-trace ``i`` is byte-identical no matter how many cases surround it. A case
+case ``i`` is byte-identical no matter how many cases surround it. A case
 reads its row as one variate per attribute in lexicographic name order, then
 one per choice gateway on the case's path in path order, then one for label
-noise; a shorter path leaves the last columns unread. Cases that take the same
-path share one activity tuple, and so do traces read back from JSONL.
+noise; a shorter path leaves the last columns unread.
 
-An :class:`EventLog` is a process name and its traces, nothing more: it
-keeps no record of how it was made (simulation config, source file, split).
+An :class:`EventLog` is a process name and columns, nothing more: case ids,
+labels, a float matrix of attribute values under the sorted names (NaN where
+a case has no such attribute: no log holds a non-finite value), and per case
+an index into the distinct activity paths. It keeps no record of how it was
+made (simulation config, source file, split).
+
 On disk, event logs are JSONL, one ``json.dumps`` record per line. The
-writer builds the lines a column at a time: each distinct activity tuple,
-label and attribute name is encoded once per log, and per line only the
-case id and each value's ``float.__repr__`` are formatted. It refuses,
-before opening the file, what the reader would refuse: a case id or an
-activity that is not a string, an attribute value that is not finite, a
-label outside ``LABELS``. The reader streams line by line and also refuses
-an attribute value that is not a JSON number.
+writer formats the lines from the columns: each distinct path, label and
+attribute name is encoded once per log, and per line only the case id and
+each value's ``float.__repr__`` are formatted. The reader checks each line
+with the one line validator, :func:`_records`, and appends it to the columns:
+it refuses what :meth:`EventLog.from_records` refuses and a non-number value.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, one forward pass over the
@@ -35,11 +36,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from itertools import compress
+from dataclasses import dataclass, fields, replace
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,7 +71,6 @@ __all__ = [
     "generate_log",
     "is_conformant",
     "write_log_jsonl",
-    "iter_log_jsonl",
     "read_log_jsonl",
     "import_log_csv",
 ]
@@ -111,9 +111,8 @@ class SimulationConfig:
 # Traces and logs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trace:
-    """One executed case: attributes, visited activities in order, outcome."""
+class Trace(NamedTuple):
+    """One case: attributes, visited activities in order, outcome."""
 
     case_id: str
     attrs: Mapping[str, float]
@@ -121,16 +120,102 @@ class Trace:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
-    """A process's traces; the name is the caller's label, not read from
-    the log file."""
+    """A process's cases as columns; the name is the caller's label, not
+    read from the log file. Case ``i`` is ``case_ids[i]``, with ``labels[i]``,
+    ``values[i]`` under ``attribute_names`` (NaN: no such attribute) and the
+    activities ``paths[path_of[i]]``. Build one with :meth:`from_records`.
+    """
 
     process_name: str
-    traces: tuple[Trace, ...]
+    case_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    attribute_names: tuple[str, ...]
+    values: np.ndarray
+    paths: tuple[tuple[str, ...], ...]
+    path_of: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.traces)
+        return len(self.case_ids)
+
+    @staticmethod
+    def from_records(process_name: str, records: Iterable[Sequence]) -> "EventLog":
+        """The log of ``(case_id, attrs, activities, label)`` records, such as
+        :class:`Trace`\\ s. Raises, for the first record that holds one, what
+        the reader would refuse: a ``MalformedLogError`` for a case id or an
+        activity that is not a string or a value that is not a finite number,
+        a ``BadLabelError`` for a label outside ``LABELS``.
+        """
+        def checked() -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
+            for number, (case_id, attrs, activities, label) in enumerate(records, start=1):
+                if not isinstance(case_id, str):
+                    raise MalformedLogError(
+                        f"trace {number} (case {case_id!r}): 'case_id' is "
+                        f"{type(case_id).__name__}, not a string"
+                    )
+                row = {}
+                for name, value in sorted(attrs.items()):
+                    try:
+                        row[name] = float(value)
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        raise MalformedLogError(
+                            f"case {case_id!r}: attribute {name!r} is not a number ({exc})"
+                        ) from None
+                    if not math.isfinite(row[name]):
+                        raise MalformedLogError(
+                            f"case {case_id!r}: attribute {name!r} is {row[name]}, "
+                            "not a finite number"
+                        )
+                if not all(isinstance(a, str) for a in activities):
+                    raise MalformedLogError(
+                        f"case {case_id!r}: 'activities' is not a list of names"
+                    )
+                if label not in LABELS:
+                    raise BadLabelError(
+                        f"case {case_id!r}: label {label!r} is neither POSITIVE nor NEGATIVE"
+                    )
+                yield case_id, row, tuple(activities), label
+
+        return _columns(process_name, checked())
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "EventLog":
+        """The cases at ``rows``, in that order, under the same name."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ids, labels = (tuple(map(column.__getitem__, rows.tolist()))
+                       for column in (self.case_ids, self.labels))
+        return replace(self, case_ids=ids, labels=labels, values=self.values[rows],
+                       path_of=self.path_of[rows])
+
+    @property
+    def traces(self) -> tuple[Trace, ...]:
+        """Every case as a :class:`Trace`, built anew on each access: float
+        values under sorted names, one shared tuple per path."""
+        columns = self.values.tolist(), self.path_of.tolist()
+        return tuple(
+            Trace(case_id, {n: v for n, v in zip(self.attribute_names, row) if not math.isnan(v)},
+                  self.paths[k], label)
+            for case_id, row, k, label in zip(self.case_ids, *columns, self.labels)
+        )
+
+
+def _columns(process_name: str, records: Iterable[tuple]) -> EventLog:
+    """The log of checked ``(case_id, attrs, activities, label)`` records,
+    ``attrs`` holding finite numbers by name."""
+    case_ids, rows, paths, labels = tuple(zip(*records)) or ((),) * 4
+    keys = list(map(tuple, rows))
+    names = tuple(sorted(set().union(*rows)))
+    values = np.full((len(rows), len(names)), np.nan)
+    if keys.count(names) == len(keys):  # every case names every attribute, in order
+        cells = chain.from_iterable(map(dict.values, rows))
+        values[:] = np.fromiter(cells, float, values.size).reshape(values.shape)
+    else:
+        column = {name: j for j, name in enumerate(names)}
+        for i, row in enumerate(rows):
+            values[i, [column[name] for name in row]] = list(row.values())
+    index: dict[tuple[str, ...], int] = {}
+    path_of = np.array([index.setdefault(p, len(index)) for p in paths], dtype=np.intp)
+    return EventLog(process_name, case_ids, labels, names, values, tuple(index), path_of)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +242,10 @@ def _run(
     attr_columns: Mapping[str, np.ndarray],
     stream: np.ndarray,
     label_noise: float,
-) -> tuple[list[tuple[str, ...]], list[str]]:
+) -> tuple[list[tuple[str, ...]], np.ndarray, list[str]]:
     """Execute one case per row of ``stream``, shape ``(n, C + 1)``; returns
-    each case's activities, in path order, and its label. Cases that take the
-    same path share one activity tuple."""
+    the distinct paths (activities in path order), each case's index into
+    them, and each case's label."""
     n = len(stream)
     rows = np.arange(n)
     cursor = np.zeros(n, dtype=np.intp)
@@ -187,7 +272,7 @@ def _run(
     patterns = np.zeros((path_of.max(initial=-1) + 1, len(order)))
     patterns[path_of] = visited
     paths = [tuple(compress(order, row)) for row in patterns.tolist()]
-    return [paths[k] for k in path_of.tolist()], labels
+    return paths, path_of, labels
 
 
 def execute_case(
@@ -203,8 +288,8 @@ def execute_case(
     """
     columns = {name: np.array([value]) for name, value in attrs.items()}
     stream = rng.random((1, len(defn.choice_gateways) + 1))
-    [activities], [label] = _run(defn, columns, stream, 0.0)
-    return Trace(case_id, dict(sorted(attrs.items())), activities, label)
+    paths, [k], [label] = _run(defn, columns, stream, 0.0)
+    return Trace(case_id, dict(sorted(attrs.items())), paths[k], label)
 
 
 def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
@@ -220,10 +305,9 @@ def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
     stream = _uniform_rows(config.seed, config.n_cases, width)
     values = lower + (upper - lower) * stream[:, : len(names)]
     columns = {name: values[:, j] for j, name in enumerate(names)}
-    paths, labels = _run(defn, columns, stream[:, len(names):], config.label_noise)
-    case_ids = [f"c{i:06d}" for i in range(1, config.n_cases + 1)]
-    attrs = [dict(zip(names, row)) for row in values.tolist()]
-    return EventLog(defn.name, tuple(map(Trace, case_ids, attrs, paths, labels)))
+    paths, path_of, labels = _run(defn, columns, stream[:, len(names):], config.label_noise)
+    case_ids = tuple(f"c{i:06d}" for i in range(1, config.n_cases + 1))
+    return EventLog(defn.name, case_ids, tuple(labels), names, values, tuple(paths), path_of)
 
 
 # ---------------------------------------------------------------------------
@@ -256,173 +340,120 @@ def is_conformant(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _refuse_unwritable(traces: Sequence[Trace]) -> None:
-    """Raise for the first field, in file order, that the reader would refuse:
-    a case id that is not a string, a non-finite attribute value, an activity
-    that is not a string, or a label outside ``LABELS``."""
-    for index, trace in enumerate(traces, start=1):
-        if not isinstance(trace.case_id, str):
-            raise MalformedLogError(
-                f"trace {index} (case {trace.case_id!r}): 'case_id' is "
-                f"{type(trace.case_id).__name__}, not a string"
-            )
-        for name, value in sorted(trace.attrs.items()):
-            number = float(value)
-            if not math.isfinite(number):
-                raise MalformedLogError(
-                    f"case {trace.case_id!r}: attribute {name!r} is {number}, "
-                    "not a finite number"
-                )
-        if not all(isinstance(a, str) for a in trace.activities):
-            raise MalformedLogError(
-                f"case {trace.case_id!r}: 'activities' is not a list of names"
-            )
-        if trace.label not in LABELS:
-            raise BadLabelError(
-                f"case {trace.case_id!r}: label {trace.label!r} is neither "
-                "POSITIVE nor NEGATIVE"
-            )
-
-
-def _jsonl_lines(traces: Sequence[Trace]) -> list[str]:
-    """What ``json.dumps`` makes of each trace's record, plus a newline.
-
-    Each distinct activity tuple, label and attribute name is encoded once
-    per log; per line only the case id and the ``float.__repr__`` of each
-    value are formatted. Traces with the same attribute names share one
-    ``attrs`` template, filled a column at a time.
-    """
-    paths = {t.activities for t in traces}
-    names = {t.label for t in traces}
-    if not (
-        all(isinstance(t.case_id, str) for t in traces)
-        and all(isinstance(a, str) for path in paths for a in path)
-        and names.issubset(LABELS)
-    ):
-        _refuse_unwritable(traces)
-    activities = {a: json.dumps(list(a)) for a in paths}
-    labels = {label: json.dumps(label) for label in names}
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for index, trace in enumerate(traces):
-        groups.setdefault(tuple(trace.attrs), []).append(index)
-    attrs = ["{}"] * len(traces)  # what a group without names keeps
-    for names, rows in groups.items():
-        keys = sorted(names)
-        columns = [[float(traces[i].attrs[key]) for i in rows] for key in keys]
-        if not all(all(map(math.isfinite, column)) for column in columns):
-            _refuse_unwritable(traces)
-        template = "{%s}" % ", ".join(
-            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-        )
-        values = zip(*[map(float.__repr__, column) for column in columns])
-        for i, text in zip(rows, map(template.__mod__, values)):
-            attrs[i] = text
-    return [
-        f'{{"case_id": {encode_basestring_ascii(t.case_id)}, "attrs": {a}, '
-        f'"activities": {activities[t.activities]}, "label": {labels[t.label]}}}\n'
-        for t, a in zip(traces, attrs)
-    ]
-
-
 def write_log_jsonl(log: EventLog, path: str | Path) -> None:
-    """Write one trace per line, as ``json.dumps`` of a record with the keys
-    ``case_id``, ``attrs`` (sorted by name), ``activities`` and ``label``;
-    stable key order makes output byte-stable.
+    """Write one case per line, as ``json.dumps`` of a record with the keys
+    ``case_id``, ``attrs`` (sorted by name, a NaN cell left out),
+    ``activities`` and ``label``; stable key order makes output byte-stable.
 
-    Raises, before the file is opened, what the reader would raise: a
-    ``MalformedLogError`` for a case id or an activity that is not a string
-    or an attribute value that is not finite, a ``BadLabelError`` for a
-    label outside ``LABELS``.
+    Each distinct path, label and attribute name is encoded once per log;
+    per line only the case id and the ``float.__repr__`` of each value are
+    formatted. What the reader would refuse never reaches the columns: the
+    log's constructors refuse it.
     """
-    lines = _jsonl_lines(log.traces)
+    activities = [json.dumps(list(path)) for path in log.paths]
+    labels = {label: json.dumps(label) for label in set(log.labels)}
+    keys = [encode_basestring_ascii(key) + ": " for key in log.attribute_names]
+    if keys and not np.isnan(log.values).any():  # one template, a column at a time
+        template = "{%s}" % ", ".join(key.replace("%", "%%") + "%s" for key in keys)
+        columns = [map(float.__repr__, column) for column in log.values.T.tolist()]
+        attrs = list(map(template.__mod__, zip(*columns)))
+    else:  # per case, leaving its NaN cells out
+        attrs = [
+            "{%s}" % ", ".join(key + repr(v) for key, v in zip(keys, row) if not math.isnan(v))
+            for row in log.values.tolist()
+        ]
+    lines = [
+        f'{{"case_id": {encode_basestring_ascii(c)}, "attrs": {a}, '
+        f'"activities": {activities[k]}, "label": {labels[label]}}}\n'
+        for c, a, k, label in zip(log.case_ids, attrs, log.path_of.tolist(), log.labels)
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
 
 
-_RECORD_FIELDS = ("case_id", "attrs", "activities", "label")
 _NUMBERS = frozenset({int, float})
 """The types ``json`` decodes a number to; ``bool`` is not among them."""
 
 
-def iter_log_jsonl(path: str | Path) -> Iterator[Trace]:
-    """Yield the traces of a JSONL event log in file order, each validated
-    when it is reached.
+def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
+    """The one line validator: yield each non-blank line's record as
+    ``(case_id, attrs, activities, label)``, checked when it is reached.
 
-    Lines are decoded with ``raw_decode``; a line it refuses is handed to
-    ``json.loads``, so the message is json's own. Traces with the same
-    activities share one tuple.
+    ``attrs`` is the decoded object, every value a finite JSON number; cases
+    that take the same path share one activity tuple. Lines are decoded with
+    ``raw_decode``; a line it refuses is handed to ``json.loads``, so the
+    message is json's own.
     """
     decode = json.JSONDecoder().raw_decode
     paths: dict[tuple, tuple[str, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record, end = decode(line)
+        except json.JSONDecodeError:
+            end = None
+        if end != len(line):  # json.loads raises with json's own message
             try:
-                record, end = decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end != len(line):  # json.loads raises with json's own message
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
-            try:
-                case_id = record["case_id"]
-                attrs = record["attrs"]
-                activities = record["activities"]
-                label = record["label"]
-            except (KeyError, TypeError):
-                if not isinstance(record, dict):
-                    raise MalformedLogError(
-                        f"line {line_no}: expected a JSON object, "
-                        f"got {type(record).__name__}"
-                    ) from None
-                missing = [key for key in _RECORD_FIELDS if key not in record]
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
+        try:
+            case_id = record["case_id"]
+            attrs = record["attrs"]
+            activities = record["activities"]
+            label = record["label"]
+        except (KeyError, TypeError):
+            if not isinstance(record, dict):
                 raise MalformedLogError(
-                    f"line {line_no}: missing field(s) {', '.join(map(repr, missing))}"
+                    f"line {line_no}: expected a JSON object, "
+                    f"got {type(record).__name__}"
                 ) from None
-            if not isinstance(case_id, str):
-                raise MalformedLogError(
-                    f"line {line_no}: 'case_id' is {json.dumps(case_id)}, not a string"
-                )
-            if label not in LABELS:
-                raise BadLabelError(
-                    f"line {line_no}: label {label!r} is neither POSITIVE nor NEGATIVE"
-                )
-            try:
-                values = {k: float(v) for k, v in sorted(attrs.items())}
-                for name, value in values.items():
+            missing = [key for key in Trace._fields if key not in record]
+            raise MalformedLogError(
+                f"line {line_no}: missing field(s) {', '.join(map(repr, missing))}"
+            ) from None
+        if not isinstance(case_id, str):
+            raise MalformedLogError(
+                f"line {line_no}: 'case_id' is {json.dumps(case_id)}, not a string"
+            )
+        if label not in LABELS:
+            raise BadLabelError(
+                f"line {line_no}: label {label!r} is neither POSITIVE nor NEGATIVE"
+            )
+        try:
+            values = list(map(float, attrs.values()))
+            if not math.isfinite(sum(values)):  # a NaN, an infinity, or a sum that overflows
+                for name, value in sorted(zip(attrs, values)):
                     if not math.isfinite(value):
                         raise MalformedLogError(
                             f"line {line_no}: attribute {name!r} is {value}, "
                             "not a finite number"
                         )
-                numbers = all(map(_NUMBERS.__contains__, map(type, attrs.values())))
-            except (AttributeError, TypeError, ValueError, OverflowError):
-                numbers = False
-            if not numbers:  # a string, a bool, null, a list or an object
+            numbers = _NUMBERS.issuperset(map(type, attrs.values()))
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            numbers = False
+        if not numbers:  # a string, a bool, null, a list or an object
+            raise MalformedLogError(f"line {line_no}: 'attrs' is not an object of numbers")
+        # None, for a value that is not a list, is never a key of paths.
+        key = tuple(activities) if isinstance(activities, list) else None
+        try:
+            activities = paths[key]
+        except (KeyError, TypeError):  # a new path, or an unhashable item
+            if key is None or not all(isinstance(a, str) for a in key):
                 raise MalformedLogError(
-                    f"line {line_no}: 'attrs' is not an object of numbers"
-                )
-            attrs = values
-            # None, for a value that is not a list, is never a key of paths.
-            key = tuple(activities) if isinstance(activities, list) else None
-            try:
-                activities = paths[key]
-            except (KeyError, TypeError):  # a new path, or an unhashable item
-                if key is None or not all(isinstance(a, str) for a in key):
-                    raise MalformedLogError(
-                        f"line {line_no}: 'activities' is not a list of names"
-                    ) from None
-                activities = paths[key] = key
-            yield Trace(case_id, attrs, activities, label)
+                    f"line {line_no}: 'activities' is not a list of names"
+                ) from None
+            activities = paths[key] = key
+        yield case_id, attrs, activities, label
 
 
 def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
-    """Read a JSONL event log; the format does not carry the process name."""
-    return EventLog(process_name, tuple(iter_log_jsonl(path)))
+    """Read a JSONL event log; the format does not carry the process name.
+    Raises for the first line, in file order, that :func:`_records` refuses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _columns(process_name, _records(fh))
 
 
 def import_log_csv(
@@ -432,12 +463,13 @@ def import_log_csv(
     label_column: str = "label",
     case_column: str = "case_id",
 ) -> EventLog:
-    """Assemble traces from an event-per-row CSV; the log has no process
+    """Assemble cases from an event-per-row CSV; the log has no process
     name.
 
     Rows are grouped by the case column in first-seen order; attributes and
     the label are read from each case's first row, activities from every row
-    in file order. A row that ends before its activity cell is refused.
+    in file order. A row that ends before its activity or case cell is
+    refused.
     """
     import csv
 
@@ -451,9 +483,9 @@ def import_log_csv(
         # Per case, in first-seen order: attributes, activities, label.
         cases: dict[str, tuple[dict[str, float], list[str], str]] = {}
         for row_no, row in enumerate(reader, start=2):
-            activity = row[activity_column]
-            if activity is None:  # the row ends before the column
-                raise MissingColumnError(f"row {row_no} has no {activity_column!r} cell")
+            for column in (activity_column, case_column):
+                if row[column] is None:  # the row ends before the column
+                    raise MissingColumnError(f"row {row_no} has no {column!r} cell")
             case_id = row[case_column]
             if case_id not in cases:
                 attrs: dict[str, float] = {}
@@ -475,12 +507,8 @@ def import_log_csv(
                         f"row {row_no}: label {row[label_column]!r} is neither "
                         "POSITIVE nor NEGATIVE"
                     )
-                cases[case_id] = (dict(sorted(attrs.items())), [], label)
-            cases[case_id][1].append(activity)
+                cases[case_id] = (attrs, [], label)
+            cases[case_id][1].append(row[activity_column])
     if not cases:
         raise EmptyLogError(f"{path}: no event rows found")
-    traces = (
-        Trace(case_id, attrs, tuple(activities), label)
-        for case_id, (attrs, activities, label) in cases.items()
-    )
-    return EventLog("", tuple(traces))
+    return EventLog.from_records("", ((case_id, *case) for case_id, case in cases.items()))

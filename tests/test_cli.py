@@ -280,6 +280,26 @@ class TestImport:
         assert err == "MissingColumnError: row 3 has no 'activity' cell\n"
         assert not out_path.exists()
 
+    def test_row_without_case_cell_fails(self, run, tmp_path):
+        """A row that ends before its case cell is named by its row, not
+        passed on as a case without an id."""
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text(
+            "credit_score,activity,label,case_id\n"
+            "600,submit_application,POSITIVE\n"
+        )
+        out_path = tmp_path / "log.jsonl"
+        code, out, err = run(
+            "import",
+            "--csv", str(csv_path),
+            "--attrs", "credit_score",
+            "--label", "label",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "MissingColumnError: row 2 has no 'case_id' cell\n"
+        assert not out_path.exists()
+
 
 class TestTrain:
     def test_model_file_and_metrics(self, workspace):

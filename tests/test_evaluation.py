@@ -257,14 +257,11 @@ class TestRunComparison:
             if t.label == SMALL.select_label and SMALL.require_activity in t.activities
         ][: SMALL.n_instances]
         # The last selected trace gets a NaN credit score.
-        traces = tuple(
-            replace(t, attrs={**t.attrs, "credit_score": float("nan")})
-            if t.case_id == selected[-1] else t
-            for t in model_log.traces
-        )
+        values = model_log.values.copy()
+        values[model_log.case_ids.index(selected[-1]), 0] = float("nan")
         _refuse_generators(monkeypatch)
         with pytest.raises(SchemaMismatchError, match="credit_score"):
-            run_comparison(loan, loan_model, EventLog(model_log.process_name, traces), SMALL)
+            run_comparison(loan, loan_model, replace(model_log, values=values), SMALL)
 
     def test_top_k_above_the_arity_fails_before_any_draw(
         self, loan, loan_model, model_log, monkeypatch
@@ -447,7 +444,7 @@ def test_a_record_does_not_depend_on_the_other_instances(
         start = position[report.config["selected_cases"][j]]
         alone = run_comparison(
             loan, loan_model,
-            EventLog(model_log.process_name, model_log.traces[start:]),
+            EventLog.from_records(model_log.process_name, model_log.traces[start:]),
             replace(config, n_instances=1),
         )
         assert json.dumps(report_to_json_dict(alone)["records"]) == json.dumps(

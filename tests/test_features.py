@@ -198,7 +198,7 @@ class TestEncoding:
             ((both, unknown), "trace 't4' lacks attribute 'credit_score'"),
         ]
         for bad, message in cases:
-            log = EventLog("loan_approval", (SKILLED_TRACE, *bad, STANDARD_TRACE))
+            log = EventLog.from_records("loan_approval", (SKILLED_TRACE, *bad, STANDARD_TRACE))
             with pytest.raises(SchemaMismatchError) as exc:
                 encode_log(loan_schema, log)
             assert str(exc.value) == message
@@ -208,7 +208,7 @@ class TestEncoding:
 
     def test_empty_log_raises(self, loan_schema):
         with pytest.raises(EmptyLogError):
-            encode_log(loan_schema, EventLog("loan_approval", ()))
+            encode_log(loan_schema, EventLog.from_records("loan_approval", ()))
 
     def test_split_vector_round_trip(self, loan_schema):
         vec = encode_trace(loan_schema, SKILLED_TRACE)

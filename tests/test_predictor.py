@@ -46,7 +46,7 @@ def tiny_log(points):
         Trace(f"t{i}", {"a": float(a)}, (), label)
         for i, (a, label) in enumerate(points)
     )
-    return EventLog("tiny", traces)
+    return EventLog.from_records("tiny", traces)
 
 
 SEPARABLE = tiny_log(
@@ -103,8 +103,10 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_loss_raises(self):
-        # Log files refuse such values; an in-process log can still hold one.
-        log = tiny_log([(-1.0, POSITIVE), (np.inf, NEGATIVE)])
+        # Every log constructor refuses such values; a log built from raw
+        # columns can still hold one.
+        log = tiny_log([(-1.0, POSITIVE), (0.0, NEGATIVE)])
+        log = replace(log, values=np.array([[-1.0], [np.inf]]))
         with pytest.raises(DivergedError, match="non-finite"):
             train(log, TINY_SCHEMA)
 
@@ -119,7 +121,7 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergedError, match="'credit_score'.* std inf"):
-                train(EventLog(log.process_name, traces), loan_schema)
+                train(EventLog.from_records(log.process_name, traces), loan_schema)
 
     def test_fit_is_optimal_at_the_saved_weights(self, model_log, loan_schema):
         config = TrainConfig()
@@ -178,7 +180,7 @@ class TestTraining:
 
     def test_empty_log_raises(self):
         with pytest.raises(EmptyLogError):
-            train(EventLog("tiny", ()), TINY_SCHEMA)
+            train(EventLog.from_records("tiny", ()), TINY_SCHEMA)
 
 
 class TestGradient:

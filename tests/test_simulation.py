@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from procex.cli import dispatch
 from procex.errors import (
     BadLabelError,
     ConfigError,
@@ -15,6 +16,9 @@ from procex.errors import (
     SchemaMismatchError,
     UnparsableNumberError,
 )
+from procex.evaluation import ComparisonConfig, run_comparison
+from procex.features import build_schema, encode_log
+from procex.predictor import evaluate, save_model, split_log, train
 from procex.process_model import (
     NEGATIVE,
     POSITIVE,
@@ -340,13 +344,115 @@ class TestJsonl:
             paths = {t.activities for t in log.traces}
             assert len({id(t.activities) for t in log.traces}) == len(paths) == 2
 
+    def test_crafted_traces_read_back_equal(self, tmp_path):
+        """Mixed attribute names leave NaN cells, which read back as absent
+        names; integer and bool values read back as the floats written."""
+        log = EventLog.from_records("p", CRAFTED)
+        assert log.attribute_names == ("%s", "100%", "a", "b", "\u00e9t\u00e9")
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(log, path)
+        back = read_log_jsonl(path, "p")
+        assert back.traces == log.traces
+        assert [t.attrs for t in back.traces[-3:]] == [
+            {}, {"%s": 1.5, "100%": -1e-300, "\u00e9t\u00e9": 2.5}, {"a": 2.0**53, "b": 1.0},
+        ]
+        np.testing.assert_array_equal(back.values, log.values)
+
+    def test_finite_values_whose_sum_overflows_are_read(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"case_id": "c1", "attrs": {"a": 1e308, "b": 1e308}, '
+                        '"activities": [], "label": "POSITIVE"}\n')
+        assert read_log_jsonl(path).traces[0].attrs == {"a": 1e308, "b": 1e308}
+
+    def test_unencodable_case_in_a_file_is_named(self, tmp_path, loan_schema):
+        """The first case in file order that lacks a schema attribute or
+        holds an unknown activity is named, attributes checked first."""
+        good = {"credit_score": 580.0, "loan_amount": 300000.0}
+        cases = [
+            ("c1", good, ["submit_application"]),
+            ("c2", {"credit_score": 600.0}, ["submit_application"]),
+            ("c3", good, ["escalate"]),
+            ("c4", {"loan_amount": 1.0}, ["escalate"]),
+        ]
+        lines = [
+            json.dumps({"case_id": c, "attrs": a, "activities": p, "label": POSITIVE})
+            for c, a, p in cases
+        ]
+        path = tmp_path / "log.jsonl"
+        for order, message in [
+            ((0, 1, 2), "trace 'c2' lacks attribute 'loan_amount'"),
+            ((0, 2, 1), "trace 'c3' contains unknown activity 'escalate'"),
+            ((3, 2, 1), "trace 'c4' lacks attribute 'credit_score'"),
+        ]:
+            path.write_text("".join(lines[i] + "\n" for i in order))
+            with pytest.raises(SchemaMismatchError) as exc:
+                encode_log(loan_schema, read_log_jsonl(path))
+            assert str(exc.value) == message
+
+
+class TestEdgeLogs:
+    """Logs without cases or without attributes go through every step."""
+
+    def test_zero_cases(self, loan, loan_schema, tmp_path):
+        log = generate_log(loan, SimulationConfig(n_cases=0))
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(log, path)
+        assert path.read_bytes() == b""
+        back = read_log_jsonl(path, loan.name)
+        assert len(back) == 0 and back.values.shape == (0, 0)
+        with pytest.raises(EmptyLogError):
+            split_log(back)
+        with pytest.raises(EmptyLogError):
+            encode_log(loan_schema, back)
+
+    def test_no_attributes(self, tmp_path):
+        schema = build_schema(NO_ATTRIBUTES)
+        log = generate_log(NO_ATTRIBUTES, SimulationConfig(n_cases=300, seed=3))
+        assert log.values.shape == (300, 0)
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(log, path)
+        assert '"attrs": {}, ' in path.read_text().splitlines()[0]
+        back = read_log_jsonl(path, NO_ATTRIBUTES.name)
+        assert back.traces == log.traces
+        train_part, test_part = split_log(back)
+        assert len(train_part) + len(test_part) == 300
+        matrix, labels = encode_log(schema, train_part)
+        assert labels == train_part.labels
+        assert matrix.tolist() == [
+            [float(name in t.activities) for name in schema.names] for t in train_part.traces
+        ]
+
+
+def test_pipeline_never_builds_the_traces_view(loan, monkeypatch, tmp_path, capsys):
+    """Simulate, write, read, split, train, evaluate, compare and resolve a
+    ``--case-id`` without one ``Trace`` per case."""
+    def refuse(self):
+        raise AssertionError("the pipeline read EventLog.traces")
+
+    monkeypatch.setattr(EventLog, "traces", property(refuse))
+    schema = build_schema(loan)
+    log = generate_log(loan, SimulationConfig(n_cases=2000, seed=11))
+    path = tmp_path / "log.jsonl"
+    write_log_jsonl(log, path)
+    train_part, test_part = split_log(read_log_jsonl(path, loan.name))
+    model = train(train_part, schema)
+    assert evaluate(model, test_part).n == len(test_part)
+    config = ComparisonConfig(n_instances=2, seeds=(0,), n_samples=100)
+    assert len(run_comparison(loan, model, train_part, config).records) == 2
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path)
+    argv = ["-q", "explain", str(fixture_path()), "--model", str(model_path),
+            "--log", str(path), "--case-id", "c000007", "--mode", "process-aware"]
+    assert dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["instance_id"] == "c000007"
+
 
 class TestJsonlWriter:
     """``write_log_jsonl`` against ``reference_line``, and its refusals."""
 
     def check(self, tmp_path, traces):
         path = tmp_path / "log.jsonl"
-        write_log_jsonl(EventLog("p", tuple(traces)), path)
+        write_log_jsonl(EventLog.from_records("p", tuple(traces)), path)
         want = "".join(map(reference_line, traces)).encode("utf-8")
         assert path.read_bytes() == want
 
@@ -379,8 +485,20 @@ class TestJsonlWriter:
         bad = Trace("c2", {"a": 1.0, "x": value}, (), POSITIVE)
         path = tmp_path / "log.jsonl"
         with pytest.raises(MalformedLogError) as exc:
-            write_log_jsonl(EventLog("p", (CRAFTED[0], bad)), path)
+            write_log_jsonl(EventLog.from_records("p", (CRAFTED[0], bad)), path)
         assert str(exc.value) == f"case 'c2': attribute 'x' is {value}, not a finite number"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value,reason", [
+        ("abc", "could not convert string to float: 'abc'"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["string", "overflowing-int"])
+    def test_value_float_cannot_convert_is_refused_before_writing(self, tmp_path, value, reason):
+        bad = Trace("c2", {"a": 1.0, "x": value}, (), POSITIVE)
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(MalformedLogError) as exc:
+            write_log_jsonl(EventLog.from_records("p", (CRAFTED[0], bad)), path)
+        assert str(exc.value) == f"case 'c2': attribute 'x' is not a number ({reason})"
         assert not path.exists()
 
     @pytest.mark.parametrize("case_id", [None, 7, b"c2"])
@@ -388,7 +506,7 @@ class TestJsonlWriter:
         bad = Trace(case_id, {"a": 1.0}, (), POSITIVE)
         path = tmp_path / "log.jsonl"
         with pytest.raises(MalformedLogError) as exc:
-            write_log_jsonl(EventLog("p", (CRAFTED[0], bad)), path)
+            write_log_jsonl(EventLog.from_records("p", (CRAFTED[0], bad)), path)
         assert str(exc.value) == (
             f"trace 2 (case {case_id!r}): 'case_id' is {type(case_id).__name__}, not a string"
         )
@@ -407,7 +525,7 @@ class TestJsonlWriter:
     def test_what_the_reader_refuses_is_refused_before_writing(self, tmp_path, bad, error, message):
         path = tmp_path / "log.jsonl"
         with pytest.raises(error) as exc:
-            write_log_jsonl(EventLog("p", (CRAFTED[0], bad)), path)
+            write_log_jsonl(EventLog.from_records("p", (CRAFTED[0], bad)), path)
         assert str(exc.value) == message
         assert not path.exists()
 
@@ -416,9 +534,9 @@ class TestJsonlWriter:
         bad_value = Trace("c3", {"a": float("nan")}, (), POSITIVE)
         path = tmp_path / "log.jsonl"
         with pytest.raises(MalformedLogError, match=r"^trace 2 \(case None\)"):
-            write_log_jsonl(EventLog("p", (CRAFTED[3], bad_id, bad_value)), path)
+            write_log_jsonl(EventLog.from_records("p", (CRAFTED[3], bad_id, bad_value)), path)
         with pytest.raises(MalformedLogError, match="^case 'c3': attribute 'a' is nan"):
-            write_log_jsonl(EventLog("p", (CRAFTED[3], bad_value, bad_id)), path)
+            write_log_jsonl(EventLog.from_records("p", (CRAFTED[3], bad_value, bad_id)), path)
         assert not path.exists()
 
 
