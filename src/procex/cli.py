@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
@@ -518,6 +519,12 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # No matrix a command builds gains from BLAS threads, starting OpenBLAS's
+    # pool is the larger part of importing numpy, and one thread writes the
+    # same bytes on every host. Commands import numpy lazily, so this runs
+    # first. A user's setting wins.
+    if "OMP_NUM_THREADS" not in os.environ:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(dispatch(sys.argv[1:]))
 
 

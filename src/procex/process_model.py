@@ -1057,7 +1057,7 @@ def reachable_indicators(
 
 def fixture_path(name: str = "loan.bp") -> Path:
     """Filesystem path of a bundled process fixture."""
-    return Path(str(resources.files("procex").joinpath("fixtures", name)))
+    return Path(str(resources.files(__package__).joinpath("fixtures", name)))
 
 
 def load_fixture(name: str = "loan.bp") -> ProcessDefinition:

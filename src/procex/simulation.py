@@ -143,9 +143,11 @@ class EventLog:
     def from_records(process_name: str, records: Iterable[Sequence]) -> "EventLog":
         """The log of ``(case_id, attrs, activities, label)`` records, such as
         :class:`Trace`\\ s. Raises, for the first record that holds one, what
-        the reader would refuse: a ``MalformedLogError`` for a case id or an
-        activity that is not a string or a value that is not a finite number,
-        a ``BadLabelError`` for a label outside ``LABELS``.
+        the reader would refuse: a ``MalformedLogError`` for a case id, an
+        attribute name or an activity that is not a string, ``attrs`` that is
+        not a mapping, ``activities`` that is not a list or tuple, or a value
+        that is not a finite number, a ``BadLabelError`` for a label outside
+        ``LABELS``.
         """
         def checked() -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
             for number, (case_id, attrs, activities, label) in enumerate(records, start=1):
@@ -154,6 +156,15 @@ class EventLog:
                         f"trace {number} (case {case_id!r}): 'case_id' is "
                         f"{type(case_id).__name__}, not a string"
                     )
+                if not isinstance(attrs, Mapping):
+                    raise MalformedLogError(
+                        f"case {case_id!r}: 'attrs' is {type(attrs).__name__}, not a mapping"
+                    )
+                for name in attrs:
+                    if not isinstance(name, str):
+                        raise MalformedLogError(
+                            f"case {case_id!r}: attribute name {name!r} is not a string"
+                        )
                 row = {}
                 for name, value in sorted(attrs.items()):
                     try:
@@ -167,7 +178,8 @@ class EventLog:
                             f"case {case_id!r}: attribute {name!r} is {row[name]}, "
                             "not a finite number"
                         )
-                if not all(isinstance(a, str) for a in activities):
+                if not (isinstance(activities, (list, tuple))
+                        and all(isinstance(a, str) for a in activities)):
                     raise MalformedLogError(
                         f"case {case_id!r}: 'activities' is not a list of names"
                     )
@@ -374,6 +386,9 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
 _NUMBERS = frozenset({int, float})
 """The types ``json`` decodes a number to; ``bool`` is not among them."""
 
+_KEYS = ("case_id", "attrs", "activities", "label")
+"""The keys of a log line's object, in the order the writer writes them."""
+
 
 def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
     """The one line validator: yield each non-blank line's record as
@@ -410,7 +425,7 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict, tuple[str, ...],
                     f"line {line_no}: expected a JSON object, "
                     f"got {type(record).__name__}"
                 ) from None
-            missing = [key for key in Trace._fields if key not in record]
+            missing = [key for key in _KEYS if key not in record]
             raise MalformedLogError(
                 f"line {line_no}: missing field(s) {', '.join(map(repr, missing))}"
             ) from None

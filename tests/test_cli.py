@@ -18,7 +18,7 @@ from procex.predictor import TrainConfig
 from procex.process_model import fixture_path, serialize_process
 from procex.simulation import SimulationConfig
 
-from procgen import NO_ATTRIBUTES_SOURCE, NO_FEATURES_ERROR, NO_FEATURES_SOURCE, long_chain
+from procgen import CHAIN, NO_ATTRIBUTES_SOURCE, NO_FEATURES_ERROR, NO_FEATURES_SOURCE, long_chain
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 LOAN = str(fixture_path())
@@ -1034,3 +1034,91 @@ print(json.dumps({{"results": results, "loaded": loaded}}))
     expected = [run("-q", "validate", LOAN), run("-q", "causal-graph", LOAN)]
     assert result["results"] == [[code, out] for code, out, _ in expected]
     assert all(code == 0 for code, _ in result["results"])
+
+
+def test_main_pins_blas_to_one_thread_unless_the_user_chose(fresh_python):
+    """main() sets OPENBLAS_NUM_THREADS=1 before any command imports numpy,
+    and leaves the environment alone when the user set it or OMP_NUM_THREADS."""
+    source = f"""
+import io, json, os, sys
+from contextlib import redirect_stdout
+import procex.cli
+
+def pinned(**env):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.pop(name, None)
+    os.environ.update(env)
+    sys.argv = ["procex", "-q", "validate", {LOAN!r}]
+    with redirect_stdout(io.StringIO()):
+        try:
+            procex.cli.main()
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+    return os.environ.get("OPENBLAS_NUM_THREADS")
+
+print(json.dumps([pinned(), pinned(OPENBLAS_NUM_THREADS="3"), pinned(OMP_NUM_THREADS="2")]))
+"""
+    assert json.loads(fresh_python(source).splitlines()[-1]) == ["1", "3", None]
+
+
+def _outputs_under_threads(fresh_python, workdir, threads, commands):
+    """Run ``commands`` through main() in a new interpreter, in ``workdir``,
+    with ``OPENBLAS_NUM_THREADS`` set to ``threads`` (None: neither it nor
+    ``OMP_NUM_THREADS`` set); returns each command's exit code and stdout,
+    and the text of every file the commands wrote."""
+    workdir.mkdir()
+    source = f"""
+import io, json, os, sys
+for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.pop(name, None)
+if {threads!r} is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = {threads!r}
+os.chdir({str(workdir)!r})
+from contextlib import redirect_stdout
+import procex.cli
+
+def run(argv):
+    sys.argv = ["procex", "-q", *argv]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            procex.cli.main()
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+
+print(json.dumps([run(argv) for argv in {commands!r}]))
+"""
+    results = json.loads(fresh_python(source).splitlines()[-1])
+    files = {path.name: path.read_text() for path in sorted(workdir.iterdir())}
+    return results, files
+
+
+@pytest.mark.parametrize("name", ["loan", "chain"])
+def test_outputs_do_not_depend_on_the_host(fresh_python, tmp_path, name):
+    """stdout, log, model, report and bar data are the bytes of a one-thread
+    BLAS whatever the host's core count, on the loan process and on 81
+    activities. On loan they stay so under two threads; on the chain a
+    threaded product of 83 x 83 Gram sums may change their last digits."""
+    if name == "loan":
+        process, attrs, simulate, flip = LOAN, "credit_score=580,loan_amount=300000", [], []
+    else:  # rejection keeps nothing of 81 activities flipped at the default rate
+        process, attrs = str(tmp_path / "chain.bp"), "x=0.2"
+        simulate, flip = ["--noise", "0.2"], ["--flip-p", "0.001"]
+        Path(process).write_text(serialize_process(CHAIN))
+    explain = ["explain", process, "--model", "model.json", "--attrs", attrs,
+               "--mode", "process-aware", *flip, "--strategy"]
+    commands = [
+        ["simulate", process, "--n", "4000", "--seed", "3", *simulate, "--out", "log.jsonl"],
+        ["train", process, "--log", "log.jsonl", "--out", "model.json"],
+        [*explain, "propagate"],
+        [*explain, "reject"],
+        ["evaluate", process, "--model", "model.json", "--log", "log.jsonl",
+         "--instances", "3", "--seeds", "0,1", "--samples", "1000", "--out", "report.json"],
+    ]
+    default = _outputs_under_threads(fresh_python, tmp_path / "default", None, commands)
+    one = _outputs_under_threads(fresh_python, tmp_path / "one", "1", commands)
+    assert [code for code, _ in default[0]] == [0] * len(commands)
+    assert sorted(default[1]) == ["log.jsonl", "model.json", "report.figdata.csv", "report.json"]
+    assert default == one
+    if name == "loan":
+        assert _outputs_under_threads(fresh_python, tmp_path / "two", "2", commands) == one

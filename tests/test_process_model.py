@@ -1,8 +1,12 @@
 """Parser, validator, serializer and causality derivation."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import procex
 from procex.errors import (
     BadProbabilitySumError,
     CyclicGraphError,
@@ -52,6 +56,26 @@ def test_fixture_file_is_packaged():
     path = fixture_path()
     assert path.is_file()
     assert path.read_text().startswith("process loan_approval")
+
+
+def test_fixture_path_follows_the_package_name(fresh_python, tmp_path):
+    """A copy of the package loaded under another name finds its own fixture."""
+    copy = tmp_path / "procex_copy"
+    shutil.copytree(Path(procex.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location(
+    "procex_copy", {str(copy / "__init__.py")!r}, submodule_search_locations=[{str(copy)!r}]
+)
+module = importlib.util.module_from_spec(spec)
+sys.modules["procex_copy"] = module
+spec.loader.exec_module(module)
+print(module.fixture_path())
+"""
+    path = Path(fresh_python(source).strip())
+    assert path.resolve() == (copy / "fixtures" / "loan.bp").resolve()
+    assert path.read_text() == fixture_path().read_text()
 
 
 def test_loan_fixture_structure(loan):

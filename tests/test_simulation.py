@@ -529,6 +529,21 @@ class TestJsonlWriter:
         assert str(exc.value) == message
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad,message", [
+        (("c2", None, ("a",), POSITIVE), "case 'c2': 'attrs' is NoneType, not a mapping"),
+        (("c2", [("a", 1.0)], ("a",), POSITIVE), "case 'c2': 'attrs' is list, not a mapping"),
+        (("c2", {}, None, POSITIVE), "case 'c2': 'activities' is not a list of names"),
+        (("c2", {}, "ab", POSITIVE), "case 'c2': 'activities' is not a list of names"),
+        (("c2", {1: 2.0}, ("a",), POSITIVE), "case 'c2': attribute name 1 is not a string"),
+        (("c2", {"a": 1.0, 1: 2.0}, ("a",), POSITIVE),
+         "case 'c2': attribute name 1 is not a string"),
+    ], ids=["null-attrs", "list-attrs", "null-activities", "string-activities",
+            "int-attribute-name", "mixed-attribute-names"])
+    def test_record_of_the_wrong_shape_is_refused(self, bad, message):
+        with pytest.raises(MalformedLogError) as exc:
+            EventLog.from_records("p", (CRAFTED[0], bad))
+        assert str(exc.value) == message
+
     def test_first_unwritable_trace_is_named(self, tmp_path):
         bad_id = Trace(None, {"a": 1.0}, (), POSITIVE)
         bad_value = Trace("c3", {"a": float("nan")}, (), POSITIVE)
