@@ -21,10 +21,13 @@ from pathlib import Path
 
 from .errors import (
     ConfigError,
+    DslSyntaxError,
+    MalformedLogError,
     MissingAttributeError,
     NoMatchingInstancesError,
     ProcexError,
     UnknownAttributeError,
+    _utf8,
 )
 from .process_model import (
     derive_causality_graph,
@@ -129,8 +132,10 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _read_definition(path: str):
-    return parse_process(Path(path).read_text(encoding="utf-8"))
+def _read_definition(path: str, parse=parse_process):
+    with _utf8(path, DslSyntaxError):
+        text = Path(path).read_text(encoding="utf-8")
+    return parse(text)
 
 
 def _figdata_path(out: str) -> Path:
@@ -145,7 +150,7 @@ def _figdata_path(out: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    defn = parse_process_structure(Path(args.process).read_text(encoding="utf-8"))
+    defn = _read_definition(args.process, parse_process_structure)
     report = validate(defn)
     _emit(
         {
@@ -264,7 +269,7 @@ def _resolve_instance(args: argparse.Namespace, defn, schema, seed: int):
 
     if args.case_id is not None:
         # Stops at the first match: later lines are neither read nor checked.
-        with open(args.log, "r", encoding="utf-8") as fh:
+        with _utf8(args.log, MalformedLogError), open(args.log, "r", encoding="utf-8") as fh:
             for record in _records(fh):
                 if record[0] == args.case_id:
                     return encode_trace(schema, record), args.case_id

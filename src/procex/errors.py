@@ -8,6 +8,10 @@ tools rely on.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
 
 class ProcexError(Exception):
     """Base class for every error raised deliberately by this package."""
@@ -137,3 +141,24 @@ class EmptySamplesError(ProcexError):
 
 class NoMatchingInstancesError(ProcexError):
     """Instance selection for an experiment matched no trace in the log."""
+
+
+@contextmanager
+def _utf8(path: str | Path, error: type[ProcexError]) -> Iterator[None]:
+    """Refuse, as ``error``, a byte that is not UTF-8 met while reading the
+    file at ``path``, naming its line, column and offset. A text read counts
+    the offset from the chunk it decoded, so the file is decoded again."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        at = exc.start
+        line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        found = f"byte 0x{exc.object[at]:02x} at offset {at}"
+        if error is DslSyntaxError:
+            raise DslSyntaxError(line, col, "UTF-8 text", found) from None
+        raise error(f"line {line}, col {col}: {found} is not UTF-8") from None

@@ -24,6 +24,7 @@ from .errors import (
     MalformedModelError,
     SchemaMismatchError,
     SingleClassLogError,
+    _utf8,
 )
 from .features import (
     FeatureSchema,
@@ -380,9 +381,9 @@ def load_model(
 ) -> LogisticModel:
     """Read a model file; with a definition given, refuse schema mismatches.
     A missing field, a field of the wrong JSON type, a weight, bias or
-    scaler statistic that is not a finite number, or a negative scaler std
-    raises ``MalformedModelError``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    scaler statistic that is not a finite number, a negative scaler std or
+    a byte that is not UTF-8 raises ``MalformedModelError``."""
+    with _utf8(path, MalformedModelError), open(path, "r", encoding="utf-8") as fh:
         return _model_from_json(json.load(fh), definition)
 
 

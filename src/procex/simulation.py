@@ -23,9 +23,10 @@ made (simulation config, source file, split).
 On disk, event logs are JSONL, one ``json.dumps`` record per line. The
 writer formats the lines from the columns: each distinct path, label and
 attribute name is encoded once per log, and per line only the case id and
-each value's ``float.__repr__`` are formatted. The reader checks each line
-with the one line validator, :func:`_records`, and appends it to the columns:
-it refuses what :meth:`EventLog.from_records` refuses and a non-number value.
+each value's ``float.__repr__`` are formatted. The reader splits a file in
+exactly that layout into columns with one pattern match; any other file it
+reads again with the one line validator, :func:`_records`, which refuses what
+:meth:`EventLog.from_records` refuses and a non-number value.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, one forward pass over the
@@ -36,6 +37,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
@@ -52,6 +56,7 @@ from .errors import (
     MissingColumnError,
     SchemaMismatchError,
     UnparsableNumberError,
+    _utf8,
 )
 from .process_model import (
     LABELS,
@@ -360,7 +365,9 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
     Each distinct path, label and attribute name is encoded once per log;
     per line only the case id and the ``float.__repr__`` of each value are
     formatted. What the reader would refuse never reaches the columns: the
-    log's constructors refuse it.
+    log's constructors refuse it. The reader's pattern match,
+    :func:`_read_written`, recognises exactly this layout: change the two
+    together.
     """
     activities = [json.dumps(list(path)) for path in log.paths]
     labels = {label: json.dumps(label) for label in set(log.labels)}
@@ -464,10 +471,59 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict, tuple[str, ...],
         yield case_id, attrs, activities, label
 
 
+# What the writer writes: numbers with a fraction or an exponent, which
+# ``float`` reads as ``json`` does (``json`` reads ``-0`` as the int 0; both
+# ``\d`` and ``float`` take non-ASCII digits, ``json`` does not), and strings
+# without escapes, which ``json`` decodes as they are.
+_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_TEXT = r'[^"\\\x00-\x1f]*'
+
+
+def _read_written(process_name: str, fh) -> EventLog | None:
+    """The log in ``fh`` if each line is laid out exactly as
+    :func:`write_log_jsonl` writes it, split into columns by one pattern
+    built from the first line's attribute names, else None: for text
+    between matched lines (a blank line, a space, no final newline), an
+    escape, a number without a fraction or exponent or one past the float
+    range. The writer and this pattern change together."""
+    first = fh.readline()
+    try:
+        names = sorted(json.loads(first)["attrs"])
+        attrs = ", ".join(re.escape(encode_basestring_ascii(n) + ": ") + _NUMBER for n in names)
+    except (ValueError, LookupError, TypeError):
+        return None
+    line = re.compile(f'\\{{"case_id": "({_TEXT})", "attrs": \\{{{attrs}\\}}, '
+                      f'"activities": (\\[(?:"{_TEXT}"(?:, "{_TEXT}")*)?\\]), '
+                      f'"label": "({POSITIVE}|{NEGATIVE})"\\}}\n')
+    step = len(names) + 4  # per match: the text before it, then its groups
+    kinds = [str, *[float] * len(names), sys.intern, sys.intern]  # paths and labels interned
+    columns, lines = [[] for _ in kinds], [first]
+    while lines:
+        parts = line.split("".join(lines))
+        if "".join(parts[::step]):
+            return None
+        for k, (column, kind) in enumerate(zip(columns, kinds), start=1):
+            column += map(kind, parts[k::step])
+        lines = fh.readlines(1 << 16)
+    case_ids, *cells, texts, labels = columns
+    values = np.array(cells).reshape(len(names), len(case_ids)).T.copy()
+    if not np.isfinite(values).all():
+        return None
+    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+    path_of = np.array(list(map(index.__getitem__, texts)), dtype=np.intp)
+    return EventLog(process_name, tuple(case_ids), tuple(labels), tuple(names), values,
+                    tuple(tuple(json.loads(text)) for text in index), path_of)
+
+
 def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
     """Read a JSONL event log; the format does not carry the process name.
-    Raises for the first line, in file order, that :func:`_records` refuses."""
-    with open(path, "r", encoding="utf-8") as fh:
+    A file that :func:`_read_written` declines is read again by the line
+    validator, with the same result: it raises for the first line, in file
+    order, that :func:`_records` refuses, or for a byte that is not UTF-8."""
+    with suppress(UnicodeDecodeError), open(path, "r", encoding="utf-8") as fh:
+        if (log := _read_written(process_name, fh)) is not None:
+            return log
+    with _utf8(path, MalformedLogError), open(path, "r", encoding="utf-8") as fh:
         return _columns(process_name, _records(fh))
 
 
@@ -483,47 +539,53 @@ def import_log_csv(
 
     Rows are grouped by the case column in first-seen order; attributes and
     the label are read from each case's first row, activities from every row
-    in file order. A row that ends before its activity or case cell is
+    in file order. A row that ends before its activity or case cell, a cell
+    longer than ``csv``'s field size limit, or a byte that is not UTF-8 is
     refused.
     """
     import csv
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    row_no = 0  # the rows read so far, the header being row 1
+    with _utf8(path, MalformedLogError), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = [case_column, activity_column, label_column, *attr_columns]
-        for column in required:
-            if column not in header:
-                raise MissingColumnError(f"CSV has no column {column!r}")
-        # Per case, in first-seen order: attributes, activities, label.
-        cases: dict[str, tuple[dict[str, float], list[str], str]] = {}
-        for row_no, row in enumerate(reader, start=2):
-            for column in (activity_column, case_column):
-                if row[column] is None:  # the row ends before the column
-                    raise MissingColumnError(f"row {row_no} has no {column!r} cell")
-            case_id = row[case_column]
-            if case_id not in cases:
-                attrs: dict[str, float] = {}
-                for column in attr_columns:
-                    cell = row[column]
-                    try:
-                        value = float(cell)
-                    except (TypeError, ValueError):
-                        value = math.nan
-                    if not math.isfinite(value):
-                        raise UnparsableNumberError(
-                            f"row {row_no}, column {column!r}: "
-                            f"cannot parse {cell!r} as a finite number"
+        try:
+            header = reader.fieldnames or []
+            row_no = 1
+            required = [case_column, activity_column, label_column, *attr_columns]
+            for column in required:
+                if column not in header:
+                    raise MissingColumnError(f"CSV has no column {column!r}")
+            # Per case, in first-seen order: attributes, activities, label.
+            cases: dict[str, tuple[dict[str, float], list[str], str]] = {}
+            for row_no, row in enumerate(reader, start=2):
+                for column in (activity_column, case_column):
+                    if row[column] is None:  # the row ends before the column
+                        raise MissingColumnError(f"row {row_no} has no {column!r} cell")
+                case_id = row[case_column]
+                if case_id not in cases:
+                    attrs: dict[str, float] = {}
+                    for column in attr_columns:
+                        cell = row[column]
+                        try:
+                            value = float(cell)
+                        except (TypeError, ValueError):
+                            value = math.nan
+                        if not math.isfinite(value):
+                            raise UnparsableNumberError(
+                                f"row {row_no}, column {column!r}: "
+                                f"cannot parse {cell!r} as a finite number"
+                            )
+                        attrs[column] = value
+                    label = (row[label_column] or "").strip().upper()
+                    if label not in LABELS:
+                        raise BadLabelError(
+                            f"row {row_no}: label {row[label_column]!r} is neither "
+                            "POSITIVE nor NEGATIVE"
                         )
-                    attrs[column] = value
-                label = (row[label_column] or "").strip().upper()
-                if label not in LABELS:
-                    raise BadLabelError(
-                        f"row {row_no}: label {row[label_column]!r} is neither "
-                        "POSITIVE nor NEGATIVE"
-                    )
-                cases[case_id] = (attrs, [], label)
-            cases[case_id][1].append(row[activity_column])
+                    cases[case_id] = (attrs, [], label)
+                cases[case_id][1].append(row[activity_column])
+        except csv.Error as exc:
+            raise MalformedLogError(f"row {row_no + 1}: {exc}") from None
     if not cases:
         raise EmptyLogError(f"{path}: no event rows found")
     return EventLog.from_records("", ((case_id, *case) for case_id, case in cases.items()))

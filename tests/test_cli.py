@@ -301,6 +301,94 @@ class TestImport:
         assert not out_path.exists()
 
 
+class TestUndecodableInput:
+    """A file with a byte that is not UTF-8 is refused by its reader's typed
+    error, naming the byte's line, column and offset: exit 1, one line."""
+
+    def refused(self, run, argv, out_path=None):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert out_path is None or not out_path.exists()
+        return err
+
+    @staticmethod
+    def spoil(path, tail=b"\xff\n"):
+        """Append ``tail`` to the file; returns the offset of its first byte."""
+        data = path.read_bytes()
+        path.write_bytes(data + tail)
+        return len(data)
+
+    @pytest.fixture()
+    def log(self, run, tmp_path):
+        """A 300-case loan log, longer than one chunk of a text read, and a
+        last line that is one 0xff byte; and the message that names it."""
+        path = tmp_path / "log.jsonl"
+        assert run("-q", "simulate", LOAN, "--n", "300", "--out", str(path))[0] == 0
+        offset = self.spoil(path)
+        assert offset > 8192
+        return path, f"MalformedLogError: line 301, col 1: byte 0xff at offset {offset} " \
+                     "is not UTF-8\n"
+
+    def test_log_read_by_train(self, run, log, tmp_path):
+        path, message = log
+        out = tmp_path / "model.json"
+        assert self.refused(run, ["train", LOAN, "--log", str(path), "--out", str(out)],
+                            out) == message
+
+    def test_log_scanned_for_a_case(self, run, log, workspace):
+        path, message = log
+        assert self.refused(run, ["explain", LOAN, "--model", str(workspace["model"]),
+                                  "--log", str(path), "--case-id", "c999999",
+                                  "--mode", "vanilla"]) == message
+
+    def test_model_file(self, run, workspace, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_bytes(workspace["model"].read_bytes())
+        offset = self.spoil(model, b" \xe9")
+        lines = model.read_bytes().count(b"\n")
+        err = self.refused(run, ["explain", LOAN, "--model", str(model), "--mode", "vanilla",
+                                 "--attrs", "credit_score=600,loan_amount=1000"])
+        assert err == (f"MalformedModelError: line {lines + 1}, col 2: "
+                       f"byte 0xe9 at offset {offset + 1} is not UTF-8\n")
+
+    def test_csv_file(self, run, tmp_path):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_bytes(CSV_TEXT.replace("c2,700,", "c2,7\xff0,").encode("latin-1"))
+        out_path = tmp_path / "log.jsonl"
+        err = self.refused(run, ["import", "--csv", str(csv_path), "--attrs",
+                                 "credit_score,loan_amount", "--label", "label",
+                                 "--out", str(out_path)], out_path)
+        offset = CSV_TEXT.index("c2,700,") + 4
+        assert err == f"MalformedLogError: line 4, col 5: byte 0xff at offset {offset} " \
+                      "is not UTF-8\n"
+
+    @pytest.mark.parametrize("command", ["validate", "causal-graph", "simulate"])
+    def test_process_file(self, run, tmp_path, command):
+        process = tmp_path / "loan.bp"
+        process.write_bytes(fixture_path().read_bytes())
+        offset = self.spoil(process, b"# \xe9t\xe9\n")
+        line = process.read_bytes().count(b"\n")
+        argv = [command, str(process)]
+        if command == "simulate":
+            argv += ["--n", "5", "--out", str(tmp_path / "log.jsonl")]
+        err = self.refused(run, argv, tmp_path / "log.jsonl")
+        assert err == (f"DslSyntaxError: line {line}, col 3: expected UTF-8 text, "
+                       f"found byte 0xe9 at offset {offset + 2}\n")
+
+
+def test_csv_cell_past_the_field_limit_names_its_row(run, tmp_path):
+    """An unclosed quote in row 3 runs on past ``csv``'s field size limit."""
+    csv_path = tmp_path / "events.csv"
+    csv_path.write_text(CSV_TEXT.replace("c2,700,", 'c2,"700,', 1) + "x" * 140000 + "\n")
+    out_path = tmp_path / "log.jsonl"
+    code, out, err = run("import", "--csv", str(csv_path), "--attrs", "credit_score,loan_amount",
+                         "--label", "label", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "MalformedLogError: row 4: field larger than field limit (131072)\n"
+    assert not out_path.exists()
+
+
 class TestTrain:
     def test_model_file_and_metrics(self, workspace):
         data = json.loads(workspace["model"].read_text())

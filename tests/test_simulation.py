@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from procex import simulation
 from procex.cli import dispatch
 from procex.errors import (
     BadLabelError,
@@ -13,6 +15,7 @@ from procex.errors import (
     EmptyLogError,
     MalformedLogError,
     MissingColumnError,
+    ProcexError,
     SchemaMismatchError,
     UnparsableNumberError,
 )
@@ -421,6 +424,128 @@ class TestEdgeLogs:
         assert matrix.tolist() == [
             [float(name in t.activities) for name in schema.names] for t in train_part.traces
         ]
+
+
+def validator_read(path):
+    """The oracle: every line through the line validator."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return simulation._columns("", simulation._records(fh))
+
+
+def outcome(read, path):
+    """The log ``read`` returns for ``path``, or its error's type and message."""
+    try:
+        return read(path)
+    except ProcexError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_log(got, want):
+    """Equal columns, bit for bit, in the same layout."""
+    for name in ("case_ids", "labels", "attribute_names", "paths"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.shape == want.values.shape and got.values.flags.c_contiguous
+    assert got.path_of.dtype == want.path_of.dtype
+    assert got.path_of.tolist() == want.path_of.tolist()
+
+
+class TestPatternReader:
+    """``read_log_jsonl`` splits the writer's own layout with one pattern and
+    reads every other file with the line validator, with equal results."""
+
+    def test_written_logs_never_reach_the_validator(self, seed42_log, tmp_path, monkeypatch,
+                                                    capsys):
+        """The seed-42 log, a log the CLI's ``simulate`` writes, a log
+        without attributes and logs of random processes."""
+        tour = tmp_path / "tour.jsonl"
+        assert dispatch(["-q", "simulate", str(fixture_path()), "--n", "3000", "--seed",
+                         "1601", "--out", str(tour)]) == 0
+        capsys.readouterr()
+        paths = [tmp_path / "seed42.jsonl", tour, tmp_path / "no_attributes.jsonl"]
+        write_log_jsonl(seed42_log, paths[0])
+        write_log_jsonl(generate_log(NO_ATTRIBUTES, SimulationConfig(n_cases=50)), paths[2])
+        for i in range(5):
+            defn = random_process(np.random.default_rng(700 + i), i)
+            paths.append(tmp_path / f"random{i}.jsonl")
+            write_log_jsonl(generate_log(defn, SimulationConfig(n_cases=80, seed=i)), paths[-1])
+        want = [validator_read(path) for path in paths]
+
+        def refuse(lines):
+            raise AssertionError("the line validator was called")
+
+        monkeypatch.setattr(simulation, "_records", refuse)
+        for path, log in zip(paths, want):
+            assert_same_log(read_log_jsonl(path), log)
+
+    def test_mutated_files_read_as_the_validator_reads_them(self, loan, tmp_path, monkeypatch):
+        """A seeded fuzzer: 40 written loan lines with up to two edits each,
+        every file read both ways, and each edit one the pattern must either
+        read exactly as ``json`` does or decline."""
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(generate_log(loan, SimulationConfig(n_cases=40, seed=3)), path)
+        canonical = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        numbers = ["-0", "-0.0", "1e308", "1e+308", "5", "1e-320", "1.5e+999", "5.\u0665"]
+        inserts = ["\r", "\x0b", "\u00e9", '\\"', "\\u00e9", ",", "{}", "\n"]
+        number = re.compile(r"(?<=: )-?[0-9][0-9.e+-]*")
+        rng = np.random.default_rng(2024)
+
+        def mutate(lines):
+            i = int(rng.integers(len(lines)))
+            line, kind = lines[i], rng.integers(5)
+            if kind == 0:  # a number in another spelling
+                spans = [m.span() for m in number.finditer(line)] or [(0, 0)]
+                a, b = spans[rng.integers(len(spans))]
+                lines[i] = line[:a] + numbers[rng.integers(len(numbers))] + line[b:]
+            elif kind == 1:  # a character in the case id or anywhere in a line
+                at = 14 if rng.integers(2) else int(rng.integers(len(line)))
+                lines[i] = line[:at] + inserts[rng.integers(len(inserts))] + line[at:]
+            elif kind == 2:  # two records on one line, or no final newline
+                lines[i] = line.removesuffix("\n")
+            elif kind == 3 and line in canonical:  # keys in another order
+                record = json.loads(line)
+                if rng.integers(2):
+                    record = dict(reversed(record.items()))
+                else:
+                    record["attrs"] = dict(reversed(record["attrs"].items()))
+                lines[i] = json.dumps(record) + "\n"
+            else:
+                lines.insert(i, "\n")
+
+        declined = 0
+        pattern_read = simulation._read_written
+
+        def counted(process_name, fh):
+            nonlocal declined
+            log = pattern_read(process_name, fh)
+            declined += log is None
+            return log
+
+        monkeypatch.setattr(simulation, "_read_written", counted)
+        n_files = 1500
+        for _ in range(n_files):
+            lines = list(canonical)
+            for _ in range(rng.integers(3)):
+                mutate(lines)
+            path.write_bytes("".join(lines).encode("utf-8"))
+            want, got = outcome(validator_read, path), outcome(read_log_jsonl, path)
+            if isinstance(want, tuple) or isinstance(got, tuple):
+                assert got == want
+            else:
+                assert_same_log(got, want)
+        assert 0.3 < 1 - declined / n_files < 0.5  # read by the pattern: 0.379
+
+    @pytest.mark.parametrize("line,value", [
+        ('{"case_id": "c1", "attrs": {"a": -0}, "activities": [], "label": "POSITIVE"}', 0.0),
+        ('{"case_id": "c1", "attrs": {"a": -0.0}, "activities": [], "label": "POSITIVE"}', -0.0),
+        ('{"case_id": "c1", "attrs": {"a": 1e-320}, "activities": [], "label": "POSITIVE"}',
+         1e-320),
+    ])
+    def test_signed_zero_and_subnormals_read_as_json_reads_them(self, tmp_path, line, value):
+        path = tmp_path / "log.jsonl"
+        path.write_text(line + "\n")
+        got = read_log_jsonl(path).values
+        assert got.tobytes() == np.array([[value]]).tobytes()
 
 
 def test_pipeline_never_builds_the_traces_view(loan, monkeypatch, tmp_path, capsys):
