@@ -504,7 +504,7 @@ def _read_written(process_name: str, fh) -> EventLog | None:
             return None
         for k, (column, kind) in enumerate(zip(columns, kinds), start=1):
             column += map(kind, parts[k::step])
-        lines = fh.readlines(1 << 16)
+        lines = fh.readlines(1 << 16)  # whole lines, about 64 KB: the parts stay small
     case_ids, *cells, texts, labels = columns
     values = np.array(cells).reshape(len(names), len(case_ids)).T.copy()
     if not np.isfinite(values).all():
