@@ -27,6 +27,7 @@ from .errors import (
     NoMatchingInstancesError,
     ProcexError,
     UnknownAttributeError,
+    _not_utf8,
     _utf8,
 )
 from .process_model import (
@@ -133,7 +134,7 @@ def _emit(payload: dict) -> None:
 
 
 def _read_definition(path: str, parse=parse_process):
-    with _utf8(path, DslSyntaxError):
+    with _utf8(path, lambda line, col, found: DslSyntaxError(line, col, "UTF-8 text", found)):
         text = Path(path).read_text(encoding="utf-8")
     return parse(text)
 
@@ -269,7 +270,7 @@ def _resolve_instance(args: argparse.Namespace, defn, schema, seed: int):
 
     if args.case_id is not None:
         # Stops at the first match: later lines are neither read nor checked.
-        with _utf8(args.log, MalformedLogError), open(args.log, "r", encoding="utf-8") as fh:
+        with _utf8(args.log, _not_utf8(MalformedLogError)), open(args.log, encoding="utf-8") as fh:
             for record in _records(fh):
                 if record[0] == args.case_id:
                     return encode_trace(schema, record), args.case_id

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 
 class ProcexError(Exception):
@@ -144,21 +144,26 @@ class NoMatchingInstancesError(ProcexError):
 
 
 @contextmanager
-def _utf8(path: str | Path, error: type[ProcexError]) -> Iterator[None]:
-    """Refuse, as ``error``, a byte that is not UTF-8 met while reading the
-    file at ``path``, naming its line, column and offset. A text read counts
-    the offset from the chunk it decoded, so the file is decoded again."""
+def _utf8(path: str | Path, error: Callable[[Any, Any, str], ProcexError]) -> Iterator[None]:
+    """Refuse a byte that is not UTF-8, met while reading the file at
+    ``path``, with ``error(line, col, found)``. A text read counts offsets
+    from the chunk it decoded, so a regular file is decoded again whole; a
+    stream cannot be read again, and its line and column are ``?``."""
     try:
         yield
     except UnicodeDecodeError as exc:
-        data = Path(path).read_bytes()
+        line = col = "?"
+        found = f"byte 0x{exc.object[exc.start]:02x}"
         try:
-            data.decode("utf-8")
+            if Path(path).is_file():
+                Path(path).read_bytes().decode("utf-8")
         except UnicodeDecodeError as whole:
-            exc = whole
-        at = exc.start
-        line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
-        found = f"byte 0x{exc.object[at]:02x} at offset {at}"
-        if error is DslSyntaxError:
-            raise DslSyntaxError(line, col, "UTF-8 text", found) from None
-        raise error(f"line {line}, col {col}: {found} is not UTF-8") from None
+            data, at = whole.object, whole.start
+            line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+            found = f"byte 0x{data[at]:02x} at offset {at}"
+        raise error(line, col, found) from None
+
+
+def _not_utf8(error: type[ProcexError]) -> Callable[[Any, Any, str], ProcexError]:
+    """Builds ``error`` for :func:`_utf8` with a one-line message."""
+    return lambda line, col, found: error(f"line {line}, col {col}: {found} is not UTF-8")

@@ -24,6 +24,7 @@ from .errors import (
     MalformedModelError,
     SchemaMismatchError,
     SingleClassLogError,
+    _not_utf8,
     _utf8,
 )
 from .features import (
@@ -383,7 +384,7 @@ def load_model(
     A missing field, a field of the wrong JSON type, a weight, bias or
     scaler statistic that is not a finite number, a negative scaler std or
     a byte that is not UTF-8 raises ``MalformedModelError``."""
-    with _utf8(path, MalformedModelError), open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path, _not_utf8(MalformedModelError)), open(path, "r", encoding="utf-8") as fh:
         return _model_from_json(json.load(fh), definition)
 
 

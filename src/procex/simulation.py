@@ -24,8 +24,9 @@ On disk, event logs are JSONL, one ``json.dumps`` record per line. The
 writer formats the lines from the columns: each distinct path, label and
 attribute name is encoded once per log, and per line only the case id and
 each value's ``float.__repr__`` are formatted. The reader splits a file in
-exactly that layout into columns with one pattern match; any other file it
-reads again with the one line validator, :func:`_records`, which refuses what
+that layout into columns with one pattern match, unless its first case lacks
+an attribute that a later case has. It reads any other file, and a stream,
+with the one line validator, :func:`_records`, which refuses what
 :meth:`EventLog.from_records` refuses and a non-number value.
 
 ``is_conformant`` checks one case with the batch oracle
@@ -39,7 +40,7 @@ import json
 import math
 import re
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
@@ -56,6 +57,7 @@ from .errors import (
     MissingColumnError,
     SchemaMismatchError,
     UnparsableNumberError,
+    _not_utf8,
     _utf8,
 )
 from .process_model import (
@@ -366,8 +368,9 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
     per line only the case id and the ``float.__repr__`` of each value are
     formatted. What the reader would refuse never reaches the columns: the
     log's constructors refuse it. The reader's pattern match,
-    :func:`_read_written`, recognises exactly this layout: change the two
-    together.
+    :func:`_read_written`, reads this layout, escapes and left-out cells
+    included, unless the first case lacks a name that a later case has:
+    change the two together.
     """
     activities = [json.dumps(list(path)) for path in log.paths]
     labels = {label: json.dumps(label) for label in set(log.labels)}
@@ -474,40 +477,48 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict, tuple[str, ...],
 # What the writer writes: numbers with a fraction or an exponent, which
 # ``float`` reads as ``json`` does (``json`` reads ``-0`` as the int 0; both
 # ``\d`` and ``float`` take non-ASCII digits, ``json`` does not), and strings
-# without escapes, which ``json`` decodes as they are.
+# whose only escapes are json's, decoded by ``json`` where there are any.
 _NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-_TEXT = r'[^"\\\x00-\x1f]*'
+_TEXT = r'[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*'
 
 
 def _read_written(process_name: str, fh) -> EventLog | None:
-    """The log in ``fh`` if each line is laid out exactly as
-    :func:`write_log_jsonl` writes it, split into columns by one pattern
-    built from the first line's attribute names, else None: for text
-    between matched lines (a blank line, a space, no final newline), an
-    escape, a number without a fraction or exponent or one past the float
-    range. The writer and this pattern change together."""
+    """The log in ``fh`` if each line is laid out as :func:`write_log_jsonl`
+    writes it, split into columns by one pattern built from the first
+    line's attribute names, each of which a later line may leave out (a NaN
+    cell); else None: for text between matched lines (a blank line, a
+    space, no final newline), a name the first line lacks, a number without
+    a fraction or exponent or one past the float range. The writer and this
+    pattern change together."""
     first = fh.readline()
     try:
         names = sorted(json.loads(first)["attrs"])
-        attrs = ", ".join(re.escape(encode_basestring_ascii(n) + ": ") + _NUMBER for n in names)
     except (ValueError, LookupError, TypeError):
         return None
+    attrs = "".join(f'(?:{re.escape(encode_basestring_ascii(n))}: {_NUMBER}(?:, (?=")|(?=}})))?'
+                    for n in names)
     line = re.compile(f'\\{{"case_id": "({_TEXT})", "attrs": \\{{{attrs}\\}}, '
                       f'"activities": (\\[(?:"{_TEXT}"(?:, "{_TEXT}")*)?\\]), '
                       f'"label": "({POSITIVE}|{NEGATIVE})"\\}}\n')
     step = len(names) + 4  # per match: the text before it, then its groups
-    kinds = [str, *[float] * len(names), sys.intern, sys.intern]  # paths and labels interned
-    columns, lines = [[] for _ in kinds], [first]
+    case_ids, cells, texts, labels, lines = [], [], [], [], [first]
     while lines:
-        parts = line.split("".join(lines))
+        text = "".join(lines)
+        parts = line.split(text)
         if "".join(parts[::step]):
             return None
-        for k, (column, kind) in enumerate(zip(columns, kinds), start=1):
-            column += map(kind, parts[k::step])
+        ids = parts[1::step]
+        if "\\" in text:
+            ids = [json.loads(f'"{c}"') if "\\" in c else c for c in ids]
+        case_ids += ids
+        # A left-out name's cell is None, which numpy reads as NaN.
+        cells.append(np.array([parts[k::step] for k in range(2, step - 2)], dtype=float)
+                     .reshape(len(names), len(ids)))
+        texts += map(sys.intern, parts[step - 2::step])  # paths and labels interned
+        labels += map(sys.intern, parts[step - 1::step])
         lines = fh.readlines(1 << 16)  # whole lines, about 64 KB: the parts stay small
-    case_ids, *cells, texts, labels = columns
-    values = np.array(cells).reshape(len(names), len(case_ids)).T.copy()
-    if not np.isfinite(values).all():
+    values = np.concatenate(cells, axis=1).T.copy()
+    if np.isinf(values).any():
         return None
     index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
     path_of = np.array(list(map(index.__getitem__, texts)), dtype=np.intp)
@@ -517,13 +528,16 @@ def _read_written(process_name: str, fh) -> EventLog | None:
 
 def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
     """Read a JSONL event log; the format does not carry the process name.
-    A file that :func:`_read_written` declines is read again by the line
-    validator, with the same result: it raises for the first line, in file
-    order, that :func:`_records` refuses, or for a byte that is not UTF-8."""
-    with suppress(UnicodeDecodeError), open(path, "r", encoding="utf-8") as fh:
-        if (log := _read_written(process_name, fh)) is not None:
-            return log
-    with _utf8(path, MalformedLogError), open(path, "r", encoding="utf-8") as fh:
+    A file that :func:`_read_written` declines, and a stream, which cannot be
+    read twice, are read by the line validator, with the same result: it
+    raises for the first line, in file order, that :func:`_records`
+    refuses, or for a byte that is not UTF-8."""
+    with _utf8(path, _not_utf8(MalformedLogError)), open(path, encoding="utf-8") as fh:
+        if fh.seekable():
+            with suppress(UnicodeDecodeError):
+                if (log := _read_written(process_name, fh)) is not None:
+                    return log
+            fh.seek(0)
         return _columns(process_name, _records(fh))
 
 
@@ -545,47 +559,52 @@ def import_log_csv(
     """
     import csv
 
-    row_no = 0  # the rows read so far, the header being row 1
-    with _utf8(path, MalformedLogError), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    @contextmanager
+    def row_named():  # csv.Error names the row after the last one read
         try:
-            header = reader.fieldnames or []
-            row_no = 1
-            required = [case_column, activity_column, label_column, *attr_columns]
-            for column in required:
-                if column not in header:
-                    raise MissingColumnError(f"CSV has no column {column!r}")
-            # Per case, in first-seen order: attributes, activities, label.
-            cases: dict[str, tuple[dict[str, float], list[str], str]] = {}
-            for row_no, row in enumerate(reader, start=2):
-                for column in (activity_column, case_column):
-                    if row[column] is None:  # the row ends before the column
-                        raise MissingColumnError(f"row {row_no} has no {column!r} cell")
-                case_id = row[case_column]
-                if case_id not in cases:
-                    attrs: dict[str, float] = {}
-                    for column in attr_columns:
-                        cell = row[column]
-                        try:
-                            value = float(cell)
-                        except (TypeError, ValueError):
-                            value = math.nan
-                        if not math.isfinite(value):
-                            raise UnparsableNumberError(
-                                f"row {row_no}, column {column!r}: "
-                                f"cannot parse {cell!r} as a finite number"
-                            )
-                        attrs[column] = value
-                    label = (row[label_column] or "").strip().upper()
-                    if label not in LABELS:
-                        raise BadLabelError(
-                            f"row {row_no}: label {row[label_column]!r} is neither "
-                            "POSITIVE nor NEGATIVE"
-                        )
-                    cases[case_id] = (attrs, [], label)
-                cases[case_id][1].append(row[activity_column])
+            yield
         except csv.Error as exc:
             raise MalformedLogError(f"row {row_no + 1}: {exc}") from None
+
+    row_no = 0  # the header is row 1
+    with _utf8(path, _not_utf8(MalformedLogError)), row_named(), \
+            open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        row_no = 1
+        required = [case_column, activity_column, label_column, *attr_columns]
+        for column in required:
+            if column not in header:
+                raise MissingColumnError(f"CSV has no column {column!r}")
+        # Per case, in first-seen order: attributes, activities, label.
+        cases: dict[str, tuple[dict[str, float], list[str], str]] = {}
+        for row_no, row in enumerate(reader, start=2):
+            for column in (activity_column, case_column):
+                if row[column] is None:  # the row ends before the column
+                    raise MissingColumnError(f"row {row_no} has no {column!r} cell")
+            case_id = row[case_column]
+            if case_id not in cases:
+                attrs: dict[str, float] = {}
+                for column in attr_columns:
+                    cell = row[column]
+                    try:
+                        value = float(cell)
+                    except (TypeError, ValueError):
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise UnparsableNumberError(
+                            f"row {row_no}, column {column!r}: "
+                            f"cannot parse {cell!r} as a finite number"
+                        )
+                    attrs[column] = value
+                label = (row[label_column] or "").strip().upper()
+                if label not in LABELS:
+                    raise BadLabelError(
+                        f"row {row_no}: label {row[label_column]!r} is neither "
+                        "POSITIVE nor NEGATIVE"
+                    )
+                cases[case_id] = (attrs, [], label)
+            cases[case_id][1].append(row[activity_column])
     if not cases:
         raise EmptyLogError(f"{path}: no event rows found")
     return EventLog.from_records("", ((case_id, *case) for case_id, case in cases.items()))

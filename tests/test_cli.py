@@ -378,7 +378,7 @@ class TestUndecodableInput:
 
 
 def test_csv_cell_past_the_field_limit_names_its_row(run, tmp_path):
-    """An unclosed quote in row 3 runs on past ``csv``'s field size limit."""
+    """An unclosed quote in row 4 runs on past ``csv``'s field size limit."""
     csv_path = tmp_path / "events.csv"
     csv_path.write_text(CSV_TEXT.replace("c2,700,", 'c2,"700,', 1) + "x" * 140000 + "\n")
     out_path = tmp_path / "log.jsonl"
