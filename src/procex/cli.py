@@ -519,7 +519,7 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args) or 0)
-    except (ProcexError, json.JSONDecodeError, OSError) as exc:
+    except (ProcexError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

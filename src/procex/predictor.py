@@ -381,11 +381,16 @@ def load_model(
     path: str | Path, definition: ProcessDefinition | None = None
 ) -> LogisticModel:
     """Read a model file; with a definition given, refuse schema mismatches.
-    A missing field, a field of the wrong JSON type, a weight, bias or
-    scaler statistic that is not a finite number, a negative scaler std or
-    a byte that is not UTF-8 raises ``MalformedModelError``."""
+    A file that is not JSON, a missing field, a field of the wrong JSON
+    type, a weight, bias or scaler statistic that is not a finite number, a
+    negative scaler std or a byte that is not UTF-8 raises
+    ``MalformedModelError``."""
     with _utf8(path, _not_utf8(MalformedModelError)), open(path, "r", encoding="utf-8") as fh:
-        return _model_from_json(json.load(fh), definition)
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedModelError(f"model file is not JSON ({exc})") from None
+    return _model_from_json(data, definition)
 
 
 def _model_from_json(

@@ -1055,11 +1055,11 @@ def reachable_indicators(
 # Bundled fixture
 # ---------------------------------------------------------------------------
 
-def fixture_path(name: str = "loan.bp") -> Path:
-    """Filesystem path of a bundled process fixture."""
-    return Path(str(resources.files(__package__).joinpath("fixtures", name)))
+def fixture_path() -> Path:
+    """Filesystem path of the bundled loan process."""
+    return Path(str(resources.files(__package__).joinpath("fixtures", "loan.bp")))
 
 
-def load_fixture(name: str = "loan.bp") -> ProcessDefinition:
-    """Parse a bundled process fixture."""
-    return parse_process(fixture_path(name).read_text(encoding="utf-8"))
+def load_fixture() -> ProcessDefinition:
+    """Parse the bundled loan process."""
+    return parse_process(fixture_path().read_text(encoding="utf-8"))

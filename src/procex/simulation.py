@@ -23,10 +23,10 @@ made (simulation config, source file, split).
 On disk, event logs are JSONL, one ``json.dumps`` record per line. The
 writer formats the lines from the columns: each distinct path, label and
 attribute name is encoded once per log, and per line only the case id and
-each value's ``float.__repr__`` are formatted. The reader splits a file in
-that layout into columns with one pattern match, unless its first case lacks
-an attribute that a later case has. It reads any other file, and a stream,
-with the one line validator, :func:`_records`, which refuses what
+each value's ``float.__repr__`` are formatted. The reader reads every log, a
+file or a stream, once: one pattern match splits the lines in that layout
+into columns, and from the first line it cannot take, the one line
+validator, :func:`_records`, reads the rest. The validator refuses what
 :meth:`EventLog.from_records` refuses and a non-number value.
 
 ``is_conformant`` checks one case with the batch oracle
@@ -36,11 +36,12 @@ process for any number of rows.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
@@ -222,16 +223,12 @@ def _columns(process_name: str, records: Iterable[tuple]) -> EventLog:
     """The log of checked ``(case_id, attrs, activities, label)`` records,
     ``attrs`` holding finite numbers by name."""
     case_ids, rows, paths, labels = tuple(zip(*records)) or ((),) * 4
-    keys = list(map(tuple, rows))
     names = tuple(sorted(set().union(*rows)))
+    column = {name: j for j, name in enumerate(names)}
+    cells = np.fromiter(chain.from_iterable(map(dict.values, rows)), float)
+    columns = np.fromiter(map(column.__getitem__, chain.from_iterable(rows)), np.intp)
     values = np.full((len(rows), len(names)), np.nan)
-    if keys.count(names) == len(keys):  # every case names every attribute, in order
-        cells = chain.from_iterable(map(dict.values, rows))
-        values[:] = np.fromiter(cells, float, values.size).reshape(values.shape)
-    else:
-        column = {name: j for j, name in enumerate(names)}
-        for i, row in enumerate(rows):
-            values[i, [column[name] for name in row]] = list(row.values())
+    values[np.repeat(np.arange(len(rows)), list(map(len, rows))), columns] = cells
     index: dict[tuple[str, ...], int] = {}
     path_of = np.array([index.setdefault(p, len(index)) for p in paths], dtype=np.intp)
     return EventLog(process_name, case_ids, labels, names, values, tuple(index), path_of)
@@ -369,7 +366,7 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
     formatted. What the reader would refuse never reaches the columns: the
     log's constructors refuse it. The reader's pattern match,
     :func:`_read_written`, reads this layout, escapes and left-out cells
-    included, unless the first case lacks a name that a later case has:
+    included, up to the first case with a name the first case lacks:
     change the two together.
     """
     activities = [json.dumps(list(path)) for path in log.paths]
@@ -400,9 +397,11 @@ _KEYS = ("case_id", "attrs", "activities", "label")
 """The keys of a log line's object, in the order the writer writes them."""
 
 
-def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
+def _records(lines: Iterable[str],
+             start: int = 1) -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
     """The one line validator: yield each non-blank line's record as
-    ``(case_id, attrs, activities, label)``, checked when it is reached.
+    ``(case_id, attrs, activities, label)``, checked when it is reached,
+    numbering ``lines`` from ``start``.
 
     ``attrs`` is the decoded object, every value a finite JSON number; cases
     that take the same path share one activity tuple. Lines are decoded with
@@ -411,18 +410,18 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[str, dict, tuple[str, ...],
     """
     decode = json.JSONDecoder().raw_decode
     paths: dict[tuple, tuple[str, ...]] = {}
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(lines, start=start):
         line = line.strip()
         if not line:
             continue
         try:
             record, end = decode(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             end = None
         if end != len(line):  # json.loads raises with json's own message
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
         try:
             case_id = record["case_id"]
@@ -482,63 +481,65 @@ _NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)
 _TEXT = r'[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*'
 
 
-def _read_written(process_name: str, fh) -> EventLog | None:
-    """The log in ``fh`` if each line is laid out as :func:`write_log_jsonl`
-    writes it, split into columns by one pattern built from the first
-    line's attribute names, each of which a later line may leave out (a NaN
-    cell); else None: for text between matched lines (a blank line, a
-    space, no final newline), a name the first line lacks, a number without
-    a fraction or exponent or one past the float range. The writer and this
-    pattern change together."""
+def _read_written(process_name: str, fh) -> EventLog:
+    """The log in ``fh``, read once: lines in :func:`write_log_jsonl`'s layout
+    split into columns by one pattern built from the first line's attribute
+    names, each of which a later line may leave out (a NaN cell), then, from
+    the first line the pattern cannot take (text between matched lines, a
+    name the first line lacks, a number without a fraction or exponent or
+    past the float range), the rest as :func:`_records` reads it. The writer
+    and this pattern change together."""
     first = fh.readline()
     try:
         names = sorted(json.loads(first)["attrs"])
-    except (ValueError, LookupError, TypeError):
-        return None
+    except (ValueError, LookupError, TypeError, RecursionError):
+        names = []  # no pattern takes the first line: the validator says why
     attrs = "".join(f'(?:{re.escape(encode_basestring_ascii(n))}: {_NUMBER}(?:, (?=")|(?=}})))?'
                     for n in names)
     line = re.compile(f'\\{{"case_id": "({_TEXT})", "attrs": \\{{{attrs}\\}}, '
                       f'"activities": (\\[(?:"{_TEXT}"(?:, "{_TEXT}")*)?\\]), '
                       f'"label": "({POSITIVE}|{NEGATIVE})"\\}}\n')
     step = len(names) + 4  # per match: the text before it, then its groups
-    case_ids, cells, texts, labels, lines = [], [], [], [], [first]
-    while lines:
-        text = "".join(lines)
+    case_ids, texts, labels, text = [], [], [], first
+    cells = [np.empty((len(names), 0))]  # one block, for an empty file too
+    while text:
         parts = line.split(text)
-        if "".join(parts[::step]):
-            return None
-        ids = parts[1::step]
+        taken = len(parts) // step  # matches
+        # A left-out name's cell is None, which numpy reads as NaN.
+        block = np.array([parts[k::step] for k in range(2, step - 2)], dtype=float)
+        block = block.reshape(len(names), taken)
+        # Match k is line k until the first text between matches or infinite value.
+        if stopped := "".join(parts[::step]) or np.isinf(block).any():
+            taken = min([*compress(range(taken + 1), parts[::step]),
+                         *np.flatnonzero(np.isinf(block).any(axis=0)).tolist()])
+        ids = parts[1:taken * step:step]
         if "\\" in text:
             ids = [json.loads(f'"{c}"') if "\\" in c else c for c in ids]
         case_ids += ids
-        # A left-out name's cell is None, which numpy reads as NaN.
-        cells.append(np.array([parts[k::step] for k in range(2, step - 2)], dtype=float)
-                     .reshape(len(names), len(ids)))
-        texts += map(sys.intern, parts[step - 2::step])  # paths and labels interned
-        labels += map(sys.intern, parts[step - 1::step])
-        lines = fh.readlines(1 << 16)  # whole lines, about 64 KB: the parts stay small
-    values = np.concatenate(cells, axis=1).T.copy()
-    if np.isinf(values).any():
-        return None
-    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+        cells.append(block[:, :taken])
+        texts += map(sys.intern, parts[step - 2:taken * step:step])  # paths and labels interned
+        labels += map(sys.intern, parts[step - 1:taken * step:step])
+        if stopped:
+            break
+        text = fh.read(1 << 16) + fh.readline()  # whole lines, about 64 KB: the parts stay small
+    paths: dict[tuple[str, ...], int] = {}  # a path spelled two ways is one path
+    index = {t: paths.setdefault(tuple(json.loads(t)), len(paths)) for t in dict.fromkeys(texts)}
     path_of = np.array(list(map(index.__getitem__, texts)), dtype=np.intp)
-    return EventLog(process_name, tuple(case_ids), tuple(labels), tuple(names), values,
-                    tuple(tuple(json.loads(text)) for text in index), path_of)
+    log = EventLog(process_name, tuple(case_ids), tuple(labels), tuple(names),
+                   np.concatenate(cells, axis=1).T.copy(), tuple(paths), path_of)
+    if not text:  # every line taken
+        return log
+    rest = chain(io.StringIO(text.split("\n", taken)[-1]), fh)  # line ``taken`` of the batch on
+    return _columns(process_name, chain(log.traces, _records(rest, start=len(log) + 1)))
 
 
 def read_log_jsonl(path: str | Path, process_name: str = "") -> EventLog:
-    """Read a JSONL event log; the format does not carry the process name.
-    A file that :func:`_read_written` declines, and a stream, which cannot be
-    read twice, are read by the line validator, with the same result: it
-    raises for the first line, in file order, that :func:`_records`
-    refuses, or for a byte that is not UTF-8."""
+    """Read a JSONL event log, a file or a stream, once; the format does not
+    carry the process name. The result is the line validator's: it raises
+    for the first line, in file order, that :func:`_records` refuses, or for
+    a byte that is not UTF-8."""
     with _utf8(path, _not_utf8(MalformedLogError)), open(path, encoding="utf-8") as fh:
-        if fh.seekable():
-            with suppress(UnicodeDecodeError):
-                if (log := _read_written(process_name, fh)) is not None:
-                    return log
-            fh.seek(0)
-        return _columns(process_name, _records(fh))
+        return _read_written(process_name, fh)
 
 
 def import_log_csv(

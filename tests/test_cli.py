@@ -239,6 +239,16 @@ class TestImport:
         assert code == 1
         assert "MissingColumnError" in err
 
+    def test_empty_attrs_list_is_a_usage_error(self, run, tmp_path):
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text(CSV_TEXT)
+        out_path = tmp_path / "log.jsonl"
+        code, out, err = run("import", "--csv", str(csv_path), "--attrs", ",",
+                             "--label", "label", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.endswith("procex import: error: argument --attrs: "
+                            "at least one name is required\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_fails(self, run, tmp_path, cell):
@@ -375,6 +385,52 @@ class TestUndecodableInput:
         err = self.refused(run, argv, tmp_path / "log.jsonl")
         assert err == (f"DslSyntaxError: line {line}, col 3: expected UTF-8 text, "
                        f"found byte 0xe9 at offset {offset + 2}\n")
+
+
+class TestUndecodableJson:
+    """A log line or model file that json cannot decode, truncated or nested
+    past the recursion limit, is refused by its reader's typed error: exit
+    1, empty stdout, one stderr line."""
+
+    NESTED = "maximum recursion depth exceeded while decoding a JSON array"
+
+    def refused(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.fixture()
+    def nested(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "\n")
+        return path
+
+    def test_log_read_by_train(self, run, nested, tmp_path):
+        err = self.refused(run, ["train", LOAN, "--log", str(nested),
+                                 "--out", str(tmp_path / "model.json")])
+        assert err.startswith(f"MalformedLogError: line 1: not JSON ({self.NESTED}")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_log_scanned_for_a_case(self, run, nested, workspace):
+        err = self.refused(run, ["explain", LOAN, "--model", str(workspace["model"]),
+                                 "--log", str(nested), "--case-id", "c1", "--mode", "vanilla"])
+        assert err.startswith(f"MalformedLogError: line 1: not JSON ({self.NESTED}")
+
+    def test_nested_model_file(self, run, nested):
+        err = self.refused(run, ["explain", LOAN, "--model", str(nested), "--mode", "vanilla",
+                                 "--attrs", "credit_score=600,loan_amount=1000"])
+        assert err.startswith(f"MalformedModelError: model file is not JSON ({self.NESTED}")
+
+    def test_truncated_model_file(self, run, workspace, tmp_path):
+        model = tmp_path / "model.json"
+        text = workspace["model"].read_text()[:12]
+        model.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        err = self.refused(run, ["explain", LOAN, "--model", str(model), "--mode", "vanilla",
+                                 "--attrs", "credit_score=600,loan_amount=1000"])
+        assert err == f"MalformedModelError: model file is not JSON ({exc.value})\n"
 
 
 def test_csv_cell_past_the_field_limit_names_its_row(run, tmp_path):
@@ -724,6 +780,24 @@ class TestExplain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--attrs", "credit_score"], "argument --attrs: expected name=value, got 'credit_score'"),
+        (["--attrs", ","], "argument --attrs: at least one name=value pair is required"),
+        (["--attrs", "credit_score=600,loan_amount=1", "--samples", "0"],
+         "argument --samples: must be positive, got 0"),
+    ])
+    def test_refused_arguments_usage_error(self, run, workspace, flags, message):
+        code, out, err = run("explain", LOAN, "--model", str(workspace["model"]),
+                             "--mode", "vanilla", *flags)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"procex explain: error: {message}\n")
+
+    def test_empty_attrs_item_is_skipped(self, run, workspace):
+        argv = ["explain", LOAN, "--model", str(workspace["model"]), "--mode", "vanilla",
+                "--samples", "50"]
+        assert run(*argv, "--attrs", "credit_score=600,,loan_amount=1") == \
+            run(*argv, "--attrs", "credit_score=600,loan_amount=1")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_attrs_usage_error(self, run, workspace, value):
         code, out, err = run(
@@ -890,6 +964,14 @@ class TestEvaluate:
                 "--out", str(tmp_path / "r.json"),
             )
             assert code == 2, seeds
+
+    def test_empty_seed_list_is_a_usage_error(self, run, workspace, tmp_path):
+        code, out, err = run("evaluate", LOAN, "--model", str(workspace["model"]),
+                             "--log", str(workspace["log"]), "--instances", "1",
+                             "--seeds", ",", "--out", str(tmp_path / "r.json"))
+        assert (code, out) == (2, "")
+        assert err.endswith("procex evaluate: error: argument --seeds: "
+                            "at least one seed is required\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "explain", "evaluate"])

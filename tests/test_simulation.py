@@ -529,47 +529,111 @@ class TestPatternReader:
                 lines.insert(i, "\n")
 
         declined = 0
-        pattern_read = simulation._read_written
+        records = simulation._records
 
-        def counted(process_name, fh):
+        def counted(lines, start=1):
             nonlocal declined
-            log = pattern_read(process_name, fh)
-            declined += log is None
-            return log
+            declined += 1
+            return records(lines, start)
 
-        monkeypatch.setattr(simulation, "_read_written", counted)
         n_files = 1500
         for _ in range(n_files):
             lines = list(canonical)
             for _ in range(rng.integers(3)):
                 mutate(lines)
             path.write_bytes("".join(lines).encode("utf-8"))
-            want, got = outcome(validator_read, path), outcome(read_log_jsonl, path)
+            want = outcome(validator_read, path)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulation, "_records", counted)
+                got = outcome(read_log_jsonl, path)
             if isinstance(want, tuple) or isinstance(got, tuple):
                 assert got == want
             else:
                 assert_same_log(got, want)
         assert 0.35 < 1 - declined / n_files < 0.55  # read by the pattern: 0.452
 
-    def test_a_stream_is_read_once_by_the_validator(self, loan, tmp_path):
-        """A pipe cannot be read twice: a log in the writer's layout, one
-        the pattern declines (blank lines) and one with a byte that is not
-        UTF-8 each read through a pipe as the validator reads the file,
-        the byte named without a location."""
+    def test_a_stream_is_read_once(self, loan, tmp_path, monkeypatch):
+        """A pipe cannot be read twice, and need not be: a written log read
+        through a pipe takes the pattern alone and equals the file read;
+        one with blank lines reads as the validator reads the file, and one
+        with a byte that is not UTF-8 is refused without a location."""
         path = tmp_path / "log.jsonl"
         write_log_jsonl(generate_log(loan, SimulationConfig(n_cases=40, seed=3)), path)
         written = path.read_bytes()
-        for data in (written, written.replace(b"\n", b"\n\n", 7), written + b"\xff\n"):
-            path.write_bytes(data)
+        want = read_log_jsonl(path)
+
+        def piped(data):
             read_end, write_end = os.pipe()
             os.write(write_end, data)  # less than a pipe's buffer
             os.close(write_end)
-            got = outcome(read_log_jsonl, f"/dev/fd/{read_end}")
-            os.close(read_end)
-            if data.endswith(b"\xff\n"):
-                assert got == (MalformedLogError, "line ?, col ?: byte 0xff is not UTF-8")
-            else:
-                assert_same_log(got, validator_read(path))
+            try:
+                return outcome(read_log_jsonl, f"/dev/fd/{read_end}")
+            finally:
+                os.close(read_end)
+
+        def refuse(lines, start=1):
+            raise AssertionError("the line validator was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulation, "_records", refuse)
+            assert_same_log(piped(written), want)
+        blank = written.replace(b"\n", b"\n\n", 7)
+        path.write_bytes(blank)
+        assert_same_log(piped(blank), validator_read(path))
+        assert piped(written + b"\xff\n") == (
+            MalformedLogError, "line ?, col ?: byte 0xff is not UTF-8")
+
+    @pytest.mark.parametrize("k", [1, 2, 300, 1000])
+    @pytest.mark.parametrize("edit", ["space", "blank line", "infinity"])
+    def test_the_validator_reads_from_the_line_the_pattern_stops_at(
+            self, loan, tmp_path, monkeypatch, k, edit):
+        """Stopped at line ``k`` of 1000 written lines, in the first batch
+        or a later one, the pattern hands the validator line ``k`` and the
+        rest, once, and none of the lines it matched."""
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(generate_log(loan, SimulationConfig(n_cases=1000, seed=3)), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if edit == "space":
+            lines[k - 1] = " " + lines[k - 1]
+        elif edit == "blank line":
+            lines.insert(k - 1, "\n")
+        else:
+            lines[k - 1] = re.sub(r"(?<=: )[0-9.e+-]+", "1e999", lines[k - 1], count=1)
+        path.write_text("".join(lines), encoding="utf-8")
+        calls = []
+        records = simulation._records
+
+        def recorded(handed, start=1):
+            handed = list(handed)
+            calls.append((start, handed))
+            return records(handed, start)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulation, "_records", recorded)
+            got = outcome(read_log_jsonl, path)
+        assert calls == [(k, lines[k - 1:])]
+        want = outcome(validator_read, path)
+        if edit == "infinity":
+            assert got == want == (MalformedLogError, f"line {k}: attribute 'credit_score' "
+                                                      "is inf, not a finite number")
+        else:
+            assert_same_log(got, want)
+
+    def test_a_first_case_without_a_later_attribute_reads_as_the_validator(self, tmp_path):
+        """The pattern takes the names of the first case, which has none."""
+        path = tmp_path / "log.jsonl"
+        write_log_jsonl(EventLog.from_records("", (CRAFTED[3], *CRAFTED[:3])), path)
+        assert_same_log(read_log_jsonl(path), validator_read(path))
+
+    def test_a_path_spelled_two_ways_is_one_path(self, tmp_path):
+        """json reads ``"\\u0078"`` as ``"x"``: one path, as the validator reads it."""
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            '{"case_id": "c1", "attrs": {}, "activities": ["x"], "label": "POSITIVE"}\n'
+            '{"case_id": "c2", "attrs": {}, "activities": ["\\u0078"], "label": "NEGATIVE"}\n')
+        got = read_log_jsonl(path)
+        assert got.paths == (("x",),) and got.path_of.tolist() == [0, 0]
+        assert_same_log(got, validator_read(path))
 
     @pytest.mark.parametrize("case_id,attrs", [
         ("c\\x", '"a": 1.5, "b": 2.5'),
