@@ -296,6 +296,7 @@ def _resolve_instance(args: argparse.Namespace, defn, schema, seed: int):
 def _cmd_explain(args: argparse.Namespace) -> int:
     from .explainer import PROCESS_AWARE, VANILLA, ExplainConfig, explain
     from .predictor import load_model
+    from .simulation import _json_text
 
     if args.case_id is not None and args.log is None:
         print("error: --case-id requires --log", file=sys.stderr)
@@ -315,7 +316,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.top is not None:
         payload["attributions"] = payload["attributions"][: args.top]
         payload["attributions_raw"] = payload["attributions_raw"][: args.top]
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    text = _json_text(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")

@@ -10,7 +10,6 @@ to a plot-ready CSV of mean absolute weight per feature per mode.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -37,7 +36,7 @@ from .explainer import (
 from .features import _encode, build_schema, split_columns
 from .predictor import LogisticModel
 from .process_model import NEGATIVE, ProcessDefinition, conformant_rows
-from .simulation import EventLog
+from .simulation import EventLog, _json_text
 
 __all__ = [
     "conformance_rate",
@@ -325,7 +324,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
 def write_report_json(report: ExperimentReport, path: str | Path) -> None:
     """Write ``report`` as strict JSON. A non-finite number raises
     ``ValueError`` before the file is opened."""
-    text = json.dumps(report_to_json_dict(report), indent=2, allow_nan=False) + "\n"
+    text = _json_text(report_to_json_dict(report)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

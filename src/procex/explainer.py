@@ -21,6 +21,11 @@ normal matrix, then the simulator's executor
 :func:`~procex.process_model.execute_rows` reads one uniform vector per choice
 gateway in topological order (drawn whether or not any sample reaches it).
 Reject: vanilla-shaped batches of size n until enough samples are kept.
+Vanilla and propagate draw the same first matrix, ``standard_normal((n, m))``
+for ``m`` attributes, so for one seed and instance their attribute rows are
+bit-identical and only the indicator columns differ:
+:func:`~procex.evaluation.run_comparison` compares the modes on the same
+attribute samples.
 Vanilla and propagate draws do not depend on the instance, so one builder,
 :func:`_sample_builder`, draws a sample set's variates once and builds any
 instance's samples from them: the public samplers call it for one instance,
@@ -312,7 +317,9 @@ def _kernel(center: np.ndarray, standardized: np.ndarray, width: float) -> np.nd
         np.subtract(standardized[:, j], value, out=delta)
         delta *= delta
         sq_dist += delta
-    return np.exp(-sq_dist / (width * width))
+    np.negative(sq_dist, out=sq_dist)
+    sq_dist /= width * width
+    return np.exp(sq_dist, out=sq_dist)
 
 
 def kernel_weights(
@@ -356,8 +363,12 @@ def _fit(
     fitted = augmented @ beta
     total_weight = weights.sum()
     target_mean = float(weights @ targets) / total_weight
-    ss_tot = float(weights @ (targets - target_mean) ** 2)
-    ss_res = float(weights @ (targets - fitted) ** 2)
+    deviation = targets - target_mean
+    deviation *= deviation
+    ss_tot = float(weights @ deviation)
+    residual = np.subtract(targets, fitted, out=fitted)
+    residual *= residual
+    ss_res = float(weights @ residual)
     if ss_tot < 1e-24:
         fidelity = 0.0
     else:

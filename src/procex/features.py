@@ -237,7 +237,13 @@ def split_columns(
             f"unexpected {sorted(binary - set(activities))})"
         )
     columns = {schema.names[i]: matrix[:, i] for i in schema.numeric_indices}
-    block = matrix[:, [schema.index(name) for name in activities]]
+    index = [schema.index(name) for name in activities]
+    start = index[0] if index else 0
+    # Activities in schema order, as every caller passes them, are a slice.
+    if index == list(range(start, start + len(index))):
+        block = matrix[:, start : start + len(index)]
+    else:
+        block = matrix[:, index]
     finite = np.isfinite(block)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -245,7 +251,8 @@ def split_columns(
             f"indicator {activities[col]!r} holds the non-finite value "
             f"{block[row, col]} in row {row}"
         )
-    return columns, (np.rint(block) != 0).astype(np.int8)
+    # A finite cell rounds to non-zero exactly when it lies beyond ±0.5.
+    return columns, (np.abs(block) > 0.5).view(np.int8)
 
 
 @dataclass(frozen=True, eq=False)

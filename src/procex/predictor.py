@@ -34,7 +34,7 @@ from .features import (
     scaler_from_matrix,
 )
 from .process_model import NEGATIVE, ProcessDefinition
-from .simulation import EventLog
+from .simulation import EventLog, _json_text
 
 __all__ = [
     "TrainConfig",
@@ -95,10 +95,16 @@ def labels_to_targets(labels: tuple[str, ...]) -> np.ndarray:
     return np.array([1.0 if label == NEGATIVE else 0.0 for label in labels])
 
 
-def _sigmoid(logits: np.ndarray) -> np.ndarray:
+def _sigmoid(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function via ``tanh``, which saturates instead of
-    overflowing, so every finite logit is safe."""
-    return 0.5 * (1.0 + np.tanh(0.5 * logits))
+    overflowing, so every finite logit is safe. It is
+    ``0.5 * (1.0 + np.tanh(0.5 * logits))`` in one array, ``out`` when given
+    (which may be ``logits``)."""
+    out = np.multiply(logits, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def loss_and_gradient(
@@ -232,7 +238,9 @@ def predict_proba_standardized(model: LogisticModel, design: np.ndarray) -> np.n
     """:func:`predict_proba` for vectors already standardized by the model's
     scaler. The product runs on a C-order copy, so the result has the same
     bits whatever the memory layout of ``design``."""
-    return _sigmoid(np.ascontiguousarray(design) @ model.weights + model.bias)
+    logits = np.asarray(np.ascontiguousarray(design) @ model.weights)
+    logits += model.bias
+    return _sigmoid(logits, out=logits)[()]  # one vector: a scalar, as before
 
 
 @dataclass(frozen=True)
@@ -344,7 +352,7 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
     such as a non-finite weight, raises ``MalformedModelError`` first."""
     data = model_to_json_dict(model)
     _model_from_json(data)
-    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    text = _json_text(data) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

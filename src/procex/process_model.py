@@ -904,7 +904,7 @@ def xor_branch_rows(
     for branch in gateway.branches:
         take = remaining & eval_guard_batch(branch.guard, attr_columns)
         rows.append(take)
-        remaining &= ~take
+        remaining ^= take
     rows.append(remaining)
     return rows
 
@@ -987,11 +987,16 @@ def conformant_rows(
     n = len(present)
     col = {name: i for i, name in enumerate(defn.activity_names)}
     dtype = np.min_scalar_type(len(col) + 1)
-    # Only fresh arrays are written in place, so unreached nodes share one.
+    # No array held here is written in place, so nodes may share one.
     unreached = np.zeros(n, dtype=dtype)
     most = dict.fromkeys((node.name for node in defn.nodes), unreached)
     most[defn.start] = np.ones(n, dtype=dtype)
     best = unreached
+
+    def meet(held: np.ndarray, arriving: np.ndarray) -> np.ndarray:
+        # The first count to arrive is the maximum with the zeros.
+        return arriving if held is unreached else np.maximum(held, arriving)
+
     for name in topological_order(defn):
         node = defn.node(name)
         # Dropped once read, so only the nodes still to come hold an array.
@@ -999,16 +1004,16 @@ def conformant_rows(
         if isinstance(node, Activity):
             passed = count + (count > 0)
             passed *= present[:, col[name]]
-            most[node.successor] = np.maximum(most[node.successor], passed)
+            most[node.successor] = meet(most[node.successor], passed)
         elif isinstance(node, XorGateway):
             branch_rows = xor_branch_rows(node, attr_columns, n)
             for target, rows in zip(node_successors(node), branch_rows):
-                most[target] = np.maximum(most[target], count * rows)
+                most[target] = meet(most[target], count * rows)
         elif isinstance(node, ChoiceGateway):
             for target in node_successors(node):
-                most[target] = np.maximum(most[target], count)
+                most[target] = meet(most[target], count)
         elif isinstance(node, EndNode):
-            best = np.maximum(best, count)
+            best = meet(best, count)
         else:
             raise TypeError(f"not a node: {node!r}")
     return best == 1 + present.sum(axis=1, dtype=dtype)

@@ -27,7 +27,9 @@ each value's ``float.__repr__`` are formatted. The reader reads every log, a
 file or a stream, once: one pattern match splits the lines in that layout
 into columns, and from the first line it cannot take, the one line
 validator, :func:`_records`, reads the rest. The validator refuses what
-:meth:`EventLog.from_records` refuses and a non-number value.
+:meth:`EventLog.from_records` refuses and a non-number value. Beside the log
+writer, :func:`_json_text` writes the indented strict JSON of model files,
+reports and explanations.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, one forward pass over the
@@ -388,6 +390,56 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
+
+
+_NONFINITE = frozenset({"nan", "inf", "-inf"})
+
+
+def _json_key(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return '"' + _json_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj: object, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``: the strict JSON of the
+    model, report and explanation files, with the same bytes and the same
+    ``ValueError`` and ``TypeError`` refusals (a cycle is not detected).
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, one generator
+    step per token; this writes each container by recursion and one
+    ``str.join``, through the same string encoder and ``float.__repr__``.
+    ``indent`` is a newline and the enclosing level's spaces.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        if text in _NONFINITE:
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+        return text
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _NUMBERS = frozenset({int, float})

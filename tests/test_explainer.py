@@ -140,6 +140,28 @@ class TestPropagate:
         )
         np.testing.assert_array_equal(samples, expected)
 
+    @pytest.mark.parametrize("process, seed", [("loan", 0), ("loan", 7), ("rejoining", 3)])
+    def test_both_modes_of_one_seed_share_their_attribute_rows(
+        self, loan, loan_model, rejected_skilled, process, seed
+    ):
+        # Both draw standard_normal((n, m)) first from default_rng(seed), so
+        # evaluate compares the modes on the same attribute samples.
+        if process == "loan":
+            defn, model = loan, loan_model
+            instance = encode_trace(model.schema, rejected_skilled[0])
+        else:
+            defn = REJOINING
+            log = generate_log(REJOINING, SimulationConfig(n_cases=300, seed=3))
+            model = train(log, build_schema(REJOINING))
+            instance = encode_trace(model.schema, log.traces[0])
+        m = len(model.schema.numeric_indices)
+        vanilla = explain_detailed(model, defn, instance, ExplainConfig(seed=seed))[1]
+        aware = explain_detailed(
+            model, defn, instance, ExplainConfig(mode=PROCESS_AWARE, seed=seed)
+        )[1]
+        np.testing.assert_array_equal(vanilla.samples[:, :m], aware.samples[:, :m])
+        assert not np.array_equal(vanilla.samples[:, m:], aware.samples[:, m:])
+
     def test_choice_gateway_draws_are_positional(self):
         # A choice gateway behind an unreachable branch still consumes its
         # uniform vector, so indicator streams never shift.

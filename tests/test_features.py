@@ -235,6 +235,35 @@ class TestEncoding:
         attrs, indicator_map = split_vector(loan_schema, vec)
         assert attrs == {name: column[0] for name, column in columns.items()}
         assert list(indicator_map.values()) == indicators[0].tolist() == [1, 0, 1]
+        assert {type(v) for v in indicator_map.values()} == {int}
+
+    CELLS = [0.5, -0.5, 0.49999999999999994, -0.49999999999999994, 1.5, -1.5, 2.5, -0.0,
+             5e-324, 1e308, -1e308, 0.5000000000000001, 1.0, 0.0, -1.0]
+
+    def test_indicator_cells_round_to_nearest(self, loan_schema):
+        activities = loan_schema.names[2:]
+        matrix = np.zeros((len(self.CELLS), loan_schema.arity))
+        for j in range(len(activities)):
+            matrix[:, 2 + j] = np.roll(self.CELLS, j)
+        block = matrix[:, 2:]
+        _, indicators = split_columns(loan_schema, matrix, activities)
+        assert indicators.dtype == np.int8
+        np.testing.assert_array_equal(indicators, (np.rint(block) != 0).astype(np.int8))
+        # Activities out of schema order take their columns by index.
+        order = [2, 0, 1]
+        _, permuted = split_columns(loan_schema, matrix, tuple(activities[i] for i in order))
+        np.testing.assert_array_equal(permuted, indicators[:, order])
+
+    @pytest.mark.parametrize("activities", [(2, 3, 4), (4, 2, 3)], ids=["slice", "copy"])
+    def test_a_non_finite_indicator_is_named(self, loan_schema, activities):
+        matrix = np.zeros((3, loan_schema.arity))
+        matrix[1, loan_schema.index("standard_review")] = -np.inf
+        names = tuple(loan_schema.names[i] for i in activities)
+        with pytest.raises(SchemaMismatchError) as exc:
+            split_columns(loan_schema, matrix, names)
+        assert str(exc.value) == (
+            "indicator 'standard_review' holds the non-finite value -inf in row 1"
+        )
 
 
 class TestScaler:

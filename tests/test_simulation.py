@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -807,6 +808,118 @@ class TestJsonlWriter:
         with pytest.raises(MalformedLogError, match="^case 'c3': attribute 'a' is nan"):
             write_log_jsonl(EventLog.from_records("p", (CRAFTED[3], bad_value, bad_id)), path)
         assert not path.exists()
+
+
+def strict_json(value) -> str:
+    """The bytes the model, report and explanation files are specified by."""
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+class TestStrictJsonWriter:
+    """``_json_text``, behind ``save_model``, ``write_report_json`` and
+    ``explain --out``, against ``json.dumps(..., indent=2, allow_nan=False)``."""
+
+    CHARACTERS = [
+        "a", "Z", "0", " ", '"', "\\", "/", "\x00", "\x08", "\t", "\n", "\x0c", "\r", "\x1f",
+        "\x7f", "é", "ÿ", "Ā", " ", "中", "﻿", "\U0001f600",
+        "\ud800", "\udfff",
+    ]
+    FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.5, 1e16, 1e-7, 123456789.125]
+
+    def random_value(self, rng, depth=0):
+        kind = int(rng.integers(11 if depth < 5 else 6))
+        if kind == 0:
+            picks = rng.integers(len(self.CHARACTERS), size=int(rng.integers(8)))
+            return "".join(self.CHARACTERS[i] for i in picks)
+        if kind == 1:
+            if rng.integers(2):
+                return self.FLOATS[rng.integers(len(self.FLOATS))]
+            value = float(rng.integers(2**64, dtype=np.uint64).view(np.float64))
+            return value if np.isfinite(value) else float(rng.standard_normal())
+        if kind == 2:
+            return int(rng.integers(-1000, 1000)) * 3 ** int(rng.integers(0, 90))
+        if kind == 3:
+            return bool(rng.integers(2))
+        if kind == 4:
+            return None
+        if kind == 5:
+            return [(), [], {}][rng.integers(3)]
+        items = [self.random_value(rng, depth + 1) for _ in range(int(rng.integers(1, 5)))]
+        if kind == 6:
+            return items
+        if kind == 7:
+            return tuple(items)
+        keys = [self.random_key(rng) for _ in items]
+        return dict(zip(keys, items))
+
+    def random_key(self, rng):
+        value = self.random_value(rng, depth=5)
+        return value if isinstance(value, (str, int, float, bool, type(None))) else "k"
+
+    def test_random_values_give_the_json_bytes(self):
+        rng = np.random.default_rng(31)
+        values = [self.random_value(rng) for _ in range(2500)]
+        assert sum(isinstance(v, (list, tuple, dict)) and len(v) > 0 for v in values) > 1000
+        for value in values:
+            assert simulation._json_text(value) == strict_json(value)
+
+    def test_edge_values_give_the_json_bytes(self):
+        edges = [
+            2**64, -(2**64) - 1, 10**40, True, False, None, "", "\ud800x\udfff", -0.0, 5e-324,
+            {1.5: 1, True: 2, None: 3, 2**70: 4, "é": 5, -0.0: 6}, [[[[[[]]]]]], ({},),
+        ]
+        for value in edges:
+            assert simulation._json_text(value) == strict_json(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, [1.0, [math.nan]], {"a": {"b": -math.inf}},
+         {math.inf: 1}, np.float64("nan")],
+    )
+    def test_non_finite_numbers_raise_value_error(self, value):
+        with pytest.raises(ValueError) as want:
+            strict_json(value)
+        with pytest.raises(ValueError) as got:
+            simulation._json_text(value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(3), {1, 2}, [np.int64(3)], {np.int64(1): 2}, {(1,): 2}, b"x"]
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError) as want:
+            strict_json(value)
+        with pytest.raises(TypeError) as got:
+            simulation._json_text(value)
+        assert str(got.value) == str(want.value)
+
+    def test_no_writer_creates_its_file_for_a_non_finite_number(
+        self, loan, loan_model, small_log, tmp_path, monkeypatch
+    ):
+        from dataclasses import replace
+
+        from procex import explainer
+        from procex.evaluation import write_report_json
+
+        model = replace(loan_model, train_meta={**loan_model.train_meta, "final_loss": math.nan})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(model, tmp_path / "model.json")
+        config = ComparisonConfig(n_instances=1, seeds=(0,), n_samples=50)
+        report = run_comparison(loan, loan_model, small_log, config)
+        report = replace(report, aggregates={**report.aggregates, "mean_top_k_overlap": math.inf})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report_json(report, tmp_path / "report.json")
+        save_model(loan_model, tmp_path / "good.json")
+        payload = explainer.Explanation.to_json_dict
+        monkeypatch.setattr(
+            explainer.Explanation, "to_json_dict", lambda self: {**payload(self), "x": -math.inf}
+        )
+        argv = ["explain", str(fixture_path()), "--model", str(tmp_path / "good.json"),
+                "--attrs", "credit_score=580,loan_amount=300000", "--mode", "vanilla", "--samples", "50",
+                "--out", str(tmp_path / "explanation.json")]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dispatch(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["good.json"]
 
 
 class TestCsvImport:
