@@ -11,7 +11,6 @@ flags and inputs produces byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -30,6 +29,7 @@ from .errors import (
     _not_utf8,
     _utf8,
 )
+from .jsontext import _json_text
 from .process_model import (
     derive_causality_graph,
     parse_process,
@@ -95,7 +95,10 @@ def _attr_assignments(text: str) -> dict[str, float]:
             raise argparse.ArgumentTypeError(
                 f"{value!r} is not a finite number (in {part!r})"
             )
-        attrs[name.strip()] = number
+        name = name.strip()
+        if name in attrs:
+            raise argparse.ArgumentTypeError(f"attribute {name!r} is given more than once")
+        attrs[name] = number
     if not attrs:
         raise argparse.ArgumentTypeError("at least one name=value pair is required")
     return attrs
@@ -130,7 +133,7 @@ def _config(config_class, args: argparse.Namespace, **fixed):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
 
 
 def _read_definition(path: str, parse=parse_process):
@@ -296,7 +299,6 @@ def _resolve_instance(args: argparse.Namespace, defn, schema, seed: int):
 def _cmd_explain(args: argparse.Namespace) -> int:
     from .explainer import PROCESS_AWARE, VANILLA, ExplainConfig, explain
     from .predictor import load_model
-    from .simulation import _json_text
 
     if args.case_id is not None and args.log is None:
         print("error: --case-id requires --log", file=sys.stderr)

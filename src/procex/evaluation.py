@@ -34,9 +34,10 @@ from .explainer import (
     _sampler,
 )
 from .features import _encode, build_schema, split_columns
+from .jsontext import _json_text
 from .predictor import LogisticModel
 from .process_model import NEGATIVE, ProcessDefinition, conformant_rows
-from .simulation import EventLog, _json_text
+from .simulation import EventLog
 
 __all__ = [
     "conformance_rate",

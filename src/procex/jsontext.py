@@ -1,0 +1,59 @@
+"""Strict indented JSON text: the one writer of every JSON output, the
+commands' stdout payloads, model files, reports and explanations.
+
+It imports no numpy, so the commands that need none (``validate``,
+``causal-graph``) start without it.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii
+
+_NONFINITE = frozenset({"nan", "inf", "-inf"})
+
+
+def _json_key(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return '"' + _json_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj: object, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, with the same bytes and
+    the same ``ValueError`` and ``TypeError`` refusals (a cycle is not
+    detected).
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, one generator
+    step per token; this writes each container by recursion and one
+    ``str.join``, through the same string encoder and ``float.__repr__``.
+    ``indent`` is a newline and the enclosing level's spaces.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        if text in _NONFINITE:
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+        return text
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

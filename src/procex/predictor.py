@@ -33,8 +33,9 @@ from .features import (
     encode_log,
     scaler_from_matrix,
 )
+from .jsontext import _json_text
 from .process_model import NEGATIVE, ProcessDefinition
-from .simulation import EventLog, _json_text
+from .simulation import EventLog
 
 __all__ = [
     "TrainConfig",

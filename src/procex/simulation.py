@@ -21,15 +21,14 @@ an index into the distinct activity paths. It keeps no record of how it was
 made (simulation config, source file, split).
 
 On disk, event logs are JSONL, one ``json.dumps`` record per line. The
-writer formats the lines from the columns: each distinct path, label and
-attribute name is encoded once per log, and per line only the case id and
-each value's ``float.__repr__`` are formatted. The reader reads every log, a
-file or a stream, once: one pattern match splits the lines in that layout
-into columns, and from the first line it cannot take, the one line
-validator, :func:`_records`, reads the rest. The validator refuses what
-:meth:`EventLog.from_records` refuses and a non-number value. Beside the log
-writer, :func:`_json_text` writes the indented strict JSON of model files,
-reports and explanations.
+writer formats the lines from the columns, :data:`CHUNK` cases at a time:
+each distinct path, label and attribute name is encoded once per log, and
+per line only the case id and each value's ``float.__repr__`` are formatted.
+The reader reads every log, a file or a stream, once: one pattern match
+splits the lines in that layout into columns, and from the first line it
+cannot take, the one line validator, :func:`_records`, reads the rest. The
+validator refuses what :meth:`EventLog.from_records` refuses and a
+non-number value.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, one forward pass over the
@@ -277,7 +276,9 @@ def _run(
     ends_positive = [ends[e.name] for e in defn.end_nodes if e.label == POSITIVE]
     positive = np.logical_or.reduce(ends_positive, initial=False, axis=0)
     flip = stream[rows, cursor] < label_noise
-    labels = np.where(positive ^ flip, POSITIVE, NEGATIVE).tolist()
+    # Every case's label is one of the two shared strings, not a copy.
+    shared = np.array([NEGATIVE, POSITIVE], dtype=object)
+    labels = shared[(positive ^ flip).astype(np.intp)].tolist()
     # A path visits its activities in topological order.
     col = {name: j for j, name in enumerate(defn.activity_names)}
     order = [name for name in topological_order(defn) if name in col]
@@ -363,7 +364,10 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
     ``case_id``, ``attrs`` (sorted by name, a NaN cell left out),
     ``activities`` and ``label``; stable key order makes output byte-stable.
 
-    Each distinct path, label and attribute name is encoded once per log;
+    Each distinct path, label and attribute name is encoded once per log,
+    and whether any cell is NaN is decided once per log, before the file is
+    opened. Lines are then formatted and written :data:`CHUNK` cases at a
+    time, so the writer holds one chunk's lines, whatever the log's length;
     per line only the case id and the ``float.__repr__`` of each value are
     formatted. What the reader would refuse never reaches the columns: the
     log's constructors refuse it. The reader's pattern match,
@@ -376,70 +380,24 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
     keys = [encode_basestring_ascii(key) + ": " for key in log.attribute_names]
     if keys and not np.isnan(log.values).any():  # one template, a column at a time
         template = "{%s}" % ", ".join(key.replace("%", "%%") + "%s" for key in keys)
-        columns = [map(float.__repr__, column) for column in log.values.T.tolist()]
-        attrs = list(map(template.__mod__, zip(*columns)))
+
+        def attrs(block: np.ndarray) -> Iterable[str]:
+            columns = [map(float.__repr__, column) for column in block.T.tolist()]
+            return map(template.__mod__, zip(*columns))
     else:  # per case, leaving its NaN cells out
-        attrs = [
-            "{%s}" % ", ".join(key + repr(v) for key, v in zip(keys, row) if not math.isnan(v))
-            for row in log.values.tolist()
-        ]
-    lines = [
-        f'{{"case_id": {encode_basestring_ascii(c)}, "attrs": {a}, '
-        f'"activities": {activities[k]}, "label": {labels[label]}}}\n'
-        for c, a, k, label in zip(log.case_ids, attrs, log.path_of.tolist(), log.labels)
-    ]
+        def attrs(block: np.ndarray) -> Iterable[str]:
+            return ("{%s}" % ", ".join(key + repr(v) for key, v in zip(keys, row)
+                                       if not math.isnan(v))
+                    for row in block.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-
-
-_NONFINITE = frozenset({"nan", "inf", "-inf"})
-
-
-def _json_key(key: object) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # a bool is an int
-        return '"' + _json_text(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(obj: object, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``: the strict JSON of the
-    model, report and explanation files, with the same bytes and the same
-    ``ValueError`` and ``TypeError`` refusals (a cycle is not detected).
-
-    With ``indent`` set, ``json`` runs its pure-Python encoder, one generator
-    step per token; this writes each container by recursion and one
-    ``str.join``, through the same string encoder and ``float.__repr__``.
-    ``indent`` is a newline and the enclosing level's spaces.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        if text in _NONFINITE:
-            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
-        return text
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        for start in range(0, len(log), CHUNK):
+            chunk = slice(start, start + CHUNK)
+            fh.write("".join([
+                f'{{"case_id": {encode_basestring_ascii(c)}, "attrs": {a}, '
+                f'"activities": {activities[k]}, "label": {labels[label]}}}\n'
+                for c, a, k, label in zip(log.case_ids[chunk], attrs(log.values[chunk]),
+                                          log.path_of[chunk].tolist(), log.labels[chunk])
+            ]))
 
 
 _NUMBERS = frozenset({int, float})

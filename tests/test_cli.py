@@ -785,6 +785,8 @@ class TestExplain:
         (["--attrs", ","], "argument --attrs: at least one name=value pair is required"),
         (["--attrs", "credit_score=600,loan_amount=1", "--samples", "0"],
          "argument --samples: must be positive, got 0"),
+        (["--attrs", "credit_score=500,credit_score=600,loan_amount=1000"],
+         "argument --attrs: attribute 'credit_score' is given more than once"),
     ])
     def test_refused_arguments_usage_error(self, run, workspace, flags, message):
         code, out, err = run("explain", LOAN, "--model", str(workspace["model"]),
@@ -1200,7 +1202,9 @@ loaded = sorted(
 print(json.dumps({{"results": results, "loaded": loaded}}))
 """
     result = json.loads(fresh_python(source).splitlines()[-1])
-    assert result["loaded"] == ["procex.cli", "procex.errors", "procex.process_model"]
+    assert result["loaded"] == [
+        "procex.cli", "procex.errors", "procex.jsontext", "procex.process_model",
+    ]
     expected = [run("-q", "validate", LOAN), run("-q", "causal-graph", LOAN)]
     assert result["results"] == [[code, out] for code, out, _ in expected]
     assert all(code == 0 for code, _ in result["results"])

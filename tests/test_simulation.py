@@ -5,12 +5,13 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from procex import simulation
-from procex.cli import dispatch
+from procex import jsontext, simulation
+from procex.cli import _emit, dispatch
 from procex.errors import (
     BadLabelError,
     ConfigError,
@@ -149,6 +150,11 @@ class TestGenerateLog:
     def test_zero_cases_give_an_empty_log(self, loan):
         log = generate_log(loan, SimulationConfig(n_cases=0))
         assert len(log) == 0
+
+    def test_labels_are_the_two_shared_strings(self, loan):
+        log = generate_log(loan, SimulationConfig(n_cases=2000, seed=5, label_noise=0.3))
+        assert set(log.labels) == {POSITIVE, NEGATIVE}
+        assert all(label is POSITIVE or label is NEGATIVE for label in log.labels)
 
     def test_attrs_stay_within_bounds(self, small_log, loan):
         for trace in small_log.traces:
@@ -727,6 +733,47 @@ class TestJsonlWriter:
     def test_empty_log(self, tmp_path):
         self.check(tmp_path, ())
 
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("holes", [False, True], ids=["dense", "nan-cells"])
+    def test_logs_across_chunk_boundaries(self, tmp_path, n, holes):
+        """The writer formats 1024 cases at a time: escaped non-ASCII case
+        ids, and (with ``holes``) left-out NaN cells, on both sides of each
+        boundary, in the template layout and the per-case layout."""
+        rng = np.random.default_rng(n)
+        edges = {i + d for i in (1024, 2048) for d in (-2, -1, 0, 1)}
+        paths = [("a",), ("a", "b\u00e9"), ()]
+        traces = []
+        for i in range(n):
+            attrs = {"x": float(rng.normal() * 10.0 ** rng.integers(-5, 6)),
+                     "y\u00e9": float(rng.integers(-1000, 1000))}
+            if holes and i in edges:
+                del attrs["x" if i % 2 else "y\u00e9"]
+            case_id = f"c\u00e9\u4e2d\"{i}" if i in edges else f"c{i:06d}"
+            traces.append(Trace(case_id, attrs, paths[i % 3], (POSITIVE, NEGATIVE)[i % 2]))
+        self.check(tmp_path, traces)
+        log = EventLog.from_records("p", traces)
+        back = read_log_jsonl(tmp_path / "log.jsonl", "p")
+        assert back.case_ids == log.case_ids
+        assert back.labels == log.labels
+        assert back.attribute_names == log.attribute_names
+        assert np.array_equal(back.values, log.values, equal_nan=True)
+        assert back.paths == log.paths
+        assert back.path_of.tolist() == log.path_of.tolist()
+
+    def test_peak_memory_does_not_grow_with_the_log(self, loan, tmp_path):
+        """Lines are held one chunk at a time: the traced peak of writing
+        8192 cases stays within 1.5x of writing 2048."""
+        peaks = []
+        for n in (2048, 8192):
+            log = generate_log(loan, SimulationConfig(n_cases=n, seed=3))
+            tracemalloc.start()
+            try:
+                write_log_jsonl(log, tmp_path / "log.jsonl")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     def test_round_trip_on_random_processes(self, tmp_path):
         path = tmp_path / "log.jsonl"
         for i in range(20):
@@ -811,13 +858,15 @@ class TestJsonlWriter:
 
 
 def strict_json(value) -> str:
-    """The bytes the model, report and explanation files are specified by."""
+    """The bytes every JSON output is specified by: stdout payloads, model
+    files, reports and explanations."""
     return json.dumps(value, indent=2, allow_nan=False)
 
 
 class TestStrictJsonWriter:
-    """``_json_text``, behind ``save_model``, ``write_report_json`` and
-    ``explain --out``, against ``json.dumps(..., indent=2, allow_nan=False)``."""
+    """``_json_text``, behind every command's stdout, ``save_model``,
+    ``write_report_json`` and ``explain --out``, against
+    ``json.dumps(..., indent=2, allow_nan=False)``."""
 
     CHARACTERS = [
         "a", "Z", "0", " ", '"', "\\", "/", "\x00", "\x08", "\t", "\n", "\x0c", "\r", "\x1f",
@@ -861,7 +910,7 @@ class TestStrictJsonWriter:
         values = [self.random_value(rng) for _ in range(2500)]
         assert sum(isinstance(v, (list, tuple, dict)) and len(v) > 0 for v in values) > 1000
         for value in values:
-            assert simulation._json_text(value) == strict_json(value)
+            assert jsontext._json_text(value) == strict_json(value)
 
     def test_edge_values_give_the_json_bytes(self):
         edges = [
@@ -869,7 +918,7 @@ class TestStrictJsonWriter:
             {1.5: 1, True: 2, None: 3, 2**70: 4, "é": 5, -0.0: 6}, [[[[[[]]]]]], ({},),
         ]
         for value in edges:
-            assert simulation._json_text(value) == strict_json(value)
+            assert jsontext._json_text(value) == strict_json(value)
 
     @pytest.mark.parametrize(
         "value",
@@ -880,7 +929,7 @@ class TestStrictJsonWriter:
         with pytest.raises(ValueError) as want:
             strict_json(value)
         with pytest.raises(ValueError) as got:
-            simulation._json_text(value)
+            jsontext._json_text(value)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize(
@@ -890,7 +939,7 @@ class TestStrictJsonWriter:
         with pytest.raises(TypeError) as want:
             strict_json(value)
         with pytest.raises(TypeError) as got:
-            simulation._json_text(value)
+            jsontext._json_text(value)
         assert str(got.value) == str(want.value)
 
     def test_no_writer_creates_its_file_for_a_non_finite_number(
@@ -920,6 +969,11 @@ class TestStrictJsonWriter:
         with pytest.raises(ValueError, match="not JSON compliant"):
             dispatch(argv)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["good.json"]
+
+    def test_stdout_payload_with_a_non_finite_number_raises(self, capsys):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"command": "train", "train_meta": {"final_loss": math.nan}})
+        assert capsys.readouterr().out == ""
 
 
 class TestCsvImport:
