@@ -60,17 +60,15 @@ def conformance_rate(
 ) -> float:
     """Fraction of samples the conformance oracle accepts.
 
-    Accepts a raw sample matrix (every row is checked) or a
-    :class:`PerturbationSet`, in which case row 0 is excluded because it is
-    the instance itself, not a perturbation. ``schema`` defaults to the
-    definition's.
+    Accepts a 2-D sample matrix, one sample per row (every row is
+    checked), or a :class:`PerturbationSet`, in which case row 0 is excluded
+    because it is the instance itself, not a perturbation. ``schema``
+    defaults to the definition's.
     """
     if isinstance(samples, PerturbationSet):
         matrix = samples.samples[1:]
     else:
         matrix = np.asarray(samples, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix[None, :]
     if matrix.shape[0] == 0:
         raise EmptySamplesError("conformance rate over zero samples is undefined")
     if schema is None:
@@ -183,6 +181,8 @@ def compute_aggregates(
     records: Sequence[InstanceRun], feature_names: Sequence[str]
 ) -> dict:
     """Aggregate per-run metrics; pure so reports can be re-derived."""
+    if not records:
+        raise EmptySamplesError("aggregates over zero runs are undefined")
     modes = {VANILLA: lambda r: r.vanilla, PROCESS_AWARE: lambda r: r.process_aware}
     feature_stats: dict[str, dict[str, dict[str, float]]] = {}
     rank_by_mean: dict[str, dict[str, int]] = {}

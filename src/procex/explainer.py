@@ -123,8 +123,11 @@ class ExplainConfig:
             raise ConfigError(f"flip_p must lie in [0, 1], got {self.flip_p}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.kernel_width is not None and not self.kernel_width > 0:
-            raise ConfigError(f"kernel_width must be positive, got {self.kernel_width}")
+        width = self.kernel_width
+        if width is not None and not (math.isfinite(width) and width > 0):
+            raise ConfigError(f"kernel_width must be a finite positive number, got {width}")
+        if width is not None and width * width == 0:
+            raise ConfigError(f"kernel_width {width} is too small: its square underflows to 0")
         if self.collapse_derived and self.mode != PROCESS_AWARE:
             raise ConfigError("collapse_derived applies to process_aware mode only")
 
@@ -187,7 +190,8 @@ def _sample_builder(
     numeric = schema.features[: len(schema.numeric_indices)]
     m = len(numeric)
     normals = rng.standard_normal((n, m)).T
-    sigma = spread * scaler.std[:m]
+    with np.errstate(over="ignore"):  # an infinite sigma clamps samples to a bound
+        sigma = spread * scaler.std[:m]
     lower = np.array([-np.inf if f.lower is None else f.lower for f in numeric])
     upper = np.array([np.inf if f.upper is None else f.upper for f in numeric])
     if defn is None:
@@ -198,8 +202,9 @@ def _sample_builder(
     def build(instance: np.ndarray) -> np.ndarray:
         block = _sample_block(instance, n)
         rows = block[:m, 1:]
-        np.multiply(normals, sigma[:, None], out=rows)
-        rows += block[:m, :1]
+        with np.errstate(over="ignore"):  # an infinite sample clamps to a bound
+            np.multiply(normals, sigma[:, None], out=rows)
+            rows += block[:m, :1]
         np.clip(rows, lower[:, None], upper[:, None], out=rows)
         indicators = block[m:, 1:]
         if defn is None:
@@ -318,7 +323,8 @@ def _kernel(center: np.ndarray, standardized: np.ndarray, width: float) -> np.nd
         delta *= delta
         sq_dist += delta
     np.negative(sq_dist, out=sq_dist)
-    sq_dist /= width * width
+    with np.errstate(over="ignore"):  # a distance past the float range weighs 0
+        sq_dist /= width * width
     return np.exp(sq_dist, out=sq_dist)
 
 
@@ -478,17 +484,12 @@ def _explain(
     width = config.resolved_width(schema.arity)
     weights = _kernel(standardized[0], standardized, width)
 
-    if config.collapse_derived:
-        columns = schema.numeric_indices
-    else:
-        columns = np.arange(schema.arity)
-    # Numeric features lead the schema, so either column set is a prefix.
-    coef, intercept, fidelity = _fit(
-        augmented[:, : len(columns) + 1], predictions, weights, config.ridge
-    )
+    # Numeric features lead the schema, so the fitted columns are a prefix.
+    m = len(schema.numeric_indices) if config.collapse_derived else schema.arity
+    coef, intercept, fidelity = _fit(augmented[:, : m + 1], predictions, weights, config.ridge)
 
     std_weights = np.zeros(schema.arity)
-    std_weights[columns] = coef
+    std_weights[:m] = coef
     raw_weights = std_weights / scaler.scale
     order = sorted(
         range(schema.arity),

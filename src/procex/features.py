@@ -209,7 +209,7 @@ def split_vector(
         raise SchemaMismatchError(
             f"vector of shape {vector.shape} does not fit schema arity {schema.arity}"
         )
-    activities = tuple(schema.names[i] for i in schema.binary_indices)
+    activities = schema.names[len(schema.numeric_indices):]
     columns, indicators = split_columns(schema, vector[None, :], activities)
     attrs = {name: float(column[0]) for name, column in columns.items()}
     return attrs, dict(zip(activities, indicators[0].tolist()))
@@ -220,30 +220,25 @@ def split_columns(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Split a matrix of feature rows into columns.
 
-    Returns the attribute columns by name, and a 0/1 indicator matrix with
-    one column per name in ``activities`` (cells rounded to the nearest
-    integer, non-zero meaning present; a non-finite cell is refused).
+    ``activities`` must be the schema's activity names in schema order (a
+    definition's ``activity_names``). Returns the attribute columns by name,
+    and the 0/1 indicator matrix, the schema's binary slice with cells
+    rounded to the nearest integer, non-zero meaning present; a non-finite
+    cell is refused.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != schema.arity:
         raise SchemaMismatchError(
             f"matrix of shape {matrix.shape} does not fit schema arity {schema.arity}"
         )
-    binary = {schema.names[i] for i in schema.binary_indices}
-    if binary != set(activities):
+    m = len(schema.numeric_indices)
+    if tuple(activities) != schema.names[m:]:
         raise SchemaMismatchError(
-            f"indicator keys do not match declared activities "
-            f"(missing {sorted(set(activities) - binary)}, "
-            f"unexpected {sorted(binary - set(activities))})"
+            f"indicator keys {list(activities)} are not the schema's activities "
+            f"in schema order, {list(schema.names[m:])}"
         )
-    columns = {schema.names[i]: matrix[:, i] for i in schema.numeric_indices}
-    index = [schema.index(name) for name in activities]
-    start = index[0] if index else 0
-    # Activities in schema order, as every caller passes them, are a slice.
-    if index == list(range(start, start + len(index))):
-        block = matrix[:, start : start + len(index)]
-    else:
-        block = matrix[:, index]
+    columns = {schema.names[i]: matrix[:, i] for i in range(m)}
+    block = matrix[:, m:]
     finite = np.isfinite(block)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

@@ -6,10 +6,11 @@ executor the explainer also uses, :func:`~procex.process_model.execute_rows`.
 Reproducibility contract: cases are drawn in chunks of :data:`CHUNK`, and
 chunk ``k`` has its own RNG substream built as
 ``SeedSequence(entropy=seed, spawn_key=(k,))`` feeding a PCG64 generator,
-which draws one ``(CHUNK, A + C + 1)`` matrix of uniform variates (``A``
-attributes, ``C`` choice gateways). Case ``i`` reads row ``i % CHUNK`` of
-chunk ``i // CHUNK``. Every chunk is drawn in full and then truncated, so
-case ``i`` is byte-identical no matter how many cases surround it. A case
+which draws a ``(CHUNK, A + C + 1)`` matrix of uniform variates (``A``
+attributes, ``C`` choice gateways) straight into its rows of one block.
+Case ``i`` reads row ``i % CHUNK`` of chunk ``i // CHUNK``. A last chunk of
+fewer rows draws a prefix of its stream, so case ``i`` is byte-identical no
+matter how many cases surround it. A case
 reads its row as one variate per attribute in lexicographic name order, then
 one per choice gateway on the case's path in path order, then one for label
 noise; a shorter path leaves the last columns unread.
@@ -244,14 +245,14 @@ CHUNK = 1024
 
 
 def _uniform_rows(seed: int, n: int, width: int) -> np.ndarray:
-    """Rows ``0..n-1`` of the chunked variate stream, shape ``(n, width)``."""
-    chunks = [
-        np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-        ).random((CHUNK, width))
-        for k in range(-(-n // CHUNK))
-    ]
-    return np.concatenate(chunks)[:n] if chunks else np.empty((0, width))
+    """Rows ``0..n-1`` of the chunked variate stream, shape ``(n, width)``,
+    each chunk drawn into its rows of one block; the last chunk draws only
+    the rows it needs, a prefix of its full chunk's stream."""
+    rows = np.empty((n, width))
+    for k, start in enumerate(range(0, n, CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        rng.random(out=rows[start : start + CHUNK])
+    return rows
 
 
 def _run(
@@ -403,6 +404,9 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
 _NUMBERS = frozenset({int, float})
 """The types ``json`` decodes a number to; ``bool`` is not among them."""
 
+_NAMES = frozenset({str})
+"""The type ``json`` decodes a string to."""
+
 _KEYS = ("case_id", "attrs", "activities", "label")
 """The keys of a log line's object, in the order the writer writes them."""
 
@@ -413,26 +417,18 @@ def _records(lines: Iterable[str],
     ``(case_id, attrs, activities, label)``, checked when it is reached,
     numbering ``lines`` from ``start``.
 
-    ``attrs`` is the decoded object, every value a finite JSON number; cases
-    that take the same path share one activity tuple. Lines are decoded with
-    ``raw_decode``; a line it refuses is handed to ``json.loads``, so the
-    message is json's own.
+    Each line is parsed once, by ``json.loads``, so a line that is not one
+    JSON value carries json's own message. ``attrs`` is the decoded object,
+    every value a finite JSON number; ``activities`` is a tuple of names.
     """
-    decode = json.JSONDecoder().raw_decode
-    paths: dict[tuple, tuple[str, ...]] = {}
     for line_no, line in enumerate(lines, start=start):
         line = line.strip()
         if not line:
             continue
         try:
-            record, end = decode(line)
-        except (json.JSONDecodeError, RecursionError):
-            end = None
-        if end != len(line):  # json.loads raises with json's own message
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
         try:
             case_id = record["case_id"]
             attrs = record["attrs"]
@@ -470,17 +466,9 @@ def _records(lines: Iterable[str],
             numbers = False
         if not numbers:  # a string, a bool, null, a list or an object
             raise MalformedLogError(f"line {line_no}: 'attrs' is not an object of numbers")
-        # None, for a value that is not a list, is never a key of paths.
-        key = tuple(activities) if isinstance(activities, list) else None
-        try:
-            activities = paths[key]
-        except (KeyError, TypeError):  # a new path, or an unhashable item
-            if key is None or not all(isinstance(a, str) for a in key):
-                raise MalformedLogError(
-                    f"line {line_no}: 'activities' is not a list of names"
-                ) from None
-            activities = paths[key] = key
-        yield case_id, attrs, activities, label
+        if not (isinstance(activities, list) and _NAMES.issuperset(map(type, activities))):
+            raise MalformedLogError(f"line {line_no}: 'activities' is not a list of names")
+        yield case_id, attrs, tuple(activities), label
 
 
 # What the writer writes: numbers with a fraction or an exponent, which

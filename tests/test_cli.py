@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1030,15 +1031,16 @@ def test_chain_past_the_recursion_limit_runs_reject(run, tmp_path):
     assert json.loads(out)["aggregates"]["mean_conformance"]["process_aware"] == 1.0
 
 
-def run_in_subprocess(*argv):
-    """Run the CLI in a new interpreter, where numpy warnings reach stderr."""
+def run_in_subprocess(*argv, flags=()):
+    """Run the CLI in a new interpreter, with these interpreter ``flags``,
+    where numpy warnings reach stderr."""
     src = str(Path(procex.__file__).resolve().parents[1])
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
     return subprocess.run(
-        [sys.executable, "-m", "procex.cli", *argv],
+        [sys.executable, *flags, "-m", "procex.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -1062,6 +1064,29 @@ def test_process_without_features_fails_before_sampling(run, tmp_path):
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr == NO_FEATURES_ERROR + "\n"
+
+
+@pytest.mark.parametrize("setting", [
+    ("--width", "1e-200"), ("--width", "1e-160"), ("--width", "1e300"),
+    ("--spread", "1e308"), ("--spread", "1e306"), ("--spread", "1e-300"), ("--ridge", "1e308"),
+    ("--flip-p", "0"), ("--flip-p", "1"), ("--samples", "1"),
+], ids=" ".join)
+def test_extreme_explain_settings_leak_no_warning(workspace, setting):
+    """With RuntimeWarnings as errors, as the tests run in-process, an
+    extreme finite setting explains or fails in one `Name: message` line."""
+    result = run_in_subprocess(
+        "-q", "explain", LOAN, "--model", str(workspace["model"]),
+        "--attrs", "credit_score=580,loan_amount=300000", "--mode", "process-aware",
+        *setting, flags=("-W", "error::RuntimeWarning"),
+    )
+    if result.returncode == 0:
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["mode"] == PROCESS_AWARE
+    else:
+        assert result.returncode == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert re.fullmatch(r"[A-Z]\w*Error: \S.*", line), result.stderr
 
 
 def test_log_value_whose_square_overflows_is_refused(run, tmp_path):

@@ -80,8 +80,10 @@ class TestConformanceRate:
         )
         assert conformance_rate(loan, matrix, loan_schema) == 0.5
 
-    def test_single_vector_is_accepted(self, loan, loan_schema):
-        assert conformance_rate(loan, SKILLED_VEC, loan_schema) == 1.0
+    def test_single_vector_is_refused(self, loan, loan_schema):
+        with pytest.raises(SchemaMismatchError, match=r"shape \(5,\)"):
+            conformance_rate(loan, SKILLED_VEC, loan_schema)
+        assert conformance_rate(loan, np.array([SKILLED_VEC]), loan_schema) == 1.0
 
     def test_perturbation_set_skips_the_instance_row(self, loan, loan_model):
         _, pert = explain_detailed(
@@ -215,6 +217,10 @@ class TestRunComparison:
     def test_aggregates_are_recomputable(self, report, loan_schema):
         again = compute_aggregates(report.records, loan_schema.names)
         assert again == report.aggregates
+
+    def test_aggregates_over_no_runs_raise(self, loan_schema):
+        with pytest.raises(EmptySamplesError, match="zero runs"):
+            compute_aggregates([], loan_schema.names)
 
     def test_rank_table_is_a_permutation(self, report, loan_schema):
         for mode in (VANILLA, PROCESS_AWARE):

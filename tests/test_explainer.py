@@ -339,11 +339,16 @@ class TestExplainConfig:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             ExplainConfig(seed=-1)
 
-    @pytest.mark.parametrize("name", ["spread", "ridge"])
+    @pytest.mark.parametrize("name", ["spread", "ridge", "kernel_width"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_numbers(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be a finite"):
             ExplainConfig(**{name: value})
+
+    def test_rejects_a_width_whose_square_underflows(self):
+        with pytest.raises(ConfigError, match="its square underflows to 0"):
+            ExplainConfig(kernel_width=1e-200)
+        assert ExplainConfig(kernel_width=1e-160).kernel_width == 1e-160
 
 
 class TestExplain:

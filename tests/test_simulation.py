@@ -120,6 +120,18 @@ class TestGenerateLog:
         for n in (0, 50, 1023, 1024, 1025, 2049):
             assert generate_log(loan, SimulationConfig(n_cases=n, seed=5)).traces == full[:n]
 
+    def test_variates_are_drawn_into_one_block(self):
+        """Each chunk draws into its rows of the result, so the traced peak
+        of 50000 cases' variates stays under 1.5x the result's bytes."""
+        tracemalloc.start()
+        try:
+            rows = simulation._uniform_rows(5, 50000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (50000, 5)
+        assert peak < 1.5 * rows.nbytes, (peak, rows.nbytes)
+
     def test_different_seeds_differ(self, loan):
         a = generate_log(loan, SimulationConfig(n_cases=20, seed=0))
         b = generate_log(loan, SimulationConfig(n_cases=20, seed=1))
