@@ -75,6 +75,9 @@ def _name_list(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise argparse.ArgumentTypeError("at least one name is required")
+    for name in names:
+        if names.count(name) > 1:
+            raise argparse.ArgumentTypeError(f"name {name!r} is given more than once")
     return names
 
 

@@ -36,7 +36,7 @@ from .explainer import (
 from .features import _encode, build_schema, split_columns
 from .jsontext import _json_text
 from .predictor import LogisticModel
-from .process_model import NEGATIVE, ProcessDefinition, conformant_rows
+from .process_model import LABELS, NEGATIVE, ProcessDefinition, conformant_rows
 from .simulation import EventLog
 
 __all__ = [
@@ -116,6 +116,10 @@ class ComparisonConfig:
             raise ConfigError("at least one seed is required")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
+        if self.select_label not in LABELS:
+            raise ConfigError(
+                f"select_label {self.select_label!r} is neither POSITIVE nor NEGATIVE"
+            )
         for seed in self.seeds:  # checks each seed and the shared settings
             self.explain_config(PROCESS_AWARE, seed)
 
@@ -243,11 +247,16 @@ def run_comparison(
 
     Instances are the first ``n_instances`` traces matching the selection
     (fewer if the log runs out; zero matches raise
-    ``NoMatchingInstancesError``). Runs are ordered instance-major,
+    ``NoMatchingInstancesError``, an activity the process does not declare
+    ``ConfigError``). Runs are ordered instance-major,
     seed-minor, and the whole report is deterministic.
     """
     schema = model.schema
     schema.check_definition(defn)
+    if config.require_activity not in (None, *defn.activity_names):
+        raise ConfigError(
+            f"require_activity {config.require_activity!r} is not an activity of {defn.name!r}"
+        )
     instances = _select_instances(log, config)
     vectors = [_checked_instance(schema, defn, v) for v in _encode(schema, instances)]
     if config.top_k > schema.arity:

@@ -92,6 +92,16 @@ REJECT = "reject"
 REJECT_BUDGET_FACTOR = 100
 
 
+def _checked_width(width: float) -> float:
+    """``width`` if the kernel can divide by its square: finite, positive,
+    and not so small that its square underflows to 0."""
+    if not (math.isfinite(width) and width > 0):
+        raise ConfigError(f"kernel_width must be a finite positive number, got {width}")
+    if width * width == 0:
+        raise ConfigError(f"kernel_width {width} is too small: its square underflows to 0")
+    return width
+
+
 @dataclass(frozen=True)
 class ExplainConfig:
     """Everything that parameterizes one explanation run."""
@@ -123,11 +133,8 @@ class ExplainConfig:
             raise ConfigError(f"flip_p must lie in [0, 1], got {self.flip_p}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        width = self.kernel_width
-        if width is not None and not (math.isfinite(width) and width > 0):
-            raise ConfigError(f"kernel_width must be a finite positive number, got {width}")
-        if width is not None and width * width == 0:
-            raise ConfigError(f"kernel_width {width} is too small: its square underflows to 0")
+        if self.kernel_width is not None:
+            _checked_width(self.kernel_width)
         if self.collapse_derived and self.mode != PROCESS_AWARE:
             raise ConfigError("collapse_derived applies to process_aware mode only")
 
@@ -334,8 +341,9 @@ def kernel_weights(
     scaler: Scaler,
     width: float,
 ) -> np.ndarray:
-    """Exponential kernel ``exp(-d^2 / width^2)`` on standardized distance."""
-    return _kernel(scaler.apply(instance), scaler.apply(samples), width)
+    """Exponential kernel ``exp(-d^2 / width^2)`` on standardized distance;
+    a width :class:`ExplainConfig` refuses is refused with ``ConfigError``."""
+    return _kernel(scaler.apply(instance), scaler.apply(samples), _checked_width(width))
 
 
 def _fit(

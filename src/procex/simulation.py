@@ -27,9 +27,11 @@ each distinct path, label and attribute name is encoded once per log, and
 per line only the case id and each value's ``float.__repr__`` are formatted.
 The reader reads every log, a file or a stream, once: one pattern match
 splits the lines in that layout into columns, and from the first line it
-cannot take, the one line validator, :func:`_records`, reads the rest. The
-validator refuses what :meth:`EventLog.from_records` refuses and a
-non-number value.
+cannot take, the one line validator, :func:`_records`, reads the rest.
+One check, :func:`_checked_case`, holds the rule for a case's fields, for
+the validator and :meth:`EventLog.from_records` alike: a record is refused
+exactly when its ``json.dumps`` line is, with the same message after the
+location.
 
 ``is_conformant`` checks one case with the batch oracle
 :func:`~procex.process_model.conformant_rows`, one forward pass over the
@@ -47,6 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -152,54 +155,17 @@ class EventLog:
     @staticmethod
     def from_records(process_name: str, records: Iterable[Sequence]) -> "EventLog":
         """The log of ``(case_id, attrs, activities, label)`` records, such as
-        :class:`Trace`\\ s. Raises, for the first record that holds one, what
-        the reader would refuse: a ``MalformedLogError`` for a case id, an
-        attribute name or an activity that is not a string, ``attrs`` that is
-        not a mapping, ``activities`` that is not a list or tuple, or a value
-        that is not a finite number, a ``BadLabelError`` for a label outside
-        ``LABELS``.
+        :class:`Trace`\\ s. Each record goes through the one case check the
+        line validator uses, :func:`_checked_case`, so a record is refused
+        exactly when its ``json.dumps`` line would be, with the same message
+        after the location: ``case 'X'``, or ``trace N (case X)`` for a case
+        id that is not a string.
         """
-        def checked() -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
-            for number, (case_id, attrs, activities, label) in enumerate(records, start=1):
-                if not isinstance(case_id, str):
-                    raise MalformedLogError(
-                        f"trace {number} (case {case_id!r}): 'case_id' is "
-                        f"{type(case_id).__name__}, not a string"
-                    )
-                if not isinstance(attrs, Mapping):
-                    raise MalformedLogError(
-                        f"case {case_id!r}: 'attrs' is {type(attrs).__name__}, not a mapping"
-                    )
-                for name in attrs:
-                    if not isinstance(name, str):
-                        raise MalformedLogError(
-                            f"case {case_id!r}: attribute name {name!r} is not a string"
-                        )
-                row = {}
-                for name, value in sorted(attrs.items()):
-                    try:
-                        row[name] = float(value)
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        raise MalformedLogError(
-                            f"case {case_id!r}: attribute {name!r} is not a number ({exc})"
-                        ) from None
-                    if not math.isfinite(row[name]):
-                        raise MalformedLogError(
-                            f"case {case_id!r}: attribute {name!r} is {row[name]}, "
-                            "not a finite number"
-                        )
-                if not (isinstance(activities, (list, tuple))
-                        and all(isinstance(a, str) for a in activities)):
-                    raise MalformedLogError(
-                        f"case {case_id!r}: 'activities' is not a list of names"
-                    )
-                if label not in LABELS:
-                    raise BadLabelError(
-                        f"case {case_id!r}: label {label!r} is neither POSITIVE nor NEGATIVE"
-                    )
-                yield case_id, row, tuple(activities), label
-
-        return _columns(process_name, checked())
+        return _columns(process_name, (
+            _checked_case(f"case {case_id!r}" if isinstance(case_id, str)
+                          else f"trace {number} (case {case_id!r})", case_id, *rest)
+            for number, (case_id, *rest) in enumerate(records, start=1)
+        ))
 
     def take(self, rows: Sequence[int] | np.ndarray) -> "EventLog":
         """The cases at ``rows``, in that order, under the same name."""
@@ -221,13 +187,49 @@ class EventLog:
         )
 
 
+def _checked_case(where: str, case_id, attrs, activities,
+                  label) -> tuple[str, Mapping, tuple[str, ...], str]:
+    """The one rule for a case's fields, from a record or a log line: the
+    case as :func:`_columns` takes it, or the first refusal in field order,
+    its message after the location ``where``. A value is a finite real
+    number, numpy scalars too, but not a ``bool``."""
+    if not isinstance(case_id, str):
+        raise MalformedLogError(f"{where}: 'case_id' is {type(case_id).__name__}, not a string")
+    # The exact types first: an ABC's isinstance check costs more than the rest.
+    if not isinstance(attrs, (dict, Mapping)):
+        raise MalformedLogError(f"{where}: 'attrs' is {type(attrs).__name__}, not a mapping")
+    for name, value in attrs.items():
+        if not isinstance(name, str):
+            raise MalformedLogError(f"{where}: attribute name {name!r} is not a string")
+        if isinstance(value, bool) or not isinstance(value, (float, Real)):
+            raise MalformedLogError(
+                f"{where}: attribute {name!r} is {type(value).__name__}, not a number"
+            )
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite, value = False, math.inf if value > 0 else -math.inf
+        if not finite:
+            raise MalformedLogError(f"{where}: attribute {name!r} is {value}, not a finite number")
+    if not isinstance(activities, (list, tuple)):
+        raise MalformedLogError(
+            f"{where}: 'activities' is {type(activities).__name__}, not a list"
+        )
+    for activity in activities:
+        if not isinstance(activity, str):
+            raise MalformedLogError(f"{where}: activity {activity!r} is not a string")
+    if label not in LABELS:
+        raise BadLabelError(f"{where}: label {label!r} is neither POSITIVE nor NEGATIVE")
+    return case_id, attrs, tuple(activities), label
+
+
 def _columns(process_name: str, records: Iterable[tuple]) -> EventLog:
     """The log of checked ``(case_id, attrs, activities, label)`` records,
-    ``attrs`` holding finite numbers by name."""
+    ``attrs`` mapping names to finite numbers."""
     case_ids, rows, paths, labels = tuple(zip(*records)) or ((),) * 4
     names = tuple(sorted(set().union(*rows)))
     column = {name: j for j, name in enumerate(names)}
-    cells = np.fromiter(chain.from_iterable(map(dict.values, rows)), float)
+    cells = np.fromiter(chain.from_iterable(row.values() for row in rows), float)
     columns = np.fromiter(map(column.__getitem__, chain.from_iterable(rows)), np.intp)
     values = np.full((len(rows), len(names)), np.nan)
     values[np.repeat(np.arange(len(rows)), list(map(len, rows))), columns] = cells
@@ -401,25 +403,21 @@ def write_log_jsonl(log: EventLog, path: str | Path) -> None:
             ]))
 
 
-_NUMBERS = frozenset({int, float})
-"""The types ``json`` decodes a number to; ``bool`` is not among them."""
-
-_NAMES = frozenset({str})
-"""The type ``json`` decodes a string to."""
-
 _KEYS = ("case_id", "attrs", "activities", "label")
 """The keys of a log line's object, in the order the writer writes them."""
 
 
 def _records(lines: Iterable[str],
              start: int = 1) -> Iterator[tuple[str, dict, tuple[str, ...], str]]:
-    """The one line validator: yield each non-blank line's record as
+    """The one line validator: yield each non-blank line's case as
     ``(case_id, attrs, activities, label)``, checked when it is reached,
     numbering ``lines`` from ``start``.
 
-    Each line is parsed once, by ``json.loads``, so a line that is not one
-    JSON value carries json's own message. ``attrs`` is the decoded object,
-    every value a finite JSON number; ``activities`` is a tuple of names.
+    What belongs to JSON is checked here: each line is parsed once, by
+    ``json.loads``, so a line that is not one JSON value carries json's own
+    message, and it must be an object with the four keys. Their values go
+    through :func:`_checked_case`, the check :meth:`EventLog.from_records`
+    makes, so a line is refused exactly when its record would be.
     """
     for line_no, line in enumerate(lines, start=start):
         line = line.strip()
@@ -427,13 +425,10 @@ def _records(lines: Iterable[str],
             continue
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # also an int past int's digit limit
             raise MalformedLogError(f"line {line_no}: not JSON ({exc})") from None
         try:
-            case_id = record["case_id"]
-            attrs = record["attrs"]
-            activities = record["activities"]
-            label = record["label"]
+            case = record["case_id"], record["attrs"], record["activities"], record["label"]
         except (KeyError, TypeError):
             if not isinstance(record, dict):
                 raise MalformedLogError(
@@ -444,31 +439,7 @@ def _records(lines: Iterable[str],
             raise MalformedLogError(
                 f"line {line_no}: missing field(s) {', '.join(map(repr, missing))}"
             ) from None
-        if not isinstance(case_id, str):
-            raise MalformedLogError(
-                f"line {line_no}: 'case_id' is {json.dumps(case_id)}, not a string"
-            )
-        if label not in LABELS:
-            raise BadLabelError(
-                f"line {line_no}: label {label!r} is neither POSITIVE nor NEGATIVE"
-            )
-        try:
-            values = list(map(float, attrs.values()))
-            if not math.isfinite(sum(values)):  # a NaN, an infinity, or a sum that overflows
-                for name, value in sorted(zip(attrs, values)):
-                    if not math.isfinite(value):
-                        raise MalformedLogError(
-                            f"line {line_no}: attribute {name!r} is {value}, "
-                            "not a finite number"
-                        )
-            numbers = _NUMBERS.issuperset(map(type, attrs.values()))
-        except (AttributeError, TypeError, ValueError, OverflowError):
-            numbers = False
-        if not numbers:  # a string, a bool, null, a list or an object
-            raise MalformedLogError(f"line {line_no}: 'attrs' is not an object of numbers")
-        if not (isinstance(activities, list) and _NAMES.issuperset(map(type, activities))):
-            raise MalformedLogError(f"line {line_no}: 'activities' is not a list of names")
-        yield case_id, attrs, tuple(activities), label
+        yield _checked_case(f"line {line_no}", *case)
 
 
 # What the writer writes: numbers with a fraction or an exponent, which
@@ -489,8 +460,8 @@ def _read_written(process_name: str, fh) -> EventLog:
     and this pattern change together."""
     first = fh.readline()
     try:
-        names = sorted(json.loads(first)["attrs"])
-    except (ValueError, LookupError, TypeError, RecursionError):
+        names = sorted(json.loads(first)["attrs"].keys())  # a list's items are no names
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
         names = []  # no pattern takes the first line: the validator says why
     attrs = "".join(f'(?:{re.escape(encode_basestring_ascii(n))}: {_NUMBER}(?:, (?=")|(?=}})))?'
                     for n in names)

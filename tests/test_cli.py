@@ -781,20 +781,6 @@ class TestExplain:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--attrs", "credit_score"], "argument --attrs: expected name=value, got 'credit_score'"),
-        (["--attrs", ","], "argument --attrs: at least one name=value pair is required"),
-        (["--attrs", "credit_score=600,loan_amount=1", "--samples", "0"],
-         "argument --samples: must be positive, got 0"),
-        (["--attrs", "credit_score=500,credit_score=600,loan_amount=1000"],
-         "argument --attrs: attribute 'credit_score' is given more than once"),
-    ])
-    def test_refused_arguments_usage_error(self, run, workspace, flags, message):
-        code, out, err = run("explain", LOAN, "--model", str(workspace["model"]),
-                             "--mode", "vanilla", *flags)
-        assert (code, out) == (2, "")
-        assert err.endswith(f"procex explain: error: {message}\n")
-
     def test_empty_attrs_item_is_skipped(self, run, workspace):
         argv = ["explain", LOAN, "--model", str(workspace["model"]), "--mode", "vanilla",
                 "--samples", "50"]
@@ -968,6 +954,21 @@ class TestEvaluate:
             )
             assert code == 2, seeds
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--label", "negative"], "select_label 'negative' is neither POSITIVE nor NEGATIVE"),
+        (["--require-activity", "skilled_review"],
+         "require_activity 'skilled_review' is not an activity of 'loan_approval'"),
+    ])
+    def test_refused_selection_names_the_setting(self, run, workspace, tmp_path, flags,
+                                                 message):
+        """Not a ``NoMatchingInstancesError``: no log could match them."""
+        report = tmp_path / "r.json"
+        code, out, err = run("evaluate", LOAN, "--model", str(workspace["model"]),
+                             "--log", str(workspace["log"]), "--instances", "1",
+                             "--seeds", "0", "--out", str(report), *flags)
+        assert (code, out, err) == (1, "", f"ConfigError: {message}\n")
+        assert not report.exists()
+
     def test_empty_seed_list_is_a_usage_error(self, run, workspace, tmp_path):
         code, out, err = run("evaluate", LOAN, "--model", str(workspace["model"]),
                              "--log", str(workspace["log"]), "--instances", "1",
@@ -975,6 +976,30 @@ class TestEvaluate:
         assert (code, out) == (2, "")
         assert err.endswith("procex evaluate: error: argument --seeds: "
                             "at least one seed is required\n")
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("explain", ["--attrs", "credit_score"],
+     "argument --attrs: expected name=value, got 'credit_score'"),
+    ("explain", ["--attrs", ","], "argument --attrs: at least one name=value pair is required"),
+    ("explain", ["--attrs", "credit_score=600,loan_amount=1", "--samples", "0"],
+     "argument --samples: must be positive, got 0"),
+    ("explain", ["--attrs", "credit_score=500,credit_score=600,loan_amount=1000"],
+     "argument --attrs: attribute 'credit_score' is given more than once"),
+    ("import", ["--attrs", "credit_score,loan_amount,credit_score"],
+     "argument --attrs: name 'credit_score' is given more than once"),
+])
+def test_refused_arguments_usage_error(run, workspace, tmp_path, command, flags, message):
+    csv_path, out_path = tmp_path / "events.csv", tmp_path / "log.jsonl"
+    csv_path.write_text(CSV_TEXT)
+    argv = {
+        "explain": ["explain", LOAN, "--model", str(workspace["model"]), "--mode", "vanilla"],
+        "import": ["import", "--csv", str(csv_path), "--label", "label", "--out", str(out_path)],
+    }[command]
+    code, out, err = run(*argv, *flags)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"procex {command}: error: {message}\n")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "explain", "evaluate"])

@@ -251,9 +251,19 @@ class TestRunComparison:
         assert 0 < len(result.config["selected_cases"]) < 10 ** 6
 
     def test_no_matching_instances(self, loan, loan_model, model_log):
-        config = ComparisonConfig(require_activity="escalate", n_samples=50)
+        positive = [i for i, label in enumerate(model_log.labels) if label == "POSITIVE"]
+        config = ComparisonConfig(n_samples=50)  # selects NEGATIVE cases
         with pytest.raises(NoMatchingInstancesError):
-            run_comparison(loan, loan_model, model_log, config)
+            run_comparison(loan, loan_model, model_log.take(positive), config)
+
+    def test_undeclared_activity_is_refused_before_selection(self, loan, loan_model, model_log):
+        """An empty log would raise ``NoMatchingInstancesError`` in selection."""
+        config = ComparisonConfig(require_activity="escalate", n_samples=50)
+        with pytest.raises(ConfigError) as exc:
+            run_comparison(loan, loan_model, model_log.take([]), config)
+        assert str(exc.value) == (
+            "require_activity 'escalate' is not an activity of 'loan_approval'"
+        )
 
     def test_non_finite_attribute_fails_before_any_draw(
         self, loan, loan_model, model_log, monkeypatch
@@ -296,6 +306,8 @@ class TestRunComparison:
             ComparisonConfig(ridge=float("nan"))
         with pytest.raises(ConfigError, match="spread"):
             ComparisonConfig(spread=-1.0)
+        with pytest.raises(ConfigError, match="select_label 'negative' is neither"):
+            ComparisonConfig(select_label="negative")
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_is_refused(self, top_k):
