@@ -40,7 +40,11 @@ step runs a whole feature at a time. The samplers return the block's
 transposed view: ``(n + 1, k)`` like any sample matrix, but Fortran-ordered.
 The block is standardized once, into a buffer that also holds the
 surrogate's intercept column; the predictions, the kernel distances and the
-surrogate design all read that one standardization. The public steps
+surrogate design all read that one standardization. The kernel squares the
+differences from the instance into a C-order ``(k, n + 1)`` scratch block
+and sums it with one ``np.add.reduce`` over its rows, which numpy adds one
+row after another: feature by feature in schema order, the bits of a loop
+over the features. The public steps
 (:func:`kernel_weights`, :func:`fit_surrogate`,
 :func:`~procex.predictor.predict_proba`) standardize for themselves and then
 run the same helpers, so composing them gives the same bits as
@@ -320,15 +324,19 @@ def _standardize(scaler: Scaler, samples: np.ndarray) -> np.ndarray:
 def _kernel(center: np.ndarray, standardized: np.ndarray, width: float) -> np.ndarray:
     """:func:`kernel_weights` on standardized rows and instance.
 
-    The squared distance is summed feature by feature in schema order, so it
-    has the same bits whatever the layout of ``standardized``.
+    The squared differences fill a C-order scratch block, one row per
+    feature, and one ``np.add.reduce`` over its rows sums them. numpy adds
+    the rows of such a block one after another, in schema order, so the
+    distance has the same bits whatever the layout of ``standardized``. A
+    lone sample gets a second, zero column: numpy sums an axis that is left
+    alone pairwise.
     """
-    sq_dist = np.zeros(len(standardized))
-    delta = np.empty(len(standardized))
-    for j, value in enumerate(center):
-        np.subtract(standardized[:, j], value, out=delta)
-        delta *= delta
-        sq_dist += delta
+    n = len(standardized)
+    scratch = np.zeros((len(center), 2)) if n == 1 else np.empty((len(center), n))
+    delta = scratch[:, :n]
+    np.subtract(standardized.T, center[:, None], out=delta)
+    np.multiply(delta, delta, out=delta)
+    sq_dist = np.add.reduce(scratch, axis=0)[:n]
     np.negative(sq_dist, out=sq_dist)
     with np.errstate(over="ignore"):  # a distance past the float range weighs 0
         sq_dist /= width * width

@@ -26,34 +26,56 @@ def _json_text(obj: object, indent: str = "\n") -> str:
     detected).
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, one generator
-    step per token; this writes each container by recursion and one
+    step per token; this writes each container with one loop and one
     ``str.join``, through the same string encoder and ``float.__repr__``.
-    ``indent`` is a newline and the enclosing level's spaces.
+    The loop writes a ``str``, ``float``, ``int``, ``bool`` or ``None`` of
+    exactly that type inline and anything else (a subclass such as
+    ``np.float64`` too) by recursion; a key is checked before its value, as
+    ``json`` does. ``indent`` is a newline and the enclosing level's spaces.
     """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        if text in _NONFINITE:
-            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
-        return text
+    mapping = isinstance(obj, dict)
+    if not mapping and not isinstance(obj, (list, tuple)):
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            text = float.__repr__(obj)
+            if text in _NONFINITE:
+                raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+            return text
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if mapping else "[]"
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
+    items: list[str] = []
+    append = items.append
+    head = ""
+    for key, value in obj.items() if mapping else enumerate(obj):
+        if mapping:
+            head = (encode_basestring_ascii(key) if type(key) is str else _json_key(key)) + ": "
+        kind = type(value)
+        if kind is str:
+            append(head + encode_basestring_ascii(value))
+        elif kind is float:
+            text = float.__repr__(value)
+            if text in _NONFINITE:
+                raise ValueError("Out of range float values are not JSON compliant: " + text)
+            append(head + text)
+        elif kind is int:
+            append(head + int.__repr__(value))
+        elif kind is bool:
+            append(head + ("true" if value else "false"))
+        elif value is None:
+            append(head + "null")
+        else:
+            append(head + _json_text(value, inner))
+    if mapping:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return "[" + inner + ("," + inner).join(items) + indent + "]"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 # numpy is imported inside the batch functions that use it: parsing,
 # validation and the causal graph run without it, and `validate` and
@@ -155,23 +155,41 @@ _CMP_FUNCS = {
 
 def eval_guard_batch(guard: GuardExpr, attrs: Mapping[str, np.ndarray]) -> np.ndarray:
     """One boolean per row of equal-length attribute columns. Every
-    comparison is evaluated; an absent attribute raises ``MissingAttributeError``."""
+    comparison is evaluated; an absent attribute raises ``MissingAttributeError``.
+
+    The guard is compiled by :func:`_compiled_guard` and the closure called;
+    the process folds call the closures their definition's step plan holds.
+    """
+    return _compiled_guard(guard)(attrs)
+
+
+def _compiled_guard(guard: GuardExpr) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+    """The guard as one closure over attribute columns: a comparison reads its
+    column, ``!``, ``&&`` and ``||`` combine their operands' results, left
+    operand first."""
     import numpy as np
     if isinstance(guard, Comparison):
-        try:
-            col = attrs[guard.attribute]
-        except KeyError:
-            raise MissingAttributeError(
-                f"guard references attribute {guard.attribute!r} "
-                "which is absent from the assignment"
-            ) from None
-        return _CMP_FUNCS[guard.op](np.asarray(col), guard.value)
+        name, compare, value = guard.attribute, _CMP_FUNCS[guard.op], guard.value
+        asarray = np.asarray
+
+        def comparison(attrs: Mapping[str, np.ndarray]) -> np.ndarray:
+            try:
+                col = attrs[name]
+            except KeyError:
+                raise MissingAttributeError(
+                    f"guard references attribute {name!r} which is absent from the assignment"
+                ) from None
+            return compare(asarray(col), value)
+
+        return comparison
     if isinstance(guard, Not):
-        return ~eval_guard_batch(guard.operand, attrs)
-    if isinstance(guard, And):
-        return eval_guard_batch(guard.left, attrs) & eval_guard_batch(guard.right, attrs)
-    if isinstance(guard, Or):
-        return eval_guard_batch(guard.left, attrs) | eval_guard_batch(guard.right, attrs)
+        operand = _compiled_guard(guard.operand)
+        return lambda attrs: ~operand(attrs)
+    if isinstance(guard, (And, Or)):
+        left, right = _compiled_guard(guard.left), _compiled_guard(guard.right)
+        if isinstance(guard, And):
+            return lambda attrs: left(attrs) & right(attrs)
+        return lambda attrs: left(attrs) | right(attrs)
     raise TypeError(f"not a guard expression: {guard!r}")
 
 
@@ -280,6 +298,30 @@ def node_successors(node: Node) -> tuple[str, ...]:
     raise TypeError(f"not a node: {node!r}")
 
 
+class _Step(NamedTuple):
+    """One node of a definition's step plan: the node's kind (its class),
+    its column in ``activity_names`` (-1 if not an activity), its successors
+    as positions in the plan (in :func:`node_successors` order), a choice
+    gateway's running sums of branch probabilities (all branches but the
+    last, which takes every row left) and an xor gateway's ``when`` guards,
+    each compiled once by :func:`_compiled_guard`."""
+
+    kind: type
+    column: int
+    successors: tuple[int, ...]
+    cumulative: tuple[float, ...]
+    guards: tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray], ...]
+
+
+class _StepPlan(NamedTuple):
+    """The steps in topological order, the start node's position, and each
+    end node's name and position in declaration order."""
+
+    steps: tuple[_Step, ...]
+    start: int
+    ends: tuple[tuple[str, int], ...]
+
+
 @dataclass(frozen=True)
 class ProcessDefinition:
     """A full process: attributes, a start edge, and the routing graph.
@@ -350,6 +392,32 @@ class ProcessDefinition:
             stuck = sorted(set(indeg) - set(order))
             raise CyclicGraphError(f"cycle through nodes {stuck}")
         return tuple(order)
+
+    @cached_property
+    def _step_plan(self) -> _StepPlan:
+        """The topological order as :func:`execute_rows`,
+        :func:`conformant_rows` and :func:`reachable_indicators` walk it,
+        built once per definition."""
+        order = self._topological_order
+        position = {name: i for i, name in enumerate(order)}
+        column = {name: j for j, name in enumerate(self.activity_names)}
+        steps = []
+        for name in order:
+            node = self._node_map[name]
+            cumulative: list[float] = []
+            guards: tuple = ()
+            if isinstance(node, ChoiceGateway):
+                total = 0.0
+                for branch in node.branches[:-1]:
+                    total += branch.probability
+                    cumulative.append(total)
+            elif isinstance(node, XorGateway):
+                guards = tuple(_compiled_guard(branch.guard) for branch in node.branches)
+            successors = tuple(position[succ] for succ in node_successors(node))
+            steps.append(_Step(type(node), column.get(name, -1), successors,
+                               tuple(cumulative), guards))
+        ends = tuple((end.name, position[end.name]) for end in self.end_nodes)
+        return _StepPlan(tuple(steps), position[self.start], ends)
 
 
 def topological_order(defn: ProcessDefinition) -> tuple[str, ...]:
@@ -899,14 +967,25 @@ def xor_branch_rows(
     every row is in exactly one mask.
     """
     import numpy as np
-    remaining = np.ones(n, dtype=bool)
-    rows = []
-    for branch in gateway.branches:
-        take = remaining & eval_guard_batch(branch.guard, attr_columns)
-        rows.append(take)
-        remaining ^= take
-    rows.append(remaining)
-    return rows
+    guards = [_compiled_guard(branch.guard) for branch in gateway.branches]
+    return _first_match(guards, attr_columns, np.ones(n, dtype=bool))
+
+
+def _first_match(
+    guards: tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray], ...],
+    attr_columns: Mapping[str, np.ndarray],
+    remaining: np.ndarray,
+) -> list[np.ndarray]:
+    """The rows of the mask ``remaining`` split among an xor's successors:
+    each to the first ``when`` whose compiled guard holds, the rest to
+    ``otherwise``. ``remaining`` is not written."""
+    routed = []
+    for guard in guards:
+        taken = remaining & guard(attr_columns)
+        routed.append(taken)
+        remaining = remaining ^ taken
+    routed.append(remaining)
+    return routed
 
 
 def execute_rows(
@@ -918,47 +997,61 @@ def execute_rows(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Execute the process on ``n`` cases at once; the only executor.
 
-    Xor gateways route by :func:`xor_branch_rows`. Each choice gateway, in
-    topological order, calls ``draw(arrived_mask)`` once and sends each
-    arrived row to the first branch whose cumulative probability exceeds the
-    row's entry of the result (the last branch if none does). Returns the
-    0/1 indicator matrix over ``defn.activity_names``, shape ``(n, A)``, and
-    each end node's arrival mask by name. The matrix is the transposed view
-    of feature-major ``(A, n)`` rows, one per activity; pass ``out`` to have
-    them written there (every row is overwritten).
+    One walk over the definition's step plan, built once per definition.
+    An xor gateway sends each arrived row to the first ``when`` whose guard
+    holds, else to ``otherwise``. Each choice gateway, in topological order,
+    calls ``draw(arrived_mask)`` once and sends each arrived row to the
+    first branch whose cumulative probability exceeds the row's entry of
+    the result (the last branch if none does). A node no row reaches is
+    skipped, but a choice gateway among them is still drawn, with an
+    all-False mask, so later draws never shift, and an activity among them
+    gets a row of zeros. Returns the 0/1 indicator matrix over
+    ``defn.activity_names``, shape ``(n, A)``, and each end node's arrival
+    mask by name. The matrix is the transposed view of feature-major
+    ``(A, n)`` rows, one per activity; pass ``out`` to have them written
+    there (every row is overwritten).
     """
     import numpy as np
-    arrivals: dict[str, np.ndarray] = {
-        node.name: np.zeros(n, dtype=bool) for node in defn.nodes
-    }
-    arrivals[defn.start][:] = True
-    col = {name: i for i, name in enumerate(defn.activity_names)}
+    plan = defn._step_plan
     if out is None:
-        out = np.empty((len(col), n))
-    for name in topological_order(defn):
-        node = defn.node(name)
-        mask = arrivals[name]
-        if isinstance(node, Activity):
-            # The order holds every node once, so each row is written once.
-            out[col[name]] = mask
-            arrivals[node.successor] |= mask
-        elif isinstance(node, XorGateway):
-            branch_rows = xor_branch_rows(node, attr_columns, n)
-            for target, rows in zip(node_successors(node), branch_rows):
-                arrivals[target] |= mask & rows
-        elif isinstance(node, ChoiceGateway):
-            u = draw(mask)
-            remaining = mask.copy()
-            cumulative = 0.0
-            for branch in node.branches:
-                cumulative += branch.probability
-                take = remaining & (u < cumulative)
-                arrivals[branch.target] |= take
-                remaining &= ~take
-            arrivals[node.branches[-1].target] |= remaining
-        elif not isinstance(node, EndNode):
-            raise TypeError(f"not a node: {node!r}")
-    return out.T, {end.name: arrivals[end.name] for end in defn.end_nodes}
+        out = np.empty((len(defn.activity_names), n))
+    # Each node's arrival mask; None while no row has arrived.
+    arrived: list[np.ndarray | None] = [None] * len(plan.steps)
+    arrived[plan.start] = np.ones(n, dtype=bool)
+    for mask, (kind, column, successors, cumulative, guards) in zip(arrived, plan.steps):
+        # The list iterator reads each entry when its step is reached, so it
+        # sees every row routed there by earlier steps.
+        if kind is ChoiceGateway:
+            u = draw(np.zeros(n, dtype=bool) if mask is None else mask)
+        if mask is None:
+            if kind is Activity:
+                out[column] = 0.0
+            continue
+        if kind is Activity:
+            # The plan holds every node once, so each row is written once.
+            out[column] = mask
+            routed = [mask]
+        elif kind is XorGateway:
+            routed = _first_match(guards, attr_columns, mask)
+        elif kind is ChoiceGateway:
+            routed = []
+            remaining = mask
+            for threshold in cumulative:
+                taken = remaining & (u < threshold)
+                routed.append(taken)
+                remaining = remaining ^ taken
+            routed.append(remaining)
+        else:
+            continue
+        for target, rows in zip(successors, routed):
+            # A node's own mask is never empty; only a split can give none.
+            if rows is mask or np.count_nonzero(rows):
+                held = arrived[target]
+                arrived[target] = rows if held is None else held | rows
+    return out.T, {
+        name: np.zeros(n, dtype=bool) if arrived[i] is None else arrived[i]
+        for name, i in plan.ends
+    }
 
 
 def conformant_rows(
@@ -971,51 +1064,54 @@ def conformant_rows(
 
     ``indicators`` has one row per case and one column per entry of
     ``defn.activity_names``; a non-zero cell means the activity occurred.
-    One pass over :func:`topological_order`, shaped like
-    :func:`execute_rows`, keeps for each node and row 0 if no path from the
-    start reaches it visiting only the row's present activities, else 1 plus
-    the most activities on such a path, in the smallest unsigned type that
-    holds 1 plus every activity. An activity adds 1 to the non-zero counts
-    of rows that have it and zeroes the others, an xor gateway passes each
-    row to the successor :func:`xor_branch_rows` gives it, a choice gateway
-    to every branch, and values meeting at a node take their maximum. A path
-    visits each activity at most once, so a row conforms iff the largest
-    value at an end node is 1 plus its number of present activities.
+    One walk over the step plan :func:`execute_rows` walks keeps for each
+    node and row 0 if no path from the start reaches it visiting only the
+    row's present activities, else 1 plus the most activities on such a
+    path, in the smallest unsigned type that holds 1 plus every activity.
+    An activity adds 1 to the non-zero counts of rows that have it and
+    zeroes the others, an xor gateway passes each row with a non-zero count
+    to the successor its guards pick, a choice gateway to every branch, and
+    values meeting at a node take their maximum. A node that no row is
+    passed to holds no counts and is skipped. A path visits each activity
+    at most once, so a row conforms iff the largest value at an end node is
+    1 plus its number of present activities.
     """
     import numpy as np
     present = np.asarray(indicators) != 0
     n = len(present)
-    col = {name: i for i, name in enumerate(defn.activity_names)}
-    dtype = np.min_scalar_type(len(col) + 1)
-    # No array held here is written in place, so nodes may share one.
-    unreached = np.zeros(n, dtype=dtype)
-    most = dict.fromkeys((node.name for node in defn.nodes), unreached)
-    most[defn.start] = np.ones(n, dtype=dtype)
-    best = unreached
-
-    def meet(held: np.ndarray, arriving: np.ndarray) -> np.ndarray:
-        # The first count to arrive is the maximum with the zeros.
-        return arriving if held is unreached else np.maximum(held, arriving)
-
-    for name in topological_order(defn):
-        node = defn.node(name)
+    plan = defn._step_plan
+    dtype = np.min_scalar_type(len(defn.activity_names) + 1)
+    # Each node's counts; None while nothing is passed to it. No array held
+    # here is written in place, so nodes may share one.
+    most: list[np.ndarray | None] = [None] * len(plan.steps)
+    most[plan.start] = np.ones(n, dtype=dtype)
+    best = None
+    for i, (kind, column, successors, _, guards) in enumerate(plan.steps):
+        count = most[i]
+        if count is None:
+            continue
         # Dropped once read, so only the nodes still to come hold an array.
-        count = most.pop(name)
-        if isinstance(node, Activity):
+        most[i] = None
+        if kind is Activity:
             passed = count + (count > 0)
-            passed *= present[:, col[name]]
-            most[node.successor] = meet(most[node.successor], passed)
-        elif isinstance(node, XorGateway):
-            branch_rows = xor_branch_rows(node, attr_columns, n)
-            for target, rows in zip(node_successors(node), branch_rows):
-                most[target] = meet(most[target], count * rows)
-        elif isinstance(node, ChoiceGateway):
-            for target in node_successors(node):
-                most[target] = meet(most[target], count)
-        elif isinstance(node, EndNode):
-            best = meet(best, count)
+            passed *= present[:, column]
+            routed = [(successors[0], passed)]
+        elif kind is XorGateway:
+            routed = [
+                (target, count * rows)
+                for target, rows in zip(successors, _first_match(guards, attr_columns, count > 0))
+                if np.count_nonzero(rows)
+            ]
+        elif kind is ChoiceGateway:
+            routed = [(target, count) for target in successors]
         else:
-            raise TypeError(f"not a node: {node!r}")
+            best = count if best is None else np.maximum(best, count)
+            continue
+        for target, arriving in routed:
+            held = most[target]
+            most[target] = arriving if held is None else np.maximum(held, arriving)
+    if best is None:
+        return np.zeros(n, dtype=bool)
     return best == 1 + present.sum(axis=1, dtype=dtype)
 
 
@@ -1029,30 +1125,29 @@ def reachable_indicators(
     remain free, so the result enumerates every root-to-end path the
     assignment permits. Vector positions follow ``defn.activity_names``.
 
-    A fold from the ends back keeps each node's path masks to an end (bit
-    ``i`` for activity ``i``): an end yields ``{0}``, an activity ORs its bit
-    into its successor's masks, an xor takes its guards' pick, and a choice
-    gateway unites its successors' sets.
+    A fold from the ends back over the step plan keeps each node's path
+    masks to an end (bit ``i`` for activity ``i``): an end yields ``{0}``,
+    an activity ORs its bit into its successor's masks, an xor takes its
+    guards' pick, and a choice gateway unites its successors' sets.
     """
     import numpy as np
     columns = {name: np.array([value]) for name, value in attrs.items()}
-    bit = {name: 1 << i for i, name in enumerate(defn.activity_names)}
-    masks: dict[str, frozenset[int]] = {}
-    for name in reversed(topological_order(defn)):
-        node = defn.node(name)
-        successors = node_successors(node)
-        if isinstance(node, EndNode):
-            masks[name] = frozenset({0})
-        elif isinstance(node, Activity):
-            masks[name] = frozenset(m | bit[name] for m in masks[node.successor])
-        elif isinstance(node, XorGateway):
-            taken = xor_branch_rows(node, columns, 1)
-            masks[name] = next(masks[t] for t, rows in zip(successors, taken) if rows[0])
+    plan = defn._step_plan
+    masks: list[frozenset[int]] = [frozenset()] * len(plan.steps)
+    for i in reversed(range(len(plan.steps))):
+        kind, column, successors, _, guards = plan.steps[i]
+        if kind is EndNode:
+            masks[i] = frozenset({0})
+        elif kind is Activity:
+            masks[i] = frozenset(m | 1 << column for m in masks[successors[0]])
+        elif kind is XorGateway:
+            taken = _first_match(guards, columns, np.ones(1, dtype=bool))
+            masks[i] = next(masks[t] for t, rows in zip(successors, taken) if rows[0])
         else:
-            masks[name] = frozenset.union(*(masks[s] for s in successors))
+            masks[i] = frozenset.union(*(masks[t] for t in successors))
     positions = range(len(defn.activity_names))
     return frozenset(
-        tuple(mask >> i & 1 for i in positions) for mask in masks[defn.start]
+        tuple(mask >> i & 1 for i in positions) for mask in masks[plan.start]
     )
 
 

@@ -155,16 +155,16 @@ class EventLog:
     @staticmethod
     def from_records(process_name: str, records: Iterable[Sequence]) -> "EventLog":
         """The log of ``(case_id, attrs, activities, label)`` records, such as
-        :class:`Trace`\\ s. Each record goes through the one case check the
-        line validator uses, :func:`_checked_case`, so a record is refused
-        exactly when its ``json.dumps`` line would be, with the same message
-        after the location: ``case 'X'``, or ``trace N (case X)`` for a case
-        id that is not a string.
+        :class:`Trace`\\ s. A record that is not a sequence of four fields is
+        refused as ``trace N``, counting from 1. Each record's fields go
+        through the one case check the line validator uses,
+        :func:`_checked_case`, so a record is refused exactly when its
+        ``json.dumps`` line would be, with the same message after the
+        location: ``case 'X'``, or ``trace N (case X)`` for a case id that is
+        not a string.
         """
         return _columns(process_name, (
-            _checked_case(f"case {case_id!r}" if isinstance(case_id, str)
-                          else f"trace {number} (case {case_id!r})", case_id, *rest)
-            for number, (case_id, *rest) in enumerate(records, start=1)
+            _checked_record(number, record) for number, record in enumerate(records, start=1)
         ))
 
     def take(self, rows: Sequence[int] | np.ndarray) -> "EventLog":
@@ -185,6 +185,22 @@ class EventLog:
                   self.paths[k], label)
             for case_id, row, k, label in zip(self.case_ids, *columns, self.labels)
         )
+
+
+def _checked_record(number: int, record) -> tuple[str, Mapping, tuple[str, ...], str]:
+    """Record ``number`` of :meth:`EventLog.from_records`: four fields, then
+    the fields as :func:`_checked_case` checks them."""
+    # The exact types first: an ABC's isinstance check costs more than the rest.
+    if not isinstance(record, (tuple, list, Sequence)):
+        raise MalformedLogError(
+            f"trace {number}: expected a sequence of 4 fields, got {type(record).__name__}"
+        )
+    if len(record) != 4:
+        raise MalformedLogError(f"trace {number}: expected 4 fields, got {len(record)}")
+    case_id = record[0]
+    where = (f"case {case_id!r}" if isinstance(case_id, str)
+             else f"trace {number} (case {case_id!r})")
+    return _checked_case(where, *record)
 
 
 def _checked_case(where: str, case_id, attrs, activities,

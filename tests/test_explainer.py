@@ -18,6 +18,7 @@ from procex.explainer import (
     REJECT,
     VANILLA,
     ExplainConfig,
+    _kernel,
     explain,
     explain_detailed,
     fit_surrogate,
@@ -25,12 +26,37 @@ from procex.explainer import (
     sample_process_aware,
     sample_vanilla,
 )
-from procex.features import build_schema, encode_trace, split_vector
+from procex.features import (
+    build_schema,
+    encode_log,
+    encode_trace,
+    scaler_from_matrix,
+    split_vector,
+)
 from procex.predictor import TrainConfig, predict_proba, train
-from procex.process_model import execute_rows, parse_process
+from procex.process_model import (
+    Activity,
+    ChoiceGateway,
+    EndNode,
+    XorGateway,
+    execute_rows,
+    parse_process,
+    topological_order,
+)
 from procex.simulation import SimulationConfig, Trace, generate_log, is_conformant
 
-from procgen import NO_ATTRIBUTES, REJOINING
+from procgen import CHAIN, NO_ATTRIBUTES, REJOINING, _xor_target
+
+# The choice gateway ``c`` is behind the xor's ``otherwise``: rows with
+# ``a < 5`` never reach it.
+UNREACHABLE_CHOICE = parse_process(
+    "process p\nattr a: numeric in [0, 10]\nstart -> g\n"
+    "gateway g { when a < 5 -> x otherwise -> c }\n"
+    "activity x -> fin\n"
+    "gateway c choice { 0.5 -> y 0.5 -> z }\n"
+    "activity y -> fin2\nactivity z -> fin3\n"
+    "end fin label POSITIVE\nend fin2 label POSITIVE\nend fin3 label NEGATIVE\n"
+)
 
 SKILLED_VEC = np.array([580.0, 300000.0, 1.0, 0.0, 1.0])
 STANDARD_VEC = np.array([700.0, 50000.0, 0.0, 1.0, 1.0])
@@ -165,15 +191,7 @@ class TestPropagate:
     def test_choice_gateway_draws_are_positional(self):
         # A choice gateway behind an unreachable branch still consumes its
         # uniform vector, so indicator streams never shift.
-        text = (
-            "process p\nattr a: numeric in [0, 10]\nstart -> g\n"
-            "gateway g { when a < 5 -> x otherwise -> c }\n"
-            "activity x -> fin\n"
-            "gateway c choice { 0.5 -> y 0.5 -> z }\n"
-            "activity y -> fin2\nactivity z -> fin3\n"
-            "end fin label POSITIVE\nend fin2 label POSITIVE\nend fin3 label NEGATIVE\n"
-        )
-        defn = parse_process(text)
+        defn = UNREACHABLE_CHOICE
         low = {"a": np.full(100, 1.0)}
         high = {"a": np.full(100, 9.0)}
         rngs = np.random.default_rng(8), np.random.default_rng(8)
@@ -185,6 +203,66 @@ class TestPropagate:
         took_y = b[:, names.index("y")]
         assert 0.3 < took_y.mean() < 0.7
         np.testing.assert_array_equal(took_y + b[:, names.index("z")], 1.0)
+
+    @pytest.mark.parametrize("defn, columns", [
+        (UNREACHABLE_CHOICE, {"a": np.full(50, 1.0)}),
+        (UNREACHABLE_CHOICE, {"a": np.full(50, 9.0)}),
+        (UNREACHABLE_CHOICE, {"a": np.linspace(0.0, 10.0, 50)}),
+        (REJOINING, {"a": np.full(50, 1.0), "b": np.full(50, 5.0)}),
+        (REJOINING, {"a": np.full(50, 8.0), "b": np.full(50, 9.5)}),
+        (REJOINING, {"a": np.linspace(0.0, 10.0, 50), "b": np.linspace(10.0, 0.0, 50)}),
+    ], ids=["low", "high", "mixed", "rejoining-fast", "rejoining-audit", "rejoining-mixed"])
+    def test_every_choice_gateway_is_drawn_with_its_arrivals(self, defn, columns):
+        # The executor's draw contract, against one walk per row over the
+        # same uniforms: one draw per choice gateway in topological order,
+        # each given a length-n boolean mask of the rows that arrived (all
+        # False where none did); zero indicator rows and all-False end
+        # masks for the nodes no row reaches. Every case but the mixed ones
+        # leaves some gateway, activity or end unreached.
+        n = 50
+        choices = [name for name in topological_order(defn)
+                   if isinstance(defn.node(name), ChoiceGateway)]
+        uniforms = np.random.default_rng(4).random((len(choices), n))
+        masks = []
+
+        def draw(arrived):
+            masks.append(arrived.copy())
+            return uniforms[len(masks) - 1]
+
+        indicators, ends = execute_rows(defn, columns, n, draw)
+        visited = np.zeros((n, len(defn.nodes)), dtype=bool)
+        index = {node.name: j for j, node in enumerate(defn.nodes)}
+        for row in range(n):
+            assign = {name: float(column[row]) for name, column in columns.items()}
+            node = defn.node(defn.start)
+            while True:
+                visited[row, index[node.name]] = True
+                if isinstance(node, EndNode):
+                    break
+                if isinstance(node, Activity):
+                    target = node.successor
+                elif isinstance(node, XorGateway):
+                    target = _xor_target(node, assign)
+                else:
+                    u = uniforms[choices.index(node.name), row]
+                    cumulative = 0.0
+                    target = node.branches[-1].target
+                    for branch in node.branches:
+                        cumulative += branch.probability
+                        if u < cumulative:
+                            target = branch.target
+                            break
+                node = defn.node(target)
+        assert len(masks) == len(choices)
+        for mask, name in zip(masks, choices):
+            assert mask.dtype == bool and mask.shape == (n,)
+            np.testing.assert_array_equal(mask, visited[:, index[name]])
+        np.testing.assert_array_equal(
+            indicators, visited[:, [index[name] for name in defn.activity_names]]
+        )
+        assert list(ends) == [end.name for end in defn.end_nodes]
+        for end in defn.end_nodes:
+            np.testing.assert_array_equal(ends[end.name], visited[:, index[end.name]])
 
     def test_process_without_attributes(self):
         # Rows are counted from the sample count, not from an attribute column.
@@ -249,6 +327,29 @@ class TestKernel:
         with pytest.raises(ConfigError) as got:
             kernel_weights(SKILLED_VEC, SKILLED_VEC[None, :], scaler, width)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("process", ["loan", "chain"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 600])
+    def test_distance_is_summed_feature_by_feature(self, loan, process, order, n):
+        # The same bits as a loop over the features in schema order, on
+        # either layout and for a lone sample. CHAIN's 82 columns are far
+        # past the 8 terms from which numpy sums a contiguous axis pairwise.
+        defn = loan if process == "loan" else CHAIN
+        schema = build_schema(defn)
+        matrix, _ = encode_log(schema, generate_log(defn, SimulationConfig(n_cases=300, seed=5)))
+        scaler = scaler_from_matrix(matrix)
+        samples = sample_vanilla(matrix[0], schema, scaler, n, 1.0, 0.5, np.random.default_rng(2))
+        standardized = np.asarray(scaler.apply(samples), order=order)
+        center = standardized[0]
+        want = np.zeros(n + 1)
+        for j in range(schema.arity):
+            want += (standardized[:, j] - center[j]) ** 2
+        want = np.exp(-want / (1.5 * 1.5))
+        got = _kernel(center, standardized, 1.5)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        lone = _kernel(center, standardized[1:2], 1.5)
+        np.testing.assert_array_equal(lone.view(np.int64), want[1:2].view(np.int64))
 
     def test_default_width(self):
         assert ExplainConfig().resolved_width(4) == 1.5

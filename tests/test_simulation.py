@@ -939,8 +939,14 @@ class TestJsonlWriter:
         (("c2", {1: 2.0}, ("a",), POSITIVE), "case 'c2': attribute name 1 is not a string"),
         (("c2", {"a": 1.0, 1: 2.0}, ("a",), POSITIVE),
          "case 'c2': attribute name 1 is not a string"),
+        (("c2", {}, ("a",)), "trace 2: expected 4 fields, got 3"),
+        (["c2", {}, ("a",), POSITIVE, "extra"], "trace 2: expected 4 fields, got 5"),
+        (5, "trace 2: expected a sequence of 4 fields, got int"),
+        ({"case_id": "c2", "attrs": {}, "activities": (), "label": POSITIVE},
+         "trace 2: expected a sequence of 4 fields, got dict"),
     ], ids=["null-attrs", "list-attrs", "null-activities", "string-activities",
-            "int-attribute-name", "mixed-attribute-names"])
+            "int-attribute-name", "mixed-attribute-names", "three-fields", "five-fields",
+            "not-a-sequence", "mapping"])
     def test_record_of_the_wrong_shape_is_refused(self, bad, message):
         with pytest.raises(MalformedLogError) as exc:
             EventLog.from_records("p", (CRAFTED[0], bad))
@@ -1016,6 +1022,8 @@ class TestStrictJsonWriter:
         edges = [
             2**64, -(2**64) - 1, 10**40, True, False, None, "", "\ud800x\udfff", -0.0, 5e-324,
             {1.5: 1, True: 2, None: 3, 2**70: 4, "é": 5, -0.0: 6}, [[[[[[]]]]]], ({},),
+            # Subclasses of the leaf types, written by the recursive path.
+            [np.float64(1.5), np.str_("é"), {"k": np.float64(-0.0)}, (np.float64(1e16),)],
         ]
         for value in edges:
             assert jsontext._json_text(value) == strict_json(value)
@@ -1023,7 +1031,7 @@ class TestStrictJsonWriter:
     @pytest.mark.parametrize(
         "value",
         [math.nan, math.inf, -math.inf, [1.0, [math.nan]], {"a": {"b": -math.inf}},
-         {math.inf: 1}, np.float64("nan")],
+         {math.inf: 1}, np.float64("nan"), [np.float64("inf")], {"a": math.nan, (1,): 1}],
     )
     def test_non_finite_numbers_raise_value_error(self, value):
         with pytest.raises(ValueError) as want:
@@ -1033,7 +1041,8 @@ class TestStrictJsonWriter:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize(
-        "value", [np.int64(3), {1, 2}, [np.int64(3)], {np.int64(1): 2}, {(1,): 2}, b"x"]
+        "value", [np.int64(3), {1, 2}, [np.int64(3)], {np.int64(1): 2}, {(1,): 2}, b"x",
+                  {(1,): math.nan}, {"a": 1.0, (1,): [math.nan]}]
     )
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError) as want:
