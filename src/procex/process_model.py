@@ -33,8 +33,8 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Union
 
 # numpy is imported inside the batch functions that use it: parsing,
-# validation and the causal graph run without it, and `validate` and
-# `causal-graph` then start without paying its import.
+# validation, the step plan and the causal graph run without it, and
+# `validate` and `causal-graph` then start without paying its import.
 
 from .errors import (
     BadProbabilitySumError,
@@ -75,11 +75,9 @@ __all__ = [
     "eval_guard_batch",
     "guard_attributes",
     "derive_causality_graph",
-    "xor_branch_rows",
     "execute_rows",
     "conformant_rows",
     "reachable_indicators",
-    "topological_order",
     "node_successors",
     "fixture_path",
     "POSITIVE",
@@ -154,23 +152,25 @@ _CMP_FUNCS = {
 
 
 def eval_guard_batch(guard: GuardExpr, attrs: Mapping[str, np.ndarray]) -> np.ndarray:
-    """One boolean per row of equal-length attribute columns. Every
-    comparison is evaluated; an absent attribute raises ``MissingAttributeError``.
+    """One boolean per row of equal-length attribute columns (arrays or
+    sequences). Every comparison is evaluated; an absent attribute raises
+    ``MissingAttributeError``.
 
-    The guard is compiled by :func:`_compiled_guard` and the closure called;
-    the process folds call the closures their definition's step plan holds.
+    The columns are converted with ``np.asarray``, the guard is compiled by
+    :func:`_compiled_guard` and the closure called; the process folds call
+    the closures their definition's step plan holds on their own arrays.
     """
-    return _compiled_guard(guard)(attrs)
+    import numpy as np
+    return _compiled_guard(guard)({name: np.asarray(col) for name, col in attrs.items()})
 
 
 def _compiled_guard(guard: GuardExpr) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    """The guard as one closure over attribute columns: a comparison reads its
-    column, ``!``, ``&&`` and ``||`` combine their operands' results, left
-    operand first."""
-    import numpy as np
+    """The guard as one closure over attribute columns, which must be numpy
+    arrays: a comparison compares the column it is given, ``!``, ``&&`` and
+    ``||`` combine their operands' results, left operand first. Compiling
+    imports nothing."""
     if isinstance(guard, Comparison):
         name, compare, value = guard.attribute, _CMP_FUNCS[guard.op], guard.value
-        asarray = np.asarray
 
         def comparison(attrs: Mapping[str, np.ndarray]) -> np.ndarray:
             try:
@@ -179,7 +179,7 @@ def _compiled_guard(guard: GuardExpr) -> Callable[[Mapping[str, np.ndarray]], np
                 raise MissingAttributeError(
                     f"guard references attribute {name!r} which is absent from the assignment"
                 ) from None
-            return compare(asarray(col), value)
+            return compare(col, value)
 
         return comparison
     if isinstance(guard, Not):
@@ -315,11 +315,11 @@ class _Step(NamedTuple):
 
 class _StepPlan(NamedTuple):
     """The steps in topological order, the start node's position, and each
-    end node's name and position in declaration order."""
+    node's position by name."""
 
     steps: tuple[_Step, ...]
     start: int
-    ends: tuple[tuple[str, int], ...]
+    position: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,9 @@ class ProcessDefinition:
 
     @cached_property
     def _topological_order(self) -> tuple[str, ...]:
-        """See :func:`topological_order`."""
+        """Node names ordered so every node appears after all its
+        predecessors: Kahn's algorithm seeded in declaration order. Raises
+        ``CyclicGraphError`` for a cyclic graph."""
         successors = {n.name: node_successors(n) for n in self.nodes}
         indeg = dict.fromkeys(successors, 0)
         for targets in successors.values():
@@ -395,9 +397,13 @@ class ProcessDefinition:
 
     @cached_property
     def _step_plan(self) -> _StepPlan:
-        """The topological order as :func:`execute_rows`,
-        :func:`conformant_rows` and :func:`reachable_indicators` walk it,
-        built once per definition."""
+        """The topological order as every fold over a process walks it
+        (:func:`execute_rows`, :func:`conformant_rows`,
+        :func:`reachable_indicators`, :func:`derive_causality_graph` and the
+        simulator's path order), built once per definition and only for a
+        definition :func:`validate` accepts: otherwise the first finding's
+        typed error is raised, as :func:`parse_process` raises it."""
+        _refuse_findings(validate(self))
         order = self._topological_order
         position = {name: i for i, name in enumerate(order)}
         column = {name: j for j, name in enumerate(self.activity_names)}
@@ -416,18 +422,7 @@ class ProcessDefinition:
             successors = tuple(position[succ] for succ in node_successors(node))
             steps.append(_Step(type(node), column.get(name, -1), successors,
                                tuple(cumulative), guards))
-        ends = tuple((end.name, position[end.name]) for end in self.end_nodes)
-        return _StepPlan(tuple(steps), position[self.start], ends)
-
-
-def topological_order(defn: ProcessDefinition) -> tuple[str, ...]:
-    """Node names ordered so every node appears after all its predecessors.
-
-    Deterministic (Kahn's algorithm seeded in declaration order). Requires an
-    acyclic graph; raises ``CyclicGraphError`` otherwise. Computed once per
-    definition, like its other derived views.
-    """
-    return defn._topological_order
+        return _StepPlan(tuple(steps), position[self.start], position)
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +709,16 @@ def parse_process(text: str) -> ProcessDefinition:
     parses but violates a definition invariant.
     """
     defn = parse_process_structure(text)
-    report = validate(defn)
+    _refuse_findings(validate(defn))
+    return defn
+
+
+def _refuse_findings(report: ValidationReport) -> None:
+    """Raise the typed error of the report's first finding, if it has one."""
     if report.findings:
         first = report.findings[0]
         exc = _RAISABLE_RULES.get(first.rule, InvalidDefinitionError)
         raise exc(f"{first.subject}: {first.message}")
-    return defn
 
 
 def serialize_process(defn: ProcessDefinition) -> str:
@@ -884,7 +883,7 @@ def validate(defn: ProcessDefinition) -> ValidationReport:
 
     if targets_ok and not any(f.rule == "DuplicateName" for f in findings):
         try:
-            order = topological_order(defn)
+            order = defn._topological_order
         except CyclicGraphError as exc:
             findings.append(Finding("CyclicGraph", defn.name, str(exc)))
         else:
@@ -929,18 +928,21 @@ def derive_causality_graph(defn: ProcessDefinition) -> CausalityGraph:
     or ``otherwise``), or the reverse. Under first-match routing those are
     the pairs of branches the guard's value chooses between. Reachability
     is one activity bitmask per node (bit ``i`` for activity ``i``), folded
-    from the ends back: a node's own bit OR-ed with its successors' masks.
+    from the ends back over the step plan: a step's own column bit OR-ed
+    with its successors' masks.
     """
     names = defn.activity_names
-    bit = {name: 1 << i for i, name in enumerate(names)}
-    reach: dict[str, int] = {}
-    for name in reversed(topological_order(defn)):
-        reach[name] = bit.get(name, 0)
-        for succ in node_successors(defn.node(name)):
-            reach[name] |= reach[succ]
+    plan = defn._step_plan
+    reach = [0] * len(plan.steps)
+    for i in reversed(range(len(plan.steps))):
+        kind, column, successors, _, _ = plan.steps[i]
+        mask = 1 << column if kind is Activity else 0
+        for succ in successors:
+            mask |= reach[succ]
+        reach[i] = mask
     edges: set[tuple[str, str]] = set()
     for node in defn.xor_gateways:
-        masks = [reach[succ] for succ in node_successors(node)]
+        masks = [reach[succ] for succ in plan.steps[plan.position[node.name]].successors]
         for k, branch in enumerate(node.branches):
             flips = 0
             for later in masks[k + 1:]:
@@ -956,20 +958,6 @@ def derive_causality_graph(defn: ProcessDefinition) -> CausalityGraph:
 # ---------------------------------------------------------------------------
 # Execution and the conformance support set
 # ---------------------------------------------------------------------------
-
-def xor_branch_rows(
-    gateway: XorGateway, attr_columns: Mapping[str, np.ndarray], n: int
-) -> list[np.ndarray]:
-    """Which of ``n`` rows take each successor of an xor gateway.
-
-    One boolean mask per entry of :func:`node_successors`: the first
-    ``when`` whose guard holds wins, and ``otherwise`` takes the rest, so
-    every row is in exactly one mask.
-    """
-    import numpy as np
-    guards = [_compiled_guard(branch.guard) for branch in gateway.branches]
-    return _first_match(guards, attr_columns, np.ones(n, dtype=bool))
-
 
 def _first_match(
     guards: tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray], ...],
@@ -1048,9 +1036,9 @@ def execute_rows(
             if rows is mask or np.count_nonzero(rows):
                 held = arrived[target]
                 arrived[target] = rows if held is None else held | rows
+    ends = {end.name: arrived[plan.position[end.name]] for end in defn.end_nodes}
     return out.T, {
-        name: np.zeros(n, dtype=bool) if arrived[i] is None else arrived[i]
-        for name, i in plan.ends
+        name: np.zeros(n, dtype=bool) if mask is None else mask for name, mask in ends.items()
     }
 
 

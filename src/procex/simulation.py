@@ -70,10 +70,10 @@ from .process_model import (
     LABELS,
     NEGATIVE,
     POSITIVE,
+    Activity,
     ProcessDefinition,
     conformant_rows,
     execute_rows,
-    topological_order,
 )
 
 __all__ = [
@@ -298,10 +298,10 @@ def _run(
     # Every case's label is one of the two shared strings, not a copy.
     shared = np.array([NEGATIVE, POSITIVE], dtype=object)
     labels = shared[(positive ^ flip).astype(np.intp)].tolist()
-    # A path visits its activities in topological order.
-    col = {name: j for j, name in enumerate(defn.activity_names)}
-    order = [name for name in topological_order(defn) if name in col]
-    visited = indicators[:, [col[name] for name in order]]
+    # A path visits its activities in the step plan's (topological) order.
+    columns = [step.column for step in defn._step_plan.steps if step.kind is Activity]
+    order = [defn.activity_names[j] for j in columns]
+    visited = indicators[:, columns]
     # Number the distinct rows one column at a time: each np.unique keeps
     # the codes dense, so no row width overflows them.
     path_of = np.zeros(n, dtype=np.intp)

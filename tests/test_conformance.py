@@ -18,9 +18,10 @@ from procex.features import (
 )
 from procex.process_model import (
     conformant_rows,
+    eval_guard_batch,
+    execute_rows,
     parse_process,
     reachable_indicators,
-    xor_branch_rows,
 )
 from procex.simulation import SimulationConfig, generate_log, is_conformant
 
@@ -177,19 +178,25 @@ def test_indicator_dtype_and_layout_give_the_same_verdicts(loan):
         np.testing.assert_array_equal(conformant_rows(loan, columns, indicators), want)
 
 
-def test_xor_branch_rows_first_match_wins():
+def test_executor_routes_each_row_to_its_first_matching_branch():
     columns = {
         "a": np.array([1.0, 4.0, 4.0, 7.0, 7.0, 7.0]),
         "b": np.array([9.5, 6.0, 9.0, 9.0, 9.5, 1.0]),
     }
-    branches = []
-    for gateway in REJOINING.xor_gateways:
-        rows = np.array(xor_branch_rows(gateway, columns, 6))
-        assert (rows.sum(axis=0) == 1).all()
-        branches.append(rows.argmax(axis=0))
-    # columns: triage, recheck (declaration order); otherwise is len(branches)
-    expected = [[0, 0], [1, 1], [1, 1], [2, 1], [2, 0], [3, 1]]
-    np.testing.assert_array_equal(np.column_stack(branches), expected)
+    triage = REJOINING.xor_gateways[0]
+    # Rows 0 and 2 satisfy more than one of triage's ``when`` guards.
+    holds = [eval_guard_batch(branch.guard, columns) for branch in triage.branches]
+    assert np.sum(holds, axis=0).tolist() == [3, 1, 2, 1, 1, 0]
+    # (triage branch, recheck branch) per row, ``otherwise`` numbered
+    # len(branches); recheck routes only the rows triage sends to audit.
+    expected = [(0, None), (1, None), (1, None), (2, 1), (2, 0), (3, None)]
+    triage_to = ["fast", "review", "audit", "review"]
+    # Every draw is 1.0, so each choice gateway takes its last branch: review
+    # goes straight to merge, and so does every other path.
+    indicators, _ = execute_rows(REJOINING, columns, 6, lambda arrived: np.ones(6))
+    for row, (t, r) in zip(indicators, expected):
+        visited = {"intake", triage_to[t], "merge"} | ({"escalate"} if r == 0 else set())
+        assert {a for a, hit in zip(REJOINING.activity_names, row) if hit} == visited
 
 
 # Attribute points for the exhaustive check: one per loan route; for

@@ -41,7 +41,6 @@ from procex.process_model import (
     XorGateway,
     execute_rows,
     parse_process,
-    topological_order,
 )
 from procex.simulation import SimulationConfig, Trace, generate_log, is_conformant
 
@@ -220,7 +219,7 @@ class TestPropagate:
         # masks for the nodes no row reaches. Every case but the mixed ones
         # leaves some gateway, activity or end unreached.
         n = 50
-        choices = [name for name in topological_order(defn)
+        choices = [name for name in defn._topological_order
                    if isinstance(defn.node(name), ChoiceGateway)]
         uniforms = np.random.default_rng(4).random((len(choices), n))
         masks = []

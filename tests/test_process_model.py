@@ -14,6 +14,7 @@ from procex.errors import (
     DuplicateNameError,
     InvalidDefinitionError,
     MissingAttributeError,
+    ProcexError,
     UnknownAttributeError,
     UnknownTargetError,
     UnreachableNodeError,
@@ -41,6 +42,7 @@ from procex.process_model import (
     serialize_process,
     validate,
 )
+from procex.simulation import SimulationConfig, generate_log
 
 from procgen import CHAIN, NO_ATTRIBUTES, REJOINING, _eval, sweep_oracle_edges
 
@@ -463,6 +465,30 @@ def test_syntax_errors(parse, text, raised, where):
         parse(text)
     if where is not None:
         assert (caught.value.line, caught.value.col, caught.value.expected) == where
+
+
+# Texts that parse but that ``validate`` refuses; the folds build their step
+# plan only for a definition it accepts.
+UNVALIDATED = {
+    "unknown-target": MINIMAL.replace("start -> done", "start -> x\nactivity x -> nowhere"),
+    "no-start-edge": MINIMAL.replace("start -> done\n", ""),
+    "duplicate-node": MINIMAL + "end done label NEGATIVE\n",
+}
+
+
+@pytest.mark.parametrize("fold", [
+    derive_causality_graph,
+    lambda defn: generate_log(defn, SimulationConfig(n_cases=5)),
+    lambda defn: reachable_indicators(defn, {"a": 0.5}),
+], ids=["derive_causality_graph", "generate_log", "reachable_indicators"])
+@pytest.mark.parametrize("text", UNVALIDATED.values(), ids=UNVALIDATED)
+def test_folds_refuse_an_unvalidated_definition_as_parse_process_does(text, fold):
+    with pytest.raises(ProcexError) as parsed:
+        parse_process(text)
+    with pytest.raises(type(parsed.value)) as folded:
+        fold(parse_process_structure(text))
+    assert type(folded.value) is type(parsed.value)
+    assert str(folded.value) == str(parsed.value)
 
 
 class TestSerialization:
