@@ -4,8 +4,11 @@ explain, evaluate.
 Conventions: primary results go to stdout as JSON, informational notes to
 stderr (silence them with --quiet), and every command that writes a file
 echoes its configuration. Exit codes: 0 success, 1 domain error (printed as
-``ErrorName: message``), 2 usage error. Re-running a command with identical
-flags and inputs produces byte-identical outputs.
+``ErrorName: message``), 2 usage error: a flag that is unparsable, missing or
+in conflict. The parser only parses: the library config a flag feeds judges
+its value, so a number out of range exits 1 with a ``ConfigError`` before
+any file is read. Re-running a command with identical flags and inputs
+produces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     _not_utf8,
     _utf8,
 )
-from .jsontext import _json_text
+from .jsontext import _json_text, _write_json
 from .process_model import (
     derive_causality_graph,
     parse_process,
@@ -47,28 +50,15 @@ __all__ = ["build_parser", "dispatch", "main"]
 # Argument types
 # ---------------------------------------------------------------------------
 
-def _nonneg_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _pos_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    seeds = tuple(_nonneg_int(part) for part in text.split(",") if part != "")
-    if not seeds:
-        raise argparse.ArgumentTypeError("at least one seed is required")
-    return seeds
+    return tuple(_int(part) for part in text.split(",") if part != "")
 
 
 def _name_list(text: str) -> tuple[str, ...]:
@@ -182,8 +172,8 @@ def _cmd_causal_graph(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulation import SimulationConfig, generate_log, write_log_jsonl
 
-    defn = _read_definition(args.process)
     config = _config(SimulationConfig, args)
+    defn = _read_definition(args.process)
     log = generate_log(defn, config)
     write_log_jsonl(log, args.out)
     _log(args, f"wrote {len(log)} traces to {args.out}")
@@ -306,6 +296,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.case_id is not None and args.log is None:
         print("error: --case-id requires --log", file=sys.stderr)
         return 2
+    if args.top is not None and args.top < 1:
+        raise ConfigError(f"top must be positive, got {args.top}")
     mode = PROCESS_AWARE if args.mode == "process-aware" else VANILLA
     config = _config(ExplainConfig, args, mode=mode)
     defn = _read_definition(args.process)
@@ -321,11 +313,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.top is not None:
         payload["attributions"] = payload["attributions"][: args.top]
         payload["attributions_raw"] = payload["attributions_raw"][: args.top]
-    text = _json_text(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        text = _write_json(payload, args.out)
         _log(args, f"wrote explanation to {args.out}")
+    else:
+        text = _json_text(payload)
     print(text)
     return 0
 
@@ -340,10 +332,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .predictor import load_model
     from .simulation import read_log_jsonl
 
+    config = _config(ComparisonConfig, args)
     defn = _read_definition(args.process)
     model = load_model(args.model, definition=defn)
     log = read_log_jsonl(args.log, process_name=defn.name)
-    config = _config(ComparisonConfig, args)
     report = run_comparison(defn, model, log, config)
     write_report_json(report, args.out)
     figdata = args.figdata or _figdata_path(args.out)
@@ -369,7 +361,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _add_sampling_options(p: argparse.ArgumentParser) -> None:
     """The explainer settings that `explain` and `evaluate` share."""
     p.add_argument(
-        "--samples", dest="n_samples", metavar="SAMPLES", type=_pos_int,
+        "--samples", dest="n_samples", metavar="SAMPLES", type=_int,
         help="perturbation count",
     )
     p.add_argument("--spread", type=float, help="noise scale in train-stds")
@@ -406,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled event log")
     p.add_argument("process", help="path to a .bp process definition")
     p.add_argument(
-        "--n", dest="n_cases", metavar="N", type=_nonneg_int, required=True,
+        "--n", dest="n_cases", metavar="N", type=_int, required=True,
         help="number of cases",
     )
-    p.add_argument("--seed", type=_nonneg_int, help="simulation seed")
+    p.add_argument("--seed", type=_int, help="simulation seed")
     p.add_argument(
         "--noise", dest="label_noise", metavar="NOISE", type=float,
         help="label flip probability in [0, 0.5]",
@@ -443,13 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True, help="training log (JSONL)")
     p.add_argument("--out", required=True, help="output model path (JSON)")
     p.add_argument("--l2", type=float, help="L2 penalty")
-    p.add_argument("--epochs", type=_pos_int, help="Newton iteration limit")
+    p.add_argument("--epochs", type=_int, help="Newton iteration limit")
     p.add_argument("--tol", type=float, help="gradient stop tolerance")
     p.add_argument(
         "--split", dest="test_fraction", metavar="SPLIT", type=float,
         help="held-out fraction (0 trains on everything)",
     )
-    p.add_argument("--seed", type=_nonneg_int, help="split seed")
+    p.add_argument("--seed", type=_int, help="split seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("explain", help="explain one prediction")
@@ -471,12 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-aware sampling strategy",
     )
     _add_sampling_options(p)
-    p.add_argument("--seed", type=_nonneg_int, help="sampling seed")
+    p.add_argument("--seed", type=_int, help="sampling seed")
     p.add_argument(
         "--collapse-derived", action="store_const", const=True,
         help="drop indicator columns from the surrogate (process-aware only)",
     )
-    p.add_argument("--top", type=_pos_int, help="print only top-k attributions")
+    p.add_argument("--top", type=_int, help="print only top-k attributions")
     p.add_argument("--out", help="also write the JSON to this path")
     p.set_defaults(func=_cmd_explain)
 
@@ -485,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="trained model path")
     p.add_argument("--log", required=True, help="log to select instances from")
     p.add_argument(
-        "--instances", dest="n_instances", metavar="INSTANCES", type=_pos_int,
+        "--instances", dest="n_instances", metavar="INSTANCES", type=_int,
         required=True, help="instance count",
     )
     p.add_argument(
@@ -499,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--require-activity", help="only select instances containing this activity"
     )
-    p.add_argument("--top-k", type=_pos_int, help="overlap metric depth")
+    p.add_argument("--top-k", type=_int, help="overlap metric depth")
     _add_sampling_options(p)
     p.add_argument(
         "--strategy", choices=["propagate", "reject"],

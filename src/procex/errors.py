@@ -3,11 +3,13 @@
 All domain errors derive from :class:`ProcexError` so callers (and the CLI)
 can distinguish "your input is bad" from genuine programming bugs. Each class
 carries a human-readable message; a few add structured fields that tests and
-tools rely on.
+tools rely on. Beside :class:`ConfigError`, :func:`_integer` and
+:func:`_real` judge each setting of the configs, one call per setting.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -74,6 +76,34 @@ class ConfigError(ProcexError):
     """A configuration object or CLI flag combination is unusable."""
 
 
+def _integer(name: str, value: object, least: int = 0, rule: str = "be non-negative") -> None:
+    """Refuse setting ``name`` unless ``value`` is exactly an ``int`` of at
+    least ``least`` (``rule`` in words): a ``bool`` or ``np.int64`` is not,
+    as the JSON writers would write ``true`` or fail."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must {rule}, got {value}")
+
+
+def _finite_non_negative(number: float) -> bool:
+    return math.isfinite(number) and number >= 0
+
+
+def _real(name: str, value: object, ok: Callable[[float], bool] = _finite_non_negative,
+          rule: str = "be a finite non-negative number") -> None:
+    """Refuse setting ``name`` unless ``value`` is an ``int`` or ``float``
+    (``np.float64`` too, a ``bool`` not) whose float satisfies ``ok``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must {rule}, got an integer past the float range") from None
+    if not ok(number):
+        raise ConfigError(f"{name} must {rule}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Logs, features, and models
 # ---------------------------------------------------------------------------
@@ -111,8 +141,8 @@ class DivergedError(ProcexError):
 
 
 class MalformedModelError(ProcexError):
-    """A model file holds a non-finite weight, bias, or scaler statistic, or
-    a negative scaler std."""
+    """A model file holds a non-finite weight, bias, or scaler statistic, a
+    negative scaler std, or hyperparameters ``TrainConfig`` refuses."""
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     EmptySamplesError,
     NoMatchingInstancesError,
     SchemaMismatchError,
+    _integer,
 )
 from .explainer import (
     PROCESS_AWARE,
@@ -34,7 +35,7 @@ from .explainer import (
     _sampler,
 )
 from .features import _encode, build_schema, split_columns
-from .jsontext import _json_text
+from .jsontext import _write_json
 from .predictor import LogisticModel
 from .process_model import LABELS, NEGATIVE, ProcessDefinition, conformant_rows
 from .simulation import EventLog
@@ -110,16 +111,19 @@ class ComparisonConfig:
     collapse_derived: bool = ExplainConfig.collapse_derived
 
     def __post_init__(self) -> None:
-        if self.n_instances < 1:
-            raise ConfigError(f"n_instances must be positive, got {self.n_instances}")
+        _integer("n_instances", self.n_instances, 1, "be positive")
+        if not isinstance(self.seeds, (tuple, list)):
+            raise ConfigError(f"seeds must be a tuple or list, got {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be positive, got {self.top_k}")
         if self.select_label not in LABELS:
             raise ConfigError(
                 f"select_label {self.select_label!r} is neither POSITIVE nor NEGATIVE"
             )
+        if not (self.require_activity is None or isinstance(self.require_activity, str)):
+            shown = repr(self.require_activity)
+            raise ConfigError(f"require_activity must be None or a name, got {shown}")
+        _integer("top_k", self.top_k, 1, "be positive")
         for seed in self.seeds:  # checks each seed and the shared settings
             self.explain_config(PROCESS_AWARE, seed)
 
@@ -334,9 +338,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
 def write_report_json(report: ExperimentReport, path: str | Path) -> None:
     """Write ``report`` as strict JSON. A non-finite number raises
     ``ValueError`` before the file is opened."""
-    text = _json_text(report_to_json_dict(report)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_json(report_to_json_dict(report), path)
 
 
 def write_figdata_csv(report: ExperimentReport, path: str | Path) -> None:

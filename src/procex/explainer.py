@@ -67,6 +67,8 @@ from .errors import (
     RejectionBudgetExhaustedError,
     SchemaMismatchError,
     SingularSystemError,
+    _integer,
+    _real,
 )
 from .features import FeatureSchema, Scaler, split_columns
 from .predictor import LogisticModel, predict_proba_standardized
@@ -96,11 +98,18 @@ REJECT = "reject"
 REJECT_BUDGET_FACTOR = 100
 
 
+def _finite_positive(number: float) -> bool:
+    return math.isfinite(number) and number > 0
+
+
+def _in_unit(p: float) -> bool:
+    return 0.0 <= p <= 1.0
+
+
 def _checked_width(width: float) -> float:
-    """``width`` if the kernel can divide by its square: finite, positive,
-    and not so small that its square underflows to 0."""
-    if not (math.isfinite(width) and width > 0):
-        raise ConfigError(f"kernel_width must be a finite positive number, got {width}")
+    """``width`` if the kernel can divide by its square: a finite positive
+    number whose square does not underflow to 0."""
+    _real("kernel_width", width, _finite_positive, "be a finite positive number")
     if width * width == 0:
         raise ConfigError(f"kernel_width {width} is too small: its square underflows to 0")
     return width
@@ -125,20 +134,16 @@ class ExplainConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.strategy not in (PROPAGATE, REJECT):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be at least 1, got {self.n_samples}")
-        for name in ("spread", "ridge"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(
-                    f"{name} must be a finite non-negative number, got {value}"
-                )
-        if not 0.0 <= self.flip_p <= 1.0:
-            raise ConfigError(f"flip_p must lie in [0, 1], got {self.flip_p}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        _integer("n_samples", self.n_samples, 1, "be at least 1")
+        _real("spread", self.spread)
+        _real("flip_p", self.flip_p, _in_unit, "lie in [0, 1]")
         if self.kernel_width is not None:
             _checked_width(self.kernel_width)
+        _real("ridge", self.ridge)
+        _integer("seed", self.seed)
+        if type(self.collapse_derived) is not bool:
+            shown = repr(self.collapse_derived)
+            raise ConfigError(f"collapse_derived must be True or False, got {shown}")
         if self.collapse_derived and self.mode != PROCESS_AWARE:
             raise ConfigError("collapse_derived applies to process_aware mode only")
 

@@ -8,6 +8,7 @@ It imports no numpy, so the commands that need none (``validate``,
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 _NONFINITE = frozenset({"nan", "inf", "-inf"})
 
@@ -79,3 +80,11 @@ def _json_text(obj: object, indent: str = "\n") -> str:
     if mapping:
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _write_json(obj: object, path: str | Path) -> str:
+    """Write ``obj`` as :func:`_json_text` and one LF to ``path``, and return
+    the text. It is built before the file is opened: a refusal writes none."""
+    text = _json_text(obj)
+    Path(path).write_bytes(text.encode("utf-8") + b"\n")
+    return text

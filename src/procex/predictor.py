@@ -24,7 +24,9 @@ from .errors import (
     MalformedModelError,
     SchemaMismatchError,
     SingleClassLogError,
+    _integer,
     _not_utf8,
+    _real,
     _utf8,
 )
 from .features import (
@@ -33,7 +35,7 @@ from .features import (
     encode_log,
     scaler_from_matrix,
 )
-from .jsontext import _json_text
+from .jsontext import _write_json
 from .process_model import NEGATIVE, ProcessDefinition
 from .simulation import EventLog
 
@@ -64,16 +66,10 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name in ("l2", "tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(
-                    f"{name} must be a finite non-negative number, got {value}"
-                )
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        _real("l2", self.l2)
+        _integer("epochs", self.epochs)
+        _real("tol", self.tol)
+        _integer("seed", self.seed)
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -309,6 +305,10 @@ def evaluate(model: LogisticModel, log: EventLog) -> EvalMetrics:
     )
 
 
+def _in_open_unit(fraction: float) -> bool:
+    return 0.0 < fraction < 1.0
+
+
 TEST_FRACTION = 0.2
 """The held-out share of a log when none is given; ``procex train`` echoes
 it as its ``split``."""
@@ -322,10 +322,8 @@ def split_log(
     original log. The parts do not record the split."""
     if not len(log):
         raise EmptyLogError("cannot split an empty event log")
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _real("test_fraction", test_fraction, _in_open_unit, "lie in (0, 1)")
+    _integer("seed", seed)
     n = len(log)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -353,9 +351,7 @@ def save_model(model: LogisticModel, path: str | Path) -> None:
     such as a non-finite weight, raises ``MalformedModelError`` first."""
     data = model_to_json_dict(model)
     _model_from_json(data)
-    text = _json_text(data) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_json(data, path)
 
 
 def _model_json(
@@ -392,8 +388,8 @@ def load_model(
     """Read a model file; with a definition given, refuse schema mismatches.
     A file that is not JSON, a missing field, a field of the wrong JSON
     type, a weight, bias or scaler statistic that is not a finite number, a
-    negative scaler std or a byte that is not UTF-8 raises
-    ``MalformedModelError``."""
+    negative scaler std, a hyperparameter :class:`TrainConfig` refuses or a
+    byte that is not UTF-8 raises ``MalformedModelError``."""
     with _utf8(path, _not_utf8(MalformedModelError)), open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -442,15 +438,15 @@ def _model_from_json(
     # ``learning_rate``; it no longer means anything and is not read.
     names = [f.name for f in fields(TrainConfig)]
     hyperparams = _model_json(data["hyperparams"], "model file hyperparams", keys=names)
-    for name in ("l2", "tol"):
-        _model_number(hyperparams[name], f"hyperparams {name}", non_negative=True)
-    for name in ("epochs", "seed"):
-        _model_json(hyperparams[name], f"model file hyperparams {name}", int, "an integer")
+    try:
+        config = TrainConfig(**{name: hyperparams[name] for name in names})
+    except ConfigError as exc:
+        raise MalformedModelError(f"model file hyperparams: {exc}") from None
     return LogisticModel(
         schema=schema,
         scaler=Scaler.from_json_dict(scaler),
         weights=np.asarray(data["weights"], dtype=float),
         bias=_model_number(data["bias"], "bias"),
-        config=TrainConfig(**{name: hyperparams[name] for name in names}),
+        config=config,
         train_meta=data.get("train_meta", {}),
     )

@@ -57,13 +57,14 @@ import numpy as np
 
 from .errors import (
     BadLabelError,
-    ConfigError,
     EmptyLogError,
     MalformedLogError,
     MissingColumnError,
     SchemaMismatchError,
     UnparsableNumberError,
+    _integer,
     _not_utf8,
+    _real,
     _utf8,
 )
 from .process_model import (
@@ -93,6 +94,10 @@ __all__ = [
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _in_noise_range(p: float) -> bool:
+    return 0.0 <= p <= 0.5
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """How many cases to draw, from which seed, and with what noise.
@@ -107,14 +112,9 @@ class SimulationConfig:
     label_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_cases < 0:
-            raise ConfigError(f"n_cases must be non-negative, got {self.n_cases}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.label_noise <= 0.5:
-            raise ConfigError(
-                f"label_noise must lie in [0, 0.5], got {self.label_noise}"
-            )
+        _integer("n_cases", self.n_cases)
+        _integer("seed", self.seed)
+        _real("label_noise", self.label_noise, _in_noise_range, "lie in [0, 0.5]")
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -331,13 +331,12 @@ def execute_case(
 
 
 def generate_log(defn: ProcessDefinition, config: SimulationConfig) -> EventLog:
-    """Simulate ``config.n_cases`` cases; pure function of its arguments.
-    Raises ``ConfigError`` for an attribute whose bounds do not increase."""
+    """Simulate ``config.n_cases`` cases; pure function of its arguments. A
+    definition ``validate`` refuses, such as one whose bounds do not increase
+    (``InvalidDefinitionError``), raises its first finding before any draw."""
+    defn._step_plan  # built only for a definition validate accepts
     names = defn.attribute_names
     bounds = [defn.attribute_bounds[name] for name in names]
-    for name, (lo, hi) in zip(names, bounds):
-        if not lo < hi:
-            raise ConfigError(f"{name}: bounds [{lo}, {hi}] are not an increasing interval")
     lower, upper = np.array(bounds, dtype=float).reshape(-1, 2).T
     width = len(names) + len(defn.choice_gateways) + 1
     stream = _uniform_rows(config.seed, config.n_cases, width)

@@ -196,12 +196,13 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         assert out_a.replace(str(a), "X") == out_b.replace(str(b), "X")
 
-    def test_negative_count_is_a_usage_error(self, run, tmp_path):
-        code, _, err = run(
-            "simulate", LOAN, "--n", "-5", "--out", str(tmp_path / "x.jsonl")
+    def test_non_integer_count_is_a_usage_error(self, run, tmp_path):
+        code, out, err = run(
+            "simulate", LOAN, "--n", "x", "--out", str(tmp_path / "x.jsonl")
         )
-        assert code == 2
-        assert "usage" in err
+        assert (code, out) == (2, "")
+        assert err.endswith("procex simulate: error: argument --n: 'x' is not an integer\n")
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_missing_out_is_a_usage_error(self, run):
         code, _, _ = run("simulate", LOAN, "--n", "5")
@@ -532,6 +533,16 @@ class TestTrain:
         assert meta["converged"] is True and meta["epochs_run"] <= 10
         assert "note:" not in err
 
+    def test_zero_epochs_keep_the_zero_start(self, run, workspace, tmp_path):
+        code, out, err = run(
+            "train", LOAN, "--log", str(workspace["log"]), "--out", str(tmp_path / "m.json"),
+            "--epochs", "0",
+        )
+        assert code == 0
+        meta = json.loads(out)["train_meta"]
+        assert (meta["epochs_run"], meta["converged"]) == (0, False)
+        assert "note: training unconverged after epochs_run=0" in err
+
     def test_zero_penalty_trains(self, run, workspace, tmp_path):
         # The loan log's Hessian is exactly singular without a penalty.
         model = tmp_path / "m.json"
@@ -710,11 +721,15 @@ class TestExplain:
         [
             (lambda d: d.update(scaler=[]), "model file scaler is [], not an object"),
             (lambda d: d["hyperparams"].update(l2="abc"),
-             'model file hyperparams l2 is "abc", not a number'),
+             "model file hyperparams: l2 must be a number, got 'abc'"),
             (lambda d: d.pop("bias"), "model file has no 'bias'"),
             (lambda d: d["hyperparams"].update(epochs=2.5),
-             "model file hyperparams epochs is 2.5, not an integer"),
+             "model file hyperparams: epochs must be an integer, got 2.5"),
             (lambda d: d["hyperparams"].pop("tol"), "model file hyperparams has no 'tol'"),
+            (lambda d: d["hyperparams"].update(epochs=-1),
+             "model file hyperparams: epochs must be non-negative, got -1"),
+            (lambda d: d["hyperparams"].update(tol=-0.5),
+             "model file hyperparams: tol must be a finite non-negative number, got -0.5"),
             (lambda d: d["scaler"].pop("std"), "model file scaler has no 'std'"),
             (lambda d: d.update(schema="loan"), 'model file schema is "loan", not an object'),
             (lambda d: d["schema"].update(features=3),
@@ -722,7 +737,8 @@ class TestExplain:
             (lambda d: d["schema"]["features"][2].pop("kind"),
              "model file schema feature 2 has no 'kind'"),
         ],
-        ids=["list-scaler", "string-l2", "no-bias", "float-epochs", "no-tol", "no-std",
+        ids=["list-scaler", "string-l2", "no-bias", "float-epochs", "no-tol", "negative-epochs",
+             "negative-tol", "no-std",
              "string-schema", "number-features", "feature-without-kind"],
     )
     def test_malformed_model_field_is_refused(self, run, workspace, tmp_path, edit, shown):
@@ -943,16 +959,16 @@ class TestEvaluate:
         assert figdata.read_text().startswith("feature,mode,mean_abs_weight,rank")
 
     def test_bad_seed_list_is_a_usage_error(self, run, workspace, tmp_path):
-        for seeds in ("0,x", "0,-1"):
-            code, _, _ = run(
-                "evaluate", LOAN,
-                "--model", str(workspace["model"]),
-                "--log", str(workspace["log"]),
-                "--instances", "1",
-                "--seeds", seeds,
-                "--out", str(tmp_path / "r.json"),
-            )
-            assert code == 2, seeds
+        code, out, err = run(
+            "evaluate", LOAN,
+            "--model", str(workspace["model"]),
+            "--log", str(workspace["log"]),
+            "--instances", "1",
+            "--seeds", "0,x",
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("procex evaluate: error: argument --seeds: 'x' is not an integer\n")
 
     @pytest.mark.parametrize("flags,message", [
         (["--label", "negative"], "select_label 'negative' is neither POSITIVE nor NEGATIVE"),
@@ -969,21 +985,11 @@ class TestEvaluate:
         assert (code, out, err) == (1, "", f"ConfigError: {message}\n")
         assert not report.exists()
 
-    def test_empty_seed_list_is_a_usage_error(self, run, workspace, tmp_path):
-        code, out, err = run("evaluate", LOAN, "--model", str(workspace["model"]),
-                             "--log", str(workspace["log"]), "--instances", "1",
-                             "--seeds", ",", "--out", str(tmp_path / "r.json"))
-        assert (code, out) == (2, "")
-        assert err.endswith("procex evaluate: error: argument --seeds: "
-                            "at least one seed is required\n")
-
 
 @pytest.mark.parametrize("command,flags,message", [
     ("explain", ["--attrs", "credit_score"],
      "argument --attrs: expected name=value, got 'credit_score'"),
     ("explain", ["--attrs", ","], "argument --attrs: at least one name=value pair is required"),
-    ("explain", ["--attrs", "credit_score=600,loan_amount=1", "--samples", "0"],
-     "argument --samples: must be positive, got 0"),
     ("explain", ["--attrs", "credit_score=500,credit_score=600,loan_amount=1000"],
      "argument --attrs: attribute 'credit_score' is given more than once"),
     ("import", ["--attrs", "credit_score,loan_amount,credit_score"],
@@ -1000,6 +1006,51 @@ def test_refused_arguments_usage_error(run, workspace, tmp_path, command, flags,
     assert (code, out) == (2, "")
     assert err.endswith(f"procex {command}: error: {message}\n")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("simulate", ["--n", "-5"], "n_cases must be non-negative, got -5"),
+    ("simulate", ["--n", "5", "--seed", "-1"], "seed must be non-negative, got -1"),
+    ("train", ["--seed", "-1"], "seed must be non-negative, got -1"),
+    ("train", ["--epochs", "-1"], "epochs must be non-negative, got -1"),
+    ("explain", ["--seed", "-1"], "seed must be non-negative, got -1"),
+    ("explain", ["--samples", "0"], "n_samples must be at least 1, got 0"),
+    ("explain", ["--top", "0"], "top must be positive, got 0"),
+    ("evaluate", ["--instances", "0", "--seeds", "0"], "n_instances must be positive, got 0"),
+    ("evaluate", ["--instances", "1", "--seeds", "0", "--top-k", "0"],
+     "top_k must be positive, got 0"),
+    ("evaluate", ["--instances", "1", "--seeds", "0,-1"], "seed must be non-negative, got -1"),
+    ("evaluate", ["--instances", "1", "--seeds", ","], "at least one seed is required"),
+])
+def test_integers_out_of_range_are_config_errors(run, workspace, tmp_path, command, flags,
+                                                 message):
+    """An integer flag parses to any integer; the config it feeds refuses
+    it with its own message, as the library does, and no file is written."""
+    model, log = str(workspace["model"]), str(workspace["log"])
+    argv = {
+        "simulate": ["simulate", LOAN],
+        "train": ["train", LOAN, "--log", log],
+        "explain": ["explain", LOAN, "--model", model, "--mode", "process-aware",
+                    "--attrs", "credit_score=580,loan_amount=300000"],
+        "evaluate": ["evaluate", LOAN, "--model", model, "--log", log],
+    }[command]
+    code, out, err = run(*argv, *flags, "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", f"ConfigError: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "missing.bp", "--n", "-5"], "n_cases must be non-negative, got -5"),
+    (["evaluate", "missing.bp", "--model", "missing.json", "--log", "missing.jsonl",
+      "--instances", "1", "--seeds", "0,-1"], "seed must be non-negative, got -1"),
+])
+def test_a_refused_setting_reads_no_file(run, tmp_path, monkeypatch, argv, message):
+    """The config is built before any file is opened, so a refused setting
+    is reported even when every input is missing."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(*argv, "--out", "out")
+    assert (code, out, err) == (1, "", f"ConfigError: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "explain", "evaluate"])

@@ -16,6 +16,7 @@ from procex.errors import (
     BadLabelError,
     ConfigError,
     EmptyLogError,
+    InvalidDefinitionError,
     MalformedLogError,
     MissingColumnError,
     ProcexError,
@@ -216,13 +217,15 @@ class TestConfigValidation:
             SimulationConfig(n_cases=1, label_noise=0.7)
 
     @pytest.mark.parametrize("bounds", ["[850, 300]", "[5, 5]"])
-    def test_bounds_that_are_not_increasing_are_refused(self, bounds):
+    def test_bounds_that_are_not_increasing_are_refused(self, bounds, monkeypatch):
         """``parse_process_structure`` keeps such bounds; the simulator
-        refuses them instead of drawing from a reversed or empty range."""
+        refuses them as ``parse_process`` does, before it draws from a
+        reversed or empty range."""
         text = fixture_path().read_text().replace("[300, 850]", bounds)
         defn = parse_process_structure(text)
         lo, hi = defn.attribute_bounds["credit_score"]
-        with pytest.raises(ConfigError) as exc:
+        monkeypatch.setattr(simulation, "_uniform_rows", None)
+        with pytest.raises(InvalidDefinitionError) as exc:
             generate_log(defn, SimulationConfig(n_cases=10))
         assert str(exc.value) == (
             f"credit_score: bounds [{lo}, {hi}] are not an increasing interval"
