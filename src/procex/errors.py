@@ -83,7 +83,11 @@ def _integer(name: str, value: object, least: int = 0, rule: str = "be non-negat
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ConfigError(f"{name} must {rule}, got {value}")
+        try:
+            shown = str(value)
+        except ValueError:  # past int's digit limit for str()
+            shown = "an integer too long to print"
+        raise ConfigError(f"{name} must {rule}, got {shown}")
 
 
 def _finite_non_negative(number: float) -> bool:

@@ -262,7 +262,7 @@ def run_comparison(
             f"require_activity {config.require_activity!r} is not an activity of {defn.name!r}"
         )
     instances = _select_instances(log, config)
-    vectors = [_checked_instance(schema, defn, v) for v in _encode(schema, instances)]
+    vectors = [_checked_instance(schema, v) for v in _encode(schema, instances)]
     if config.top_k > schema.arity:
         raise ConfigError(
             f"top_k must be at most the {schema.arity} features, got {config.top_k}"

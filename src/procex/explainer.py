@@ -26,12 +26,14 @@ for ``m`` attributes, so for one seed and instance their attribute rows are
 bit-identical and only the indicator columns differ:
 :func:`~procex.evaluation.run_comparison` compares the modes on the same
 attribute samples.
+One dispatch, :func:`_sampler`, picks the strategy for :func:`explain`,
+:func:`~procex.evaluation.run_comparison` and the public samplers alike.
 Vanilla and propagate draws do not depend on the instance, so one builder,
 :func:`_sample_builder`, draws a sample set's variates once and builds any
-instance's samples from them: the public samplers call it for one instance,
-and :func:`~procex.evaluation.run_comparison` for every instance of a seed,
-holding one seed's two draw sets at a time. Reject's later batches depend
-on what an instance accepts, so reject draws per instance.
+instance's samples from them: for one instance, or in ``run_comparison``
+for every instance of a seed, holding one seed's two draw sets at a time.
+Reject's later batches depend on what an instance accepts, so reject draws
+per instance.
 
 Memory layout. One explanation writes its ``n + 1`` samples into one
 feature-major ``(k, n + 1)`` block, column 0 the instance; noise, clamping,
@@ -45,10 +47,12 @@ differences from the instance into a C-order ``(k, n + 1)`` scratch block
 and sums it with one ``np.add.reduce`` over its rows, which numpy adds one
 row after another: feature by feature in schema order, the bits of a loop
 over the features. The public steps
-(:func:`kernel_weights`, :func:`fit_surrogate`,
-:func:`~procex.predictor.predict_proba`) standardize for themselves and then
-run the same helpers, so composing them gives the same bits as
-:func:`explain_detailed`.
+(:func:`sample_vanilla`, :func:`sample_process_aware`, :func:`kernel_weights`,
+:func:`fit_surrogate`, :func:`~procex.predictor.predict_proba`) standardize
+for themselves and then run the same helpers, so composing them gives the
+same bits as :func:`explain_detailed`. Each judges its settings by an
+:class:`ExplainConfig` and the samplers check the instance as
+:func:`explain` does, so a step refuses what ``explain`` refuses.
 """
 
 from __future__ import annotations
@@ -106,15 +110,6 @@ def _in_unit(p: float) -> bool:
     return 0.0 <= p <= 1.0
 
 
-def _checked_width(width: float) -> float:
-    """``width`` if the kernel can divide by its square: a finite positive
-    number whose square does not underflow to 0."""
-    _real("kernel_width", width, _finite_positive, "be a finite positive number")
-    if width * width == 0:
-        raise ConfigError(f"kernel_width {width} is too small: its square underflows to 0")
-    return width
-
-
 @dataclass(frozen=True)
 class ExplainConfig:
     """Everything that parameterizes one explanation run."""
@@ -137,8 +132,11 @@ class ExplainConfig:
         _integer("n_samples", self.n_samples, 1, "be at least 1")
         _real("spread", self.spread)
         _real("flip_p", self.flip_p, _in_unit, "lie in [0, 1]")
-        if self.kernel_width is not None:
-            _checked_width(self.kernel_width)
+        width = self.kernel_width
+        if width is not None:  # the kernel divides by its square
+            _real("kernel_width", width, _finite_positive, "be a finite positive number")
+            if width * width == 0:
+                raise ConfigError(f"kernel_width {width} is too small: its square underflows to 0")
         _real("ridge", self.ridge)
         _integer("seed", self.seed)
         if type(self.collapse_derived) is not bool:
@@ -192,22 +190,21 @@ def _sample_block(instance: np.ndarray, n: int) -> np.ndarray:
 def _sample_builder(
     schema: FeatureSchema,
     scaler: Scaler,
-    n: int,
-    spread: float,
-    flip_p: float,
+    config: ExplainConfig,
     defn: ProcessDefinition | None,
     rng: np.random.Generator,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Draw one sample set's variates once, in the documented order:
-    vanilla's if ``defn`` is None, else propagate's for ``defn``. Returns the
-    function that builds any instance's samples from them, the instance
-    first. The numeric features lead the schema, so their rows lead the
-    block."""
+    """Draw one sample set's variates for ``config``'s ``n_samples``,
+    ``spread`` and ``flip_p`` once, in the documented order: vanilla's if
+    ``defn`` is None, else propagate's for ``defn``. Returns the function
+    that builds any instance's samples from them, the instance first. The
+    numeric features lead the schema, so their rows lead the block."""
+    n, flip_p = config.n_samples, config.flip_p
     numeric = schema.features[: len(schema.numeric_indices)]
     m = len(numeric)
     normals = rng.standard_normal((n, m)).T
     with np.errstate(over="ignore"):  # an infinite sigma clamps samples to a bound
-        sigma = spread * scaler.std[:m]
+        sigma = config.spread * scaler.std[:m]
     lower = np.array([-np.inf if f.lower is None else f.lower for f in numeric])
     upper = np.array([np.inf if f.upper is None else f.upper for f in numeric])
     if defn is None:
@@ -236,6 +233,48 @@ def _sample_builder(
     return build
 
 
+def _sampler(
+    defn: ProcessDefinition | None,
+    schema: FeatureSchema,
+    scaler: Scaler,
+    config: ExplainConfig,
+    rng: np.random.Generator | None = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The samples of ``config`` for any checked instance, ``n + 1`` rows,
+    the instance first: the one place that picks the strategy (``defn`` is
+    read in process-aware mode only). ``propagate`` perturbs only the
+    attributes and runs the process on them for the indicators; ``reject``
+    keeps the conformant rows of vanilla batches, giving up after
+    ``100 * n`` attempts. The draws come from ``rng`` if given, else from a
+    generator seeded with ``config.seed``: once per sample set for vanilla
+    and propagate, once per instance for reject, whose later draws depend
+    on what the instance accepts."""
+    if config.mode == VANILLA or config.strategy == PROPAGATE:
+        propagate = defn if config.mode == PROCESS_AWARE else None
+        draws = np.random.default_rng(config.seed) if rng is None else rng
+        return _sample_builder(schema, scaler, config, propagate, draws)
+    n = config.n_samples
+
+    def reject(instance: np.ndarray) -> np.ndarray:
+        draws = np.random.default_rng(config.seed) if rng is None else rng
+        block = _sample_block(instance, n)
+        n_kept = attempts = 0
+        while n_kept < n and attempts < REJECT_BUDGET_FACTOR * n:
+            batch = _sample_builder(schema, scaler, config, None, draws)(instance)[1:]
+            attempts += n
+            columns, indicators = split_columns(schema, batch, defn.activity_names)
+            accepted = batch[conformant_rows(defn, columns, indicators)][: n - n_kept]
+            block[:, 1 + n_kept : 1 + n_kept + len(accepted)] = accepted.T
+            n_kept += len(accepted)
+        if n_kept < n:
+            raise RejectionBudgetExhaustedError(
+                f"kept only {n_kept} of {n} samples after {attempts} attempts"
+            )
+        return block.T
+
+    return reject
+
+
 def sample_vanilla(
     instance: np.ndarray,
     schema: FeatureSchema,
@@ -246,8 +285,8 @@ def sample_vanilla(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Process-blind sampling; returns ``n + 1`` rows, the instance first."""
-    build = _sample_builder(schema, scaler, n, spread, flip_p, None, rng)
-    return build(np.asarray(instance, dtype=float))
+    config = ExplainConfig(n_samples=n, spread=spread, flip_p=flip_p)
+    return _sampler(None, schema, scaler, config, rng)(_checked_instance(schema, instance))
 
 
 def sample_process_aware(
@@ -261,54 +300,11 @@ def sample_process_aware(
     rng: np.random.Generator,
     flip_p: float = 0.5,
 ) -> np.ndarray:
-    """Conformance-preserving sampling; returns ``n + 1`` rows, instance first.
-
-    ``propagate`` perturbs only the attributes and derives the indicators by
-    running the process on them; ``reject`` draws vanilla candidates and keeps
-    conformant ones, giving up after ``100 * n`` attempts.
-    """
-    instance = np.asarray(instance, dtype=float)
-    if strategy == PROPAGATE:
-        return _sample_builder(schema, scaler, n, spread, flip_p, defn, rng)(instance)
-    if strategy == REJECT:
-        block = _sample_block(instance, n)
-        n_kept = 0
-        attempts = 0
-        budget = REJECT_BUDGET_FACTOR * n
-        while n_kept < n and attempts < budget:
-            batch = sample_vanilla(instance, schema, scaler, n, spread, flip_p, rng)[1:]
-            attempts += n
-            columns, indicators = split_columns(schema, batch, defn.activity_names)
-            accepted = batch[conformant_rows(defn, columns, indicators)][: n - n_kept]
-            block[:, 1 + n_kept : 1 + n_kept + len(accepted)] = accepted.T
-            n_kept += len(accepted)
-        if n_kept < n:
-            raise RejectionBudgetExhaustedError(
-                f"kept only {n_kept} of {n} samples after {attempts} attempts"
-            )
-        return block.T
-    raise ConfigError(f"unknown strategy {strategy!r}")
-
-
-def _sampler(
-    defn: ProcessDefinition,
-    schema: FeatureSchema,
-    scaler: Scaler,
-    config: ExplainConfig,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The samples of ``config`` for any instance. Vanilla and propagate
-    draw their variates here, once; reject's later draws depend on what an
-    instance accepts, so it starts a generator per instance."""
-    n, spread, flip_p, seed = config.n_samples, config.spread, config.flip_p, config.seed
-    if config.mode == PROCESS_AWARE and config.strategy == REJECT:
-        return lambda instance: sample_process_aware(
-            instance, defn, schema, scaler, n, spread, REJECT,
-            np.random.default_rng(seed), flip_p=flip_p,
-        )
-    propagate = defn if config.mode == PROCESS_AWARE else None
-    return _sample_builder(
-        schema, scaler, n, spread, flip_p, propagate, np.random.default_rng(seed)
-    )
+    """Conformance-preserving sampling by ``strategy`` (see :func:`_sampler`);
+    returns ``n + 1`` rows, the instance first."""
+    config = ExplainConfig(PROCESS_AWARE, strategy, n_samples=n, spread=spread, flip_p=flip_p)
+    schema.check_definition(defn)
+    return _sampler(defn, schema, scaler, config, rng)(_checked_instance(schema, instance))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +352,8 @@ def kernel_weights(
 ) -> np.ndarray:
     """Exponential kernel ``exp(-d^2 / width^2)`` on standardized distance;
     a width :class:`ExplainConfig` refuses is refused with ``ConfigError``."""
-    return _kernel(scaler.apply(instance), scaler.apply(samples), _checked_width(width))
+    width = ExplainConfig(kernel_width=width).kernel_width
+    return _kernel(scaler.apply(instance), scaler.apply(samples), width)
 
 
 def _fit(
@@ -413,8 +410,10 @@ def fit_surrogate(
 
     ``design`` holds standardized sample rows without an intercept column.
     Returns ``(coefficients, intercept, fidelity_r2)`` where fidelity is the
-    weighted R² of the fit, defined as 0 for a zero-variance target.
+    weighted R² of the fit, defined as 0 for a zero-variance target. A
+    ``ridge`` :class:`ExplainConfig` refuses is refused with ``ConfigError``.
     """
+    ridge = ExplainConfig(ridge=ridge).ridge
     design = np.asarray(design, dtype=float)
     n, k = design.shape
     # Feature-major like the design explain_detailed fits, for the same bits.
@@ -537,9 +536,7 @@ def _explain(
     return explanation, PerturbationSet(samples, predictions, weights)
 
 
-def _checked_instance(
-    schema: FeatureSchema, defn: ProcessDefinition, instance: np.ndarray
-) -> np.ndarray:
+def _checked_instance(schema: FeatureSchema, instance: np.ndarray) -> np.ndarray:
     instance = np.asarray(instance, dtype=float)
     if instance.shape != (schema.arity,):
         raise SchemaMismatchError(
@@ -550,7 +547,7 @@ def _checked_instance(
         raise SchemaMismatchError(f"instance has non-finite value(s) for {bad}")
     if schema.arity == 0:
         raise NoFeaturesError(
-            f"process {defn.name!r} has neither attributes nor activities, "
+            f"process {schema.process_name!r} has neither attributes nor activities, "
             f"so there are no features to attribute"
         )
     return instance
@@ -565,7 +562,7 @@ def explain_detailed(
 ) -> tuple[Explanation, PerturbationSet]:
     """Run the full pipeline and keep the perturbation set for inspection."""
     model.schema.check_definition(defn)
-    instance = _checked_instance(model.schema, defn, instance)
+    instance = _checked_instance(model.schema, instance)
     samples = _sampler(defn, model.schema, model.scaler, config)(instance)
     return _explain(model, samples, config, instance_id)
 

@@ -391,10 +391,11 @@ def load_model(
     negative scaler std, a hyperparameter :class:`TrainConfig` refuses or a
     byte that is not UTF-8 raises ``MalformedModelError``."""
     with _utf8(path, _not_utf8(MalformedModelError)), open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedModelError(f"model file is not JSON ({exc})") from None
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int past int's digit limit
+        raise MalformedModelError(f"model file is not JSON ({exc})") from None
     return _model_from_json(data, definition)
 
 

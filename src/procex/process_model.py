@@ -24,6 +24,7 @@ Everything in this module is an immutable value; all functions are pure.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -205,7 +206,7 @@ def guard_attributes(guard: GuardExpr) -> frozenset[str]:
 
 
 def _fmt_num(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):  # inf and nan fail the first test
         return str(int(value))
     return repr(float(value))
 
@@ -521,7 +522,10 @@ class _Parser:
         tok = self._next()
         if tok.kind != "num":
             raise self._error("a number", tok)
-        return float(tok.text)
+        number = float(tok.text)
+        if not math.isfinite(number):  # a literal past the float range
+            raise self._error("a finite number", tok)
+        return number
 
     # -- declarations ------------------------------------------------------
 
@@ -808,6 +812,14 @@ def validate(defn: ProcessDefinition) -> ValidationReport:
                     "BadAttributeBounds",
                     a.name,
                     f"bounds [{a.lower}, {a.upper}] are not an increasing interval",
+                )
+            )
+        elif not math.isfinite(a.upper - a.lower):
+            findings.append(
+                Finding(
+                    "BadAttributeBounds",
+                    a.name,
+                    f"bounds [{a.lower}, {a.upper}] have no finite width",
                 )
             )
 

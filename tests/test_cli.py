@@ -208,6 +208,20 @@ class TestSimulate:
         code, _, _ = run("simulate", LOAN, "--n", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("bounds,message", [
+        ("[0, 1e400]", "DslSyntaxError: line 2, col 24: expected a finite number, found '1e400'"),
+        ("[-1e308, 1e308]",
+         "InvalidDefinitionError: x: bounds [-1e+308, 1e+308] have no finite width"),
+    ], ids=["infinite-bound", "infinite-width"])
+    def test_non_finite_bounds_are_refused(self, run, tmp_path, bounds, message):
+        process, out_path = tmp_path / "p.bp", tmp_path / "log.jsonl"
+        process.write_text(
+            f"process p\nattr x: numeric in {bounds}\nstart -> done\nend done label POSITIVE\n"
+        )
+        code, out, err = run("simulate", str(process), "--n", "5", "--out", str(out_path))
+        assert (code, out, err) == (1, "", message + "\n")
+        assert not out_path.exists()
+
 
 class TestImport:
     def test_round_trip(self, run, tmp_path):
@@ -429,6 +443,18 @@ class TestUndecodableJson:
         text = workspace["model"].read_text()[:12]
         model.write_text(text)
         with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        err = self.refused(run, ["explain", LOAN, "--model", str(model), "--mode", "vanilla",
+                                 "--attrs", "credit_score=600,loan_amount=1000"])
+        assert err == f"MalformedModelError: model file is not JSON ({exc.value})\n"
+
+    def test_integer_past_the_digit_limit_in_model_file(self, run, workspace, tmp_path):
+        model = tmp_path / "model.json"
+        data = json.loads(workspace["model"].read_text())
+        data["bias"] = 0
+        text = json.dumps(data).replace('"bias": 0', '"bias": ' + "9" * 5000)
+        model.write_text(text)
+        with pytest.raises(ValueError) as exc:
             json.loads(text)
         err = self.refused(run, ["explain", LOAN, "--model", str(model), "--mode", "vanilla",
                                  "--attrs", "credit_score=600,loan_amount=1000"])

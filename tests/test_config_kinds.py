@@ -83,9 +83,16 @@ def test_every_setting_is_walked():
      f"seed must be an integer, got {np.int64(0)!r}"),
     (lambda: ComparisonConfig(collapse_derived="yes"),
      "collapse_derived must be True or False, got 'yes'"),
+    (lambda: SimulationConfig(n_cases=-10**5000),
+     "n_cases must be non-negative, got an integer too long to print"),
+    (lambda: ExplainConfig(n_samples=-10**5000),
+     "n_samples must be at least 1, got an integer too long to print"),
+    (lambda: ComparisonConfig(seeds=(-10**5000,)),
+     "seed must be non-negative, got an integer too long to print"),
 ], ids=["n_cases-float", "seed-float", "spread-str", "flip_p-None", "kernel_width-str",
         "collapse-str", "l2-str", "epochs-float", "tol-huge-int", "seeds-str", "seeds-bool",
-        "seeds-int64", "comparison-collapse-str"])
+        "seeds-int64", "comparison-collapse-str", "n_cases-past-digit-limit",
+        "n_samples-past-digit-limit", "seeds-past-digit-limit"])
 def test_named_leaks_are_config_errors(build, message):
     with pytest.raises(ConfigError) as exc:
         build()

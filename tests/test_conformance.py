@@ -43,6 +43,9 @@ def vanilla_rows(defn, n, flip_p, seed):
     log = generate_log(defn, SimulationConfig(n_cases=200, seed=seed))
     scaler = scaler_from_matrix(encode_log(schema, log)[0])
     instance = encode_trace(schema, log.traces[0])
+    if n == 0 or schema.arity == 0:
+        # The instance alone, or zero-width rows: inputs the sampler refuses.
+        return schema, np.tile(instance, (n + 1, 1))
     rng = np.random.default_rng(seed)
     return schema, sample_vanilla(instance, schema, scaler, n, 1.0, flip_p, rng)
 

@@ -318,15 +318,6 @@ class TestKernel:
         w = kernel_weights(SKILLED_VEC, pair, scaler, 1.5)
         assert w[0] == pytest.approx(w[1], rel=1e-12)
 
-    @pytest.mark.parametrize("width", [0.0, -1.5, float("nan"), float("inf"), 1e-200])
-    def test_refuses_every_width_the_config_refuses(self, scaler, width):
-        """One width rule: the same ``ConfigError``, and no numpy warning."""
-        with pytest.raises(ConfigError) as want:
-            ExplainConfig(kernel_width=width)
-        with pytest.raises(ConfigError) as got:
-            kernel_weights(SKILLED_VEC, SKILLED_VEC[None, :], scaler, width)
-        assert str(got.value) == str(want.value)
-
     @pytest.mark.parametrize("process", ["loan", "chain"])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 2, 600])

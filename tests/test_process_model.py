@@ -1,5 +1,6 @@
 """Parser, validator, serializer and causality derivation."""
 
+import math
 import shutil
 from pathlib import Path
 
@@ -357,6 +358,18 @@ RULE_TABLE = {
         [("BadAttributeBounds", "a")],
         InvalidDefinitionError,
     ),
+    "BadAttributeBounds of no finite width": (
+        MINIMAL.replace("[0, 1]", "[-1e308, 1e308]"),
+        [("BadAttributeBounds", "a")],
+        InvalidDefinitionError,
+    ),
+    "BadAttributeBounds of an infinite bound": (
+        ProcessDefinition(
+            "p", (AttributeDecl("a", 0.0, math.inf),), "done", (EndNode("done", POSITIVE),)
+        ),
+        [("BadAttributeBounds", "a")],
+        None,
+    ),
     "BadLabel": (
         ProcessDefinition("p", (), "done", (EndNode("done", "MAYBE"),)),
         [("BadLabel", "done")],
@@ -455,16 +468,35 @@ def test_the_rule_table_covers_every_documented_rule():
         ),
         (parse_process, "process p\n42\n", DslSyntaxError, (2, 1, "a declaration keyword")),
         (parse_guard, "a < 1 b", DslSyntaxError, (1, 7, "end of input")),
+        (
+            parse_process, MINIMAL.replace("[0, 1]", "[0, 1e400]"),
+            DslSyntaxError, (3, 24, "a finite number"),
+        ),
+        (parse_guard, "a < -1e400", DslSyntaxError, (1, 5, "a finite number")),
+        (
+            parse_process, "process p\nstart -> g\ngateway g choice { 1e999 -> e }\n",
+            DslSyntaxError, (3, 20, "a finite number"),
+        ),
     ],
     ids=["illegal-character", "second-start-edge", "bad-end-label", "missing-operator",
          "bad-gateway-body", "unknown-declaration", "number-for-declaration",
-         "trailing-guard-token"],
+         "trailing-guard-token", "infinite-bound", "infinite-guard-value",
+         "infinite-probability"],
 )
 def test_syntax_errors(parse, text, raised, where):
     with pytest.raises(raised) as caught:
         parse(text)
     if where is not None:
         assert (caught.value.line, caught.value.col, caught.value.expected) == where
+
+
+def test_an_infinite_bound_serializes_to_text_the_parser_refuses():
+    defn = ProcessDefinition(
+        "p", (AttributeDecl("a", 0.0, math.inf),), "done", (EndNode("done", POSITIVE),)
+    )
+    with pytest.raises(DslSyntaxError) as caught:
+        parse_process(serialize_process(defn))
+    assert (caught.value.expected, caught.value.found) == ("a number", "'inf'")
 
 
 # Texts that parse but that ``validate`` refuses; the folds build their step
