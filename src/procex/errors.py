@@ -10,6 +10,7 @@ tools rely on. Beside :class:`ConfigError`, :func:`_integer` and
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -78,15 +79,20 @@ class ConfigError(ProcexError):
 
 def _integer(name: str, value: object, least: int = 0, rule: str = "be non-negative") -> None:
     """Refuse setting ``name`` unless ``value`` is exactly an ``int`` of at
-    least ``least`` (``rule`` in words): a ``bool`` or ``np.int64`` is not,
-    as the JSON writers would write ``true`` or fail."""
+    least ``least`` (``rule`` in words) that the JSON writers can print: a
+    ``bool`` or ``np.int64`` is not, as the writers would write ``true`` or
+    fail, and neither is an ``int`` past the interpreter's digit limit for
+    integer-to-string conversion (``sys.get_int_max_str_digits()``)."""
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        shown = str(value)
+    except ValueError:  # past the digit limit, which the writers obey too
+        shown = "an integer too long to print"
+        if value >= least:
+            limit = sys.get_int_max_str_digits()
+            raise ConfigError(f"{name} must have at most {limit} digits, got {shown}") from None
     if value < least:
-        try:
-            shown = str(value)
-        except ValueError:  # past int's digit limit for str()
-            shown = "an integer too long to print"
         raise ConfigError(f"{name} must {rule}, got {shown}")
 
 

@@ -46,7 +46,9 @@ surrogate design all read that one standardization. The kernel squares the
 differences from the instance into a C-order ``(k, n + 1)`` scratch block
 and sums it with one ``np.add.reduce`` over its rows, which numpy adds one
 row after another: feature by feature in schema order, the bits of a loop
-over the features. The public steps
+over the features. It then divides the sums in place by ``-(width * width)``
+(IEEE division is sign-symmetric, so these are the bits of negating them
+first) and exponentiates them in place. The public steps
 (:func:`sample_vanilla`, :func:`sample_process_aware`, :func:`kernel_weights`,
 :func:`fit_surrogate`, :func:`~procex.predictor.predict_proba`) standardize
 for themselves and then run the same helpers, so composing them gives the
@@ -58,7 +60,8 @@ same bits as :func:`explain_detailed`. Each judges its settings by an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -153,7 +156,7 @@ class ExplainConfig:
     def to_json_dict(self, arity: int) -> dict:
         """The settings as an explanation records them, the kernel width
         resolved for ``arity`` features."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data = dict(vars(self))  # the fields: the class caches nothing on itself
         if self.mode != PROCESS_AWARE:
             data["strategy"] = None
         data["kernel_width"] = self.resolved_width(arity)
@@ -200,13 +203,9 @@ def _sample_builder(
     that builds any instance's samples from them, the instance first. The
     numeric features lead the schema, so their rows lead the block."""
     n, flip_p = config.n_samples, config.flip_p
-    numeric = schema.features[: len(schema.numeric_indices)]
-    m = len(numeric)
+    m = len(schema.numeric_indices)
     normals = rng.standard_normal((n, m)).T
-    with np.errstate(over="ignore"):  # an infinite sigma clamps samples to a bound
-        sigma = config.spread * scaler.std[:m]
-    lower = np.array([-np.inf if f.lower is None else f.lower for f in numeric])
-    upper = np.array([np.inf if f.upper is None else f.upper for f in numeric])
+    lower, upper = schema.numeric_bounds
     if defn is None:
         uniforms = rng.random((n, schema.arity - m)).T
     else:
@@ -215,10 +214,11 @@ def _sample_builder(
     def build(instance: np.ndarray) -> np.ndarray:
         block = _sample_block(instance, n)
         rows = block[:m, 1:]
-        with np.errstate(over="ignore"):  # an infinite sample clamps to a bound
-            np.multiply(normals, sigma[:, None], out=rows)
+        with np.errstate(over="ignore"):  # an infinite sigma or sample clamps to a bound
+            sigma = config.spread * scaler.std[:m, None]
+            np.multiply(normals, sigma, out=rows)
             rows += block[:m, :1]
-        np.clip(rows, lower[:, None], upper[:, None], out=rows)
+        rows.clip(lower, upper, out=rows)
         indicators = block[m:, 1:]
         if defn is None:
             np.less(uniforms, flip_p, out=indicators)  # 1.0: flip
@@ -338,9 +338,9 @@ def _kernel(center: np.ndarray, standardized: np.ndarray, width: float) -> np.nd
     np.subtract(standardized.T, center[:, None], out=delta)
     np.multiply(delta, delta, out=delta)
     sq_dist = np.add.reduce(scratch, axis=0)[:n]
-    np.negative(sq_dist, out=sq_dist)
+    # -(d / w^2) and d / -(w^2) have the same bits: IEEE division is sign-symmetric.
     with np.errstate(over="ignore"):  # a distance past the float range weighs 0
-        sq_dist /= width * width
+        np.divide(sq_dist, -(width * width), out=sq_dist)
     return np.exp(sq_dist, out=sq_dist)
 
 
@@ -363,14 +363,13 @@ def _fit(
     ridge: float,
 ) -> tuple[np.ndarray, float, float]:
     """:func:`fit_surrogate` on a feature-major (Fortran-order) design whose
-    column 0 is the intercept's column of ones."""
-    targets = np.asarray(targets, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    column 0 is the intercept's column of ones, and float arrays of targets
+    and weights."""
     k = augmented.shape[1] - 1
-    if int(np.count_nonzero(weights > 0)) < k + 1:
+    n_positive = int(np.count_nonzero(weights > 0))
+    if n_positive < k + 1:
         raise InsufficientSamplesError(
-            f"need at least {k + 1} positively weighted samples, "
-            f"got {int(np.count_nonzero(weights > 0))}"
+            f"need at least {k + 1} positively weighted samples, got {n_positive}"
         )
     weighted = augmented * weights[:, None]
     gram = augmented.T @ weighted
@@ -420,6 +419,7 @@ def fit_surrogate(
     augmented = np.empty((k + 1, n)).T
     augmented[:, 0] = 1.0
     augmented[:, 1:] = design
+    targets, weights = np.asarray(targets, dtype=float), np.asarray(weights, dtype=float)
     return _fit(augmented, targets, weights, ridge)
 
 
@@ -510,22 +510,17 @@ def _explain(
 
     std_weights = np.zeros(schema.arity)
     std_weights[:m] = coef
-    raw_weights = std_weights / scaler.scale
-    order = sorted(
-        range(schema.arity),
-        key=lambda i: (-abs(std_weights[i]), schema.names[i]),
-    )
+    raw_weights = (std_weights / scaler.scale).tolist()
+    std_weights = std_weights.tolist()
+    names = schema.names
+    order = sorted(range(schema.arity), key=lambda i: (-abs(std_weights[i]), names[i]))
     explanation = Explanation(
         mode=config.mode,
         strategy=strategy,
         instance_id=instance_id,
         prediction=float(predictions[0]),
-        attributions=tuple(
-            (schema.names[i], float(std_weights[i])) for i in order
-        ),
-        attributions_raw=tuple(
-            (schema.names[i], float(raw_weights[i])) for i in order
-        ),
+        attributions=tuple((names[i], std_weights[i]) for i in order),
+        attributions_raw=tuple((names[i], raw_weights[i]) for i in order),
         intercept=intercept,
         fidelity_r2=fidelity,
         n_samples=config.n_samples,
@@ -537,11 +532,25 @@ def _explain(
 
 
 def _checked_instance(schema: FeatureSchema, instance: np.ndarray) -> np.ndarray:
-    instance = np.asarray(instance, dtype=float)
+    """The instance as a float vector; refuses the wrong shape, a value that
+    is not a real number (a string, or a complex whose imaginary part a
+    float conversion would drop), and one that is not finite as a float."""
+    instance = np.asarray(instance)
     if instance.shape != (schema.arity,):
         raise SchemaMismatchError(
             f"instance shape {instance.shape} does not fit schema arity {schema.arity}"
         )
+    if instance.dtype.kind not in "biuf":
+        bad = [
+            name for name, value in zip(schema.names, instance.tolist())
+            if not isinstance(value, numbers.Real)
+        ]
+        if bad:
+            raise SchemaMismatchError(f"instance has non-real value(s) for {bad}")
+    try:
+        instance = instance.astype(float, copy=False)
+    except OverflowError:  # a Python int past the float range, in an object array
+        raise SchemaMismatchError("instance has an integer past the float range") from None
     if not np.isfinite(instance).all():
         bad = [schema.names[i] for i in np.flatnonzero(~np.isfinite(instance))]
         raise SchemaMismatchError(f"instance has non-finite value(s) for {bad}")

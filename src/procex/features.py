@@ -94,6 +94,15 @@ class FeatureSchema:
         )
 
     @cached_property
+    def numeric_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The numeric features' lower and upper bounds as two ``(m, 1)``
+        columns, -inf and inf where a bound is absent."""
+        numeric = self.features[: len(self.numeric_indices)]
+        lower = [-np.inf if f.lower is None else f.lower for f in numeric]
+        upper = [np.inf if f.upper is None else f.upper for f in numeric]
+        return np.array(lower).reshape(-1, 1), np.array(upper).reshape(-1, 1)
+
+    @cached_property
     def binary_indices(self) -> np.ndarray:
         return np.array(
             [i for i, f in enumerate(self.features) if f.kind == BINARY], dtype=int
@@ -132,10 +141,25 @@ class FeatureSchema:
             ),
         )
 
+    @cached_property
+    def _definition_signature(self) -> tuple | None:
+        """``(process name, (name, lower, upper) per attribute, activity
+        names)`` of the definitions :func:`build_schema` maps to this
+        schema; None if none does, as an indicator with bounds."""
+        m = len(self.numeric_indices)
+        if any(f.lower is not None or f.upper is not None for f in self.features[m:]):
+            return None
+        attributes = tuple((f.name, f.lower, f.upper) for f in self.features[:m])
+        return self.process_name, attributes, self.names[m:]
+
     def check_definition(self, defn: ProcessDefinition) -> None:
-        """Refuse a definition that implies another schema than this one."""
-        expected = build_schema(defn)
-        if expected != self:
+        """Refuse a definition that implies another schema than this one:
+        ``build_schema(defn) != self``, judged on the definition's name,
+        attributes with bounds and activities, without building a schema."""
+        bounds = defn.attribute_bounds
+        attributes = tuple((name, *bounds[name]) for name in defn.attribute_names)
+        if (defn.name, attributes, defn.activity_names) != self._definition_signature:
+            expected = build_schema(defn)
             raise SchemaMismatchError(
                 f"model was trained for schema {self.schema_hash} "
                 f"but the supplied definition implies {expected.schema_hash}"

@@ -7,6 +7,8 @@ wrong-kind value that its annotation rules out, and must raise
 value accepted here that a later step (training, the JSON writers) fails on.
 """
 
+import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -97,6 +99,32 @@ def test_named_leaks_are_config_errors(build, message):
     with pytest.raises(ConfigError) as exc:
         build()
     assert str(exc.value) == message
+
+
+# Every seed setting, at a value one digit past what the writers can print,
+# and the JSON dict it would be written from.
+PAST_DIGIT_LIMIT = 10 ** sys.get_int_max_str_digits()
+SEEDS = {
+    "ExplainConfig": (lambda seed: ExplainConfig(seed=seed), lambda c: c.to_json_dict(5)),
+    "SimulationConfig": (lambda seed: SimulationConfig(n_cases=1, seed=seed),
+                         lambda c: c.to_json_dict()),
+    "TrainConfig": (lambda seed: TrainConfig(seed=seed), lambda c: c.to_json_dict()),
+    "ComparisonConfig": (lambda seed: ComparisonConfig(seeds=(seed,)),
+                         lambda c: c.to_json_dict()),
+}
+
+
+@pytest.mark.parametrize("config", sorted(SEEDS))
+def test_seeds_refuse_what_the_writers_cannot_print(config):
+    build, to_json = SEEDS[config]
+    with pytest.raises(ConfigError) as exc:
+        build(PAST_DIGIT_LIMIT)
+    assert str(exc.value) == (
+        f"seed must have at most {sys.get_int_max_str_digits()} digits, "
+        "got an integer too long to print"
+    )
+    largest = PAST_DIGIT_LIMIT - 1  # as many digits as the limit allows
+    assert str(largest) in json.dumps(to_json(build(largest)))
 
 
 @pytest.fixture(scope="module")

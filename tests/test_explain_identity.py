@@ -3,8 +3,9 @@
 
 The digests pin the exact bytes of in-process explanation payloads and of
 one ``run_comparison`` report on the README tour's model (seed-42 log, CLI
-training defaults), so a change to how samples are laid out, standardized,
-weighted or fitted cannot move a last bit unnoticed.
+training defaults), and of ``REJOINING``'s payloads in every mode, so a
+change to how samples are laid out, standardized, weighted or fitted cannot
+move a last bit unnoticed.
 
 The composition test rebuilds each explanation from ``sample_vanilla`` /
 ``sample_process_aware``, ``predict_proba``, ``kernel_weights`` and
@@ -16,6 +17,7 @@ input, and that a process without features fails before any sampling.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,15 @@ PAYLOAD_DIGESTS = {
     "propagate": "61e145b551c8dfc0a2406b8811899efd09e01cc0e69ee8d98be221e8e9249d70",
     "collapse": "28509fcd886b96141c9ea3c3647febc78a7bb97842437dc00e6d81769d979c40",
     "reject": "30bef6bafe33e3465ddc776cc167de8b7ea577da734f9bcb559de8f8a29c5532",
+}
+
+# ``REJOINING``'s payloads (branches that rejoin across gateways, nested
+# choices), computed under a one-thread BLAS.
+REJOINING_DIGESTS = {
+    "collapse": "28d7d0d872cc0a07393d1856108e9d348409a764f1cf85a73954b6fc200f8728",
+    "propagate": "0863ed2a0ba7101b9219fd91f8a1191d02f14679b9d7c36af11a6ecc41c14460",
+    "reject": "373fc7a3bff7c0b926828ea30e2d3bb2c717b9fcb67e63e8700cdfe6a9fc7f48",
+    "vanilla": "8f0ae1d869c8b544c8d28aa1bb06527a230a6818036d4b758bc37b3e5661ec80",
 }
 
 
@@ -105,6 +116,43 @@ def test_comparison_report_bytes_are_pinned(loan, seed42_model, seed42_log, tmp_
     assert _digest(path.read_bytes()) == (
         "9f91d366a86105b3561fbb6ca5811e44be43b117d6712722e6a73cfddca9f2fa"
     )
+
+
+def test_rejoining_payload_bytes_are_pinned(fresh_python):
+    """One new interpreter with ``OPENBLAS_NUM_THREADS=1`` computes the
+    payloads, so the digests do not depend on the host's core count. The
+    instances took the fast lane, the nested choice and the audit branch."""
+    source = f"""
+import os
+os.environ.pop("OMP_NUM_THREADS", None)
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import hashlib, json, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from procgen import REJOINING
+from procex.explainer import ExplainConfig, explain
+from procex.features import build_schema, encode_trace
+from procex.predictor import train
+from procex.simulation import SimulationConfig, generate_log
+
+schema = build_schema(REJOINING)
+log = generate_log(REJOINING, SimulationConfig(n_cases=400, seed=5, label_noise=0.2))
+model = train(log, schema)
+traces = [next(t for t in log.traces if a in t.activities) for a in ("fast", "deep", "audit")]
+digests = {{}}
+for name, settings in {CONFIGS!r}.items():
+    payloads = [
+        explain(
+            model, REJOINING, encode_trace(schema, t),
+            ExplainConfig(seed=seed, n_samples=1000, flip_p=0.05, **settings),
+            instance_id=t.case_id,
+        ).to_json_dict()
+        for t in traces
+        for seed in (0, 7)
+    ]
+    digests[name] = hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+print(json.dumps(digests))
+"""
+    assert json.loads(fresh_python(source)) == REJOINING_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -585,12 +585,17 @@ class TestExplain:
         with pytest.raises(SchemaMismatchError):
             explain(loan_model, loan, np.zeros(3))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    # A string makes a string array; a complex one would lose its imaginary
+    # part to a float conversion.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "x", 1 + 2j])
     def test_non_finite_instance(self, loan_model, loan, value):
-        instance = SKILLED_VEC.copy()
-        instance[0] = value
+        instance = np.array([value, *SKILLED_VEC[1:]])
         with pytest.raises(SchemaMismatchError, match="credit_score"):
             explain(loan_model, loan, instance)
+
+    def test_instance_past_the_float_range(self, loan_model, loan):
+        with pytest.raises(SchemaMismatchError, match="past the float range"):
+            explain(loan_model, loan, [10**400, *SKILLED_VEC[1:]])
 
     def test_model_definition_mismatch(self, loan_model):
         other = parse_process(

@@ -7,6 +7,7 @@ from procex.errors import EmptyLogError, SchemaMismatchError
 from procex.features import (
     BINARY,
     NUMERIC,
+    Feature,
     FeatureSchema,
     Scaler,
     build_schema,
@@ -16,7 +17,7 @@ from procex.features import (
     split_columns,
     split_vector,
 )
-from procex.process_model import parse_process
+from procex.process_model import parse_process, serialize_process
 from procex.simulation import EventLog, SimulationConfig, Trace, generate_log, import_log_csv
 
 from procgen import random_process
@@ -120,6 +121,65 @@ class TestSchema:
         payload["features"][0]["kind"] = "categorical"
         with pytest.raises(SchemaMismatchError, match="categorical"):
             FeatureSchema.from_json_dict(payload)
+
+
+# The loan fixture and 50 random definitions. The random ones share one
+# process name and draw their names from one pool, so that pairs of them
+# often differ only in a bound, an attribute or an activity.
+@pytest.fixture(scope="module")
+def definitions(loan):
+    return [loan] + [random_process(np.random.default_rng(5100 + i)) for i in range(50)]
+
+
+def _near_misses(schema: FeatureSchema) -> list[FeatureSchema]:
+    """The schema itself, read back from JSON, and schemas that differ from
+    it in one thing: the process name, the last feature dropped, the first
+    feature's upper bound, or bounds on the last indicator."""
+    features = list(schema.features)
+    m = len(schema.numeric_indices)
+    variants = [
+        schema,
+        FeatureSchema.from_json_dict(schema.to_json_dict()),
+        FeatureSchema("another", schema.features),
+    ]
+    if features:
+        variants.append(FeatureSchema(schema.process_name, tuple(features[:-1])))
+    if m:
+        first = features[0]
+        bumped = Feature(first.name, NUMERIC, first.lower, first.upper + 1.0)
+        variants.append(FeatureSchema(schema.process_name, (bumped, *features[1:])))
+    if m < len(features):
+        bounded = Feature(features[-1].name, BINARY, 0.0, 1.0)
+        variants.append(FeatureSchema(schema.process_name, (*features[:-1], bounded)))
+    return variants
+
+
+def test_check_definition_passes_exactly_on_an_equal_schema(definitions):
+    implied = [build_schema(defn) for defn in definitions]
+    accepted = 0
+    for schema in [v for s in implied for v in _near_misses(s)]:
+        for defn, expected in zip(definitions, implied):
+            try:
+                schema.check_definition(defn)
+            except SchemaMismatchError as exc:
+                assert expected != schema
+                assert str(exc) == (
+                    f"model was trained for schema {schema.schema_hash} "
+                    f"but the supplied definition implies {expected.schema_hash}"
+                )
+            else:
+                assert expected == schema
+                accepted += 1
+    assert accepted >= 2 * len(definitions)  # each schema and its JSON copy
+
+
+def test_check_definition_keeps_no_memory_of_what_it_accepted(definitions):
+    for defn, neighbour in zip(definitions, definitions[1:] + definitions[:1]):
+        schema = build_schema(defn)
+        schema.check_definition(defn)
+        with pytest.raises(SchemaMismatchError):
+            schema.check_definition(neighbour)
+        schema.check_definition(parse_process(serialize_process(defn)))
 
 
 class TestEncoding:
