@@ -64,19 +64,16 @@ def conformance_rate(
     Accepts a 2-D sample matrix, one sample per row (every row is
     checked), or a :class:`PerturbationSet`, in which case row 0 is excluded
     because it is the instance itself, not a perturbation. ``schema``
-    defaults to the definition's.
+    defaults to the definition's; a definition of another schema is refused.
     """
-    if isinstance(samples, PerturbationSet):
-        matrix = samples.samples[1:]
-    else:
-        matrix = np.asarray(samples, dtype=float)
-    if matrix.shape[0] == 0:
+    schema = build_schema(defn) if schema is None else schema
+    schema.check_definition(defn)
+    start = 1 if isinstance(samples, PerturbationSet) else 0
+    matrix = samples.samples if start else samples
+    verdicts = conformant_rows(defn, *split_columns(schema, matrix))[start:]
+    if not len(verdicts):
         raise EmptySamplesError("conformance rate over zero samples is undefined")
-    if schema is None:
-        schema = build_schema(defn)
-    columns, indicators = split_columns(schema, matrix, defn.activity_names)
-    hits = int(np.count_nonzero(conformant_rows(defn, columns, indicators)))
-    return hits / matrix.shape[0]
+    return int(np.count_nonzero(verdicts)) / len(verdicts)
 
 
 def top_k_overlap(e1: Explanation, e2: Explanation, k: int) -> float:
@@ -87,8 +84,9 @@ def top_k_overlap(e1: Explanation, e2: Explanation, k: int) -> float:
         raise SchemaMismatchError(
             "explanations cover different feature sets; cannot compare"
         )
-    if not 1 <= k <= len(names1):
-        raise ConfigError(f"k must lie in [1, {len(names1)}], got {k}")
+    _integer("k", k, 1, "be positive")
+    if k > len(names1):
+        raise ConfigError(f"k must be at most the {len(names1)} features, got {k}")
     return len(set(e1.top_features(k)) & set(e2.top_features(k))) / k
 
 

@@ -53,16 +53,16 @@ first) and exponentiates them in place. The public steps
 :func:`fit_surrogate`, :func:`~procex.predictor.predict_proba`) standardize
 for themselves and then run the same helpers, so composing them gives the
 same bits as :func:`explain_detailed`. Each judges its settings by an
-:class:`ExplainConfig` and the samplers check the instance as
-:func:`explain` does, so a step refuses what ``explain`` refuses.
+:class:`ExplainConfig` and its rows by the schema's
+:meth:`~procex.features.FeatureSchema.check_rows`, as :func:`explain`
+does, so a step refuses what ``explain`` refuses.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,7 +77,7 @@ from .errors import (
     _integer,
     _real,
 )
-from .features import FeatureSchema, Scaler, split_columns
+from .features import NUMERIC, Feature, FeatureSchema, Scaler, split_columns
 from .predictor import LogisticModel, predict_proba_standardized
 from .process_model import ProcessDefinition, conformant_rows, execute_rows
 
@@ -262,7 +262,7 @@ def _sampler(
         while n_kept < n and attempts < REJECT_BUDGET_FACTOR * n:
             batch = _sample_builder(schema, scaler, config, None, draws)(instance)[1:]
             attempts += n
-            columns, indicators = split_columns(schema, batch, defn.activity_names)
+            columns, indicators = split_columns(schema, batch)
             accepted = batch[conformant_rows(defn, columns, indicators)][: n - n_kept]
             block[:, 1 + n_kept : 1 + n_kept + len(accepted)] = accepted.T
             n_kept += len(accepted)
@@ -344,6 +344,12 @@ def _kernel(center: np.ndarray, standardized: np.ndarray, width: float) -> np.nd
     return np.exp(sq_dist, out=sq_dist)
 
 
+@lru_cache(maxsize=16)
+def _column_schema(k: int) -> FeatureSchema:
+    """The judge of the rows of the steps that take no schema: ``k`` columns."""
+    return FeatureSchema("", tuple(Feature(f"column {j}", NUMERIC) for j in range(k)))
+
+
 def kernel_weights(
     instance: np.ndarray,
     samples: np.ndarray,
@@ -353,6 +359,8 @@ def kernel_weights(
     """Exponential kernel ``exp(-d^2 / width^2)`` on standardized distance;
     a width :class:`ExplainConfig` refuses is refused with ``ConfigError``."""
     width = ExplainConfig(kernel_width=width).kernel_width
+    judge = _column_schema(len(scaler.mean))
+    instance, samples = judge.check_rows(instance, (1,)), judge.check_rows(samples)
     return _kernel(scaler.apply(instance), scaler.apply(samples), width)
 
 
@@ -410,16 +418,22 @@ def fit_surrogate(
     ``design`` holds standardized sample rows without an intercept column.
     Returns ``(coefficients, intercept, fidelity_r2)`` where fidelity is the
     weighted R² of the fit, defined as 0 for a zero-variance target. A
-    ``ridge`` :class:`ExplainConfig` refuses is refused with ``ConfigError``.
+    ``ridge`` :class:`ExplainConfig` refuses is refused with ``ConfigError``,
+    targets or weights not one per design row with ``SchemaMismatchError``.
     """
     ridge = ExplainConfig(ridge=ridge).ridge
-    design = np.asarray(design, dtype=float)
+    design = _column_schema(np.shape(design)[-1] if np.ndim(design) else 0).check_rows(design)
     n, k = design.shape
+    targets, weights = np.asarray(targets, dtype=float), np.asarray(weights, dtype=float)
+    if targets.shape != (n,) or weights.shape != (n,):
+        raise SchemaMismatchError(
+            f"a design of {n} rows needs {n} targets and weights, "
+            f"got shapes {targets.shape} and {weights.shape}"
+        )
     # Feature-major like the design explain_detailed fits, for the same bits.
     augmented = np.empty((k + 1, n)).T
     augmented[:, 0] = 1.0
     augmented[:, 1:] = design
-    targets, weights = np.asarray(targets, dtype=float), np.asarray(weights, dtype=float)
     return _fit(augmented, targets, weights, ridge)
 
 
@@ -532,28 +546,8 @@ def _explain(
 
 
 def _checked_instance(schema: FeatureSchema, instance: np.ndarray) -> np.ndarray:
-    """The instance as a float vector; refuses the wrong shape, a value that
-    is not a real number (a string, or a complex whose imaginary part a
-    float conversion would drop), and one that is not finite as a float."""
-    instance = np.asarray(instance)
-    if instance.shape != (schema.arity,):
-        raise SchemaMismatchError(
-            f"instance shape {instance.shape} does not fit schema arity {schema.arity}"
-        )
-    if instance.dtype.kind not in "biuf":
-        bad = [
-            name for name, value in zip(schema.names, instance.tolist())
-            if not isinstance(value, numbers.Real)
-        ]
-        if bad:
-            raise SchemaMismatchError(f"instance has non-real value(s) for {bad}")
-    try:
-        instance = instance.astype(float, copy=False)
-    except OverflowError:  # a Python int past the float range, in an object array
-        raise SchemaMismatchError("instance has an integer past the float range") from None
-    if not np.isfinite(instance).all():
-        bad = [schema.names[i] for i in np.flatnonzero(~np.isfinite(instance))]
-        raise SchemaMismatchError(f"instance has non-finite value(s) for {bad}")
+    """The instance judged by the schema, which must have features to attribute."""
+    instance = schema.check_rows(instance, (1,))
     if schema.arity == 0:
         raise NoFeaturesError(
             f"process {schema.process_name!r} has neither attributes nor activities, "

@@ -9,13 +9,15 @@ serialized models so mismatched artifacts fail loudly instead of silently.
 There is one encoder, ``_encode``: it maps each of a log's distinct paths to
 one indicator row, takes that row per case, and copies the attribute columns
 in. ``encode_log`` runs it on a whole log and ``encode_trace`` is its one-row
-view, as ``split_vector`` is of ``split_columns``.
+view, as ``split_vector`` is of ``split_columns``. There is one judge of the
+feature rows every public step takes, :meth:`FeatureSchema.check_rows`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,6 +44,19 @@ NUMERIC = "numeric"
 BINARY = "binary"
 
 _STD_FLOOR = 1e-12
+
+_ROWS = {1: "vector", 2: "matrix"}
+
+
+def _cell_problem(value: object) -> str:
+    """What keeps one cell of a non-numeric array from being a float, or ''."""
+    if not isinstance(value, numbers.Real):  # a complex number too
+        return "non-real value(s)"
+    try:
+        float(value)
+    except OverflowError:
+        return "integer(s) past the float range"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -165,6 +180,31 @@ class FeatureSchema:
                 f"but the supplied definition implies {expected.schema_hash}"
             )
 
+    def check_rows(self, values: np.ndarray, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+        """The one judge of feature rows: ``values`` as a float vector (1 in
+        ``ndims``) or matrix (2) of this schema's arity, every value real
+        and finite. A fault is refused naming the features that hold it."""
+        values = np.asarray(values)
+        if values.ndim not in ndims or values.shape[-1:] != (self.arity,):
+            noun = " or ".join(_ROWS[n] for n in ndims)
+            raise SchemaMismatchError(
+                f"{noun} of shape {values.shape} does not fit schema arity {self.arity}"
+            )
+        if values.dtype.kind not in "biuf":  # strings, complex numbers or objects
+            problems = np.frompyfunc(_cell_problem, 1, 1)(values)
+            for problem in ("non-real value(s)", "integer(s) past the float range"):
+                self._refuse(problem, problems == problem)
+        values = values.astype(float, copy=False)
+        self._refuse("non-finite value(s)", ~np.isfinite(values))
+        return values
+
+    def _refuse(self, problem: str, bad: np.ndarray) -> None:
+        """Raise for ``problem`` where ``bad``, if anywhere, naming its features."""
+        if bad.any():
+            names = [self.names[j] for j in np.flatnonzero(bad.reshape(-1, self.arity).any(0))]
+            row = "" if bad.ndim == 1 else f", first in row {np.argmax(bad.any(1))}"
+            raise SchemaMismatchError(f"{_ROWS[bad.ndim]} has {problem} for {names}{row}")
+
 
 def build_schema(defn: ProcessDefinition) -> FeatureSchema:
     """Derive the canonical feature order from a process definition."""
@@ -228,50 +268,23 @@ def split_vector(
 ) -> tuple[dict[str, float], dict[str, int]]:
     """Split a feature vector back into an attribute map and indicator map:
     a one-row view of :func:`split_columns`."""
-    vector = np.asarray(vector)
-    if vector.shape != (schema.arity,):
-        raise SchemaMismatchError(
-            f"vector of shape {vector.shape} does not fit schema arity {schema.arity}"
-        )
-    activities = schema.names[len(schema.numeric_indices):]
-    columns, indicators = split_columns(schema, vector[None, :], activities)
+    vector = schema.check_rows(vector, (1,))
+    columns, indicators = split_columns(schema, vector[None, :])
     attrs = {name: float(column[0]) for name, column in columns.items()}
-    return attrs, dict(zip(activities, indicators[0].tolist()))
+    return attrs, dict(zip(schema.names[len(columns):], indicators[0].tolist()))
 
 
 def split_columns(
-    schema: FeatureSchema, matrix: np.ndarray, activities: tuple[str, ...]
+    schema: FeatureSchema, matrix: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Split a matrix of feature rows into columns.
-
-    ``activities`` must be the schema's activity names in schema order (a
-    definition's ``activity_names``). Returns the attribute columns by name,
-    and the 0/1 indicator matrix, the schema's binary slice with cells
-    rounded to the nearest integer, non-zero meaning present; a non-finite
-    cell is refused.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != schema.arity:
-        raise SchemaMismatchError(
-            f"matrix of shape {matrix.shape} does not fit schema arity {schema.arity}"
-        )
+    """Split a matrix of feature rows, judged by the schema, into its
+    attribute columns by name and its 0/1 indicator matrix: the binary slice
+    with cells rounded to the nearest integer, non-zero meaning present."""
+    matrix = schema.check_rows(matrix)
     m = len(schema.numeric_indices)
-    if tuple(activities) != schema.names[m:]:
-        raise SchemaMismatchError(
-            f"indicator keys {list(activities)} are not the schema's activities "
-            f"in schema order, {list(schema.names[m:])}"
-        )
     columns = {schema.names[i]: matrix[:, i] for i in range(m)}
-    block = matrix[:, m:]
-    finite = np.isfinite(block)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise SchemaMismatchError(
-            f"indicator {activities[col]!r} holds the non-finite value "
-            f"{block[row, col]} in row {row}"
-        )
     # A finite cell rounds to non-zero exactly when it lies beyond ±0.5.
-    return columns, (np.abs(block) > 0.5).view(np.int8)
+    return columns, (np.abs(matrix[:, m:]) > 0.5).view(np.int8)
 
 
 @dataclass(frozen=True, eq=False)

@@ -218,17 +218,11 @@ def predict_proba(model: LogisticModel, vectors: np.ndarray) -> np.ndarray | flo
     """Probability of the NEGATIVE outcome for raw (unstandardized) vectors.
 
     Accepts a single vector (returns a float) or a matrix of row vectors
-    (returns an array).
+    (returns an array), judged by the model's schema.
     """
-    vectors = np.asarray(vectors, dtype=float)
-    single = vectors.ndim == 1
-    if vectors.shape[-1] != model.schema.arity:
-        raise SchemaMismatchError(
-            f"vector arity {vectors.shape[-1]} does not match "
-            f"schema arity {model.schema.arity}"
-        )
+    vectors = model.schema.check_rows(vectors, (1, 2))
     probs = predict_proba_standardized(model, model.scaler.apply(vectors))
-    return float(probs) if single else probs
+    return float(probs) if vectors.ndim == 1 else probs
 
 
 def predict_proba_standardized(model: LogisticModel, design: np.ndarray) -> np.ndarray:

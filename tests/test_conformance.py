@@ -54,7 +54,7 @@ def check_agreement(defn, n, flip_p, seed=0):
     """Batch oracle, one-row wrappers and path enumeration agree on every
     row; returns the batch verdicts."""
     schema, rows = vanilla_rows(defn, n, flip_p, seed)
-    columns, indicators = split_columns(schema, rows, defn.activity_names)
+    columns, indicators = split_columns(schema, rows)
     verdicts = conformant_rows(defn, columns, indicators)
     assert verdicts.shape == (len(rows),)
     for row, verdict in zip(rows, verdicts):
@@ -102,7 +102,7 @@ def test_rejoining_dag_rows_agree():
 def test_batch_verdicts_match_one_row_calls(loan, which):
     defn = {"loan": loan, "rejoining": REJOINING, "chain": CHAIN}[which]
     schema, rows = vanilla_rows(defn, 200, 0.01 if which == "chain" else 0.3, 3)
-    columns, indicators = split_columns(schema, rows, defn.activity_names)
+    columns, indicators = split_columns(schema, rows)
     one_row = [
         conformant_rows(
             defn, {k: c[i : i + 1] for k, c in columns.items()}, indicators[i : i + 1]

@@ -134,7 +134,7 @@ class TestConformanceRate:
             "activity a -> b\nactivity b -> c\nactivity c -> fin\n"
             "end fin label POSITIVE\n"
         )
-        with pytest.raises(SchemaMismatchError, match="indicator keys"):
+        with pytest.raises(SchemaMismatchError, match="model was trained for schema"):
             conformance_rate(other, np.array([SKILLED_VEC]), loan_schema)
 
 
@@ -178,6 +178,18 @@ class TestTopKOverlap:
             top_k_overlap(e, e, 0)
         with pytest.raises(ConfigError):
             top_k_overlap(e, e, 6)
+
+    @pytest.mark.parametrize("k,message", [
+        (2.0, "k must be an integer, got 2.0"),
+        (True, "k must be an integer, got True"),
+        (0, "k must be positive, got 0"),
+        (6, "k must be at most the 5 features, got 6"),
+    ], ids=["float", "bool", "zero", "above-the-features"])
+    def test_k_is_judged_as_top_k_is(self, loan, loan_model, k, message):
+        e = explain(loan_model, loan, SKILLED_VEC, ExplainConfig(mode=VANILLA, n_samples=200))
+        with pytest.raises(ConfigError) as got:
+            top_k_overlap(e, e, k)
+        assert str(got.value) == message
 
     def test_different_feature_sets_are_refused(self, loan, loan_model):
         e = explain(loan_model, loan, SKILLED_VEC, ExplainConfig(mode=VANILLA, n_samples=200))

@@ -290,8 +290,7 @@ class TestEncoding:
     def test_split_vector_is_a_row_of_split_columns(self, loan_schema):
         vec = encode_trace(loan_schema, SKILLED_TRACE)
         vec[loan_schema.index("skilled_agent_review")] = 2.0
-        activities = loan_schema.names[2:]
-        columns, indicators = split_columns(loan_schema, vec[None, :], activities)
+        columns, indicators = split_columns(loan_schema, vec[None, :])
         attrs, indicator_map = split_vector(loan_schema, vec)
         assert attrs == {name: column[0] for name, column in columns.items()}
         assert list(indicator_map.values()) == indicators[0].tolist() == [1, 0, 1]
@@ -306,23 +305,17 @@ class TestEncoding:
         for j in range(len(activities)):
             matrix[:, 2 + j] = np.roll(self.CELLS, j)
         block = matrix[:, 2:]
-        _, indicators = split_columns(loan_schema, matrix, activities)
+        _, indicators = split_columns(loan_schema, matrix)
         assert indicators.dtype == np.int8
         np.testing.assert_array_equal(indicators, (np.rint(block) != 0).astype(np.int8))
-        # Activities out of schema order are refused.
-        permuted = tuple(activities[i] for i in (2, 0, 1))
-        with pytest.raises(SchemaMismatchError, match="in schema order"):
-            split_columns(loan_schema, matrix, permuted)
 
-    @pytest.mark.parametrize("activities", [(2, 3, 4)], ids=["slice"])
-    def test_a_non_finite_indicator_is_named(self, loan_schema, activities):
+    def test_a_non_finite_indicator_is_named(self, loan_schema):
         matrix = np.zeros((3, loan_schema.arity))
         matrix[1, loan_schema.index("standard_review")] = -np.inf
-        names = tuple(loan_schema.names[i] for i in activities)
         with pytest.raises(SchemaMismatchError) as exc:
-            split_columns(loan_schema, matrix, names)
+            split_columns(loan_schema, matrix)
         assert str(exc.value) == (
-            "indicator 'standard_review' holds the non-finite value -inf in row 1"
+            "matrix has non-finite value(s) for ['standard_review'], first in row 1"
         )
 
 
