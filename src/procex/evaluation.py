@@ -266,6 +266,7 @@ def run_comparison(
             f"top_k must be at most the {schema.arity} features, got {config.top_k}"
         )
     case_ids = list(instances.case_ids)
+    attributes = schema.names[: len(schema.numeric_indices)]
 
     def scored(
         mode_config: ExplainConfig,
@@ -273,10 +274,16 @@ def run_comparison(
         vector: np.ndarray,
         case_id: str,
     ) -> tuple[Explanation, float]:
-        """One explanation and its conformance rate; the sample set is freed
-        on return."""
-        explanation, samples = _explain(model, sampler(vector), mode_config, case_id)
-        return explanation, conformance_rate(defn, samples, schema)
+        """One explanation and the conformance rate of its perturbations; the
+        sample set is freed on return. The oracle reads the rows the sampler
+        built as they are: their indicator cells are exactly 0 or 1, since
+        the instances come from the encoder."""
+        samples = sampler(vector)
+        explanation, _ = _explain(model, samples, mode_config, case_id)
+        perturbations = samples[1:]
+        columns = {name: perturbations[:, i] for i, name in enumerate(attributes)}
+        verdicts = conformant_rows(defn, columns, perturbations[:, len(attributes):])
+        return explanation, int(np.count_nonzero(verdicts)) / len(verdicts)
 
     grid: list[list[InstanceRun]] = [[] for _ in case_ids]
     for seed in config.seeds:

@@ -42,13 +42,18 @@ step runs a whole feature at a time. The samplers return the block's
 transposed view: ``(n + 1, k)`` like any sample matrix, but Fortran-ordered.
 The block is standardized once, into a buffer that also holds the
 surrogate's intercept column; the predictions, the kernel distances and the
-surrogate design all read that one standardization. The kernel squares the
-differences from the instance into a C-order ``(k, n + 1)`` scratch block
-and sums it with one ``np.add.reduce`` over its rows, which numpy adds one
-row after another: feature by feature in schema order, the bits of a loop
-over the features. It then divides the sums in place by ``-(width * width)``
-(IEEE division is sign-symmetric, so these are the bits of negating them
-first) and exponentiates them in place. The public steps
+surrogate design all read that one standardization, with no copy. The
+predictor and the kernel share one summation rule,
+:func:`~procex.predictor._feature_sums`: the per-feature terms (each weight
+times its standardized row; each squared difference from the instance) go
+into a C-order ``(k, n + 1)`` scratch block, and one ``np.add.reduce`` over
+its rows, which numpy adds one row after another, sums them feature by
+feature in schema order: the bits of a loop over the features, whatever the
+layout and without BLAS. So an explanation's prediction has the bits of
+:func:`~procex.predictor.predict_proba` on the instance alone. The kernel
+then divides its sums in place by ``-(width * width)`` (IEEE division is
+sign-symmetric, so these are the bits of negating them first) and
+exponentiates them in place. The public steps
 (:func:`sample_vanilla`, :func:`sample_process_aware`, :func:`kernel_weights`,
 :func:`fit_surrogate`, :func:`~procex.predictor.predict_proba`) standardize
 for themselves and then run the same helpers, so composing them gives the
@@ -78,7 +83,7 @@ from .errors import (
     _real,
 )
 from .features import NUMERIC, Feature, FeatureSchema, Scaler, split_columns
-from .predictor import LogisticModel, predict_proba_standardized
+from .predictor import LogisticModel, _feature_sums, predict_proba_standardized
 from .process_model import ProcessDefinition, conformant_rows, execute_rows
 
 __all__ = [
@@ -323,21 +328,16 @@ def _standardize(scaler: Scaler, samples: np.ndarray) -> np.ndarray:
 
 
 def _kernel(center: np.ndarray, standardized: np.ndarray, width: float) -> np.ndarray:
-    """:func:`kernel_weights` on standardized rows and instance.
+    """:func:`kernel_weights` on standardized rows and instance. The squared
+    differences are summed feature by feature, as the predictor sums its
+    logits (:func:`~procex.predictor._feature_sums`), so the distance has
+    the same bits whatever the layout of ``standardized``."""
 
-    The squared differences fill a C-order scratch block, one row per
-    feature, and one ``np.add.reduce`` over its rows sums them. numpy adds
-    the rows of such a block one after another, in schema order, so the
-    distance has the same bits whatever the layout of ``standardized``. A
-    lone sample gets a second, zero column: numpy sums an axis that is left
-    alone pairwise.
-    """
-    n = len(standardized)
-    scratch = np.zeros((len(center), 2)) if n == 1 else np.empty((len(center), n))
-    delta = scratch[:, :n]
-    np.subtract(standardized.T, center[:, None], out=delta)
-    np.multiply(delta, delta, out=delta)
-    sq_dist = np.add.reduce(scratch, axis=0)[:n]
+    def squares(delta: np.ndarray) -> None:
+        np.subtract(standardized.T, center[:, None], out=delta)
+        np.multiply(delta, delta, out=delta)
+
+    sq_dist = _feature_sums(squares, len(center), len(standardized))
     # -(d / w^2) and d / -(w^2) have the same bits: IEEE division is sign-symmetric.
     with np.errstate(over="ignore"):  # a distance past the float range weighs 0
         np.divide(sq_dist, -(width * width), out=sq_dist)
@@ -422,7 +422,11 @@ def fit_surrogate(
     targets or weights not one per design row with ``SchemaMismatchError``.
     """
     ridge = ExplainConfig(ridge=ridge).ridge
-    design = _column_schema(np.shape(design)[-1] if np.ndim(design) else 0).check_rows(design)
+    try:  # the design's own width; a scalar or a ragged list, refused below, has none
+        width = np.shape(design)[-1] if np.ndim(design) else 0
+    except ValueError:
+        width = 0
+    design = _column_schema(width).check_rows(design)
     n, k = design.shape
     targets, weights = np.asarray(targets, dtype=float), np.asarray(weights, dtype=float)
     if targets.shape != (n,) or weights.shape != (n,):
@@ -449,8 +453,9 @@ class Explanation:
     bar-chart values); ``attributions_raw`` divides each by the feature's
     training std, giving per-raw-unit slopes. Ordering is by descending
     absolute standardized weight, ties broken by feature name.
-    ``prediction`` is row 0 of the batch prediction over the samples, so it
-    can differ in the last bits from ``predict_proba(model, instance)``.
+    ``prediction`` is row 0 of the batch prediction over the samples; the
+    predictor sums each row feature by feature, so it has the bits of
+    ``predict_proba(model, instance)``.
     """
 
     mode: str

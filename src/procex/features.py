@@ -184,18 +184,30 @@ class FeatureSchema:
         """The one judge of feature rows: ``values`` as a float vector (1 in
         ``ndims``) or matrix (2) of this schema's arity, every value real
         and finite. A fault is refused naming the features that hold it."""
-        values = np.asarray(values)
-        if values.ndim not in ndims or values.shape[-1:] != (self.arity,):
-            noun = " or ".join(_ROWS[n] for n in ndims)
-            raise SchemaMismatchError(
-                f"{noun} of shape {values.shape} does not fit schema arity {self.arity}"
-            )
+        values = self._check_shape(values, ndims)
         if values.dtype.kind not in "biuf":  # strings, complex numbers or objects
             problems = np.frompyfunc(_cell_problem, 1, 1)(values)
             for problem in ("non-real value(s)", "integer(s) past the float range"):
                 self._refuse(problem, problems == problem)
         values = values.astype(float, copy=False)
         self._refuse("non-finite value(s)", ~np.isfinite(values))
+        return values
+
+    def _check_shape(self, values: np.ndarray, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
+        """The shape half of :meth:`check_rows`: ``values`` as an array, a
+        vector (1 in ``ndims``) or matrix (2) of this schema's arity, its
+        cells unjudged. A ragged nested list is refused too."""
+        noun = " or ".join(_ROWS[n] for n in ndims)
+        try:
+            values = np.asarray(values)
+        except ValueError:  # numpy refuses an inhomogeneous shape
+            raise SchemaMismatchError(
+                f"{noun} of ragged shape does not fit schema arity {self.arity}"
+            ) from None
+        if values.ndim not in ndims or values.shape[-1:] != (self.arity,):
+            raise SchemaMismatchError(
+                f"{noun} of shape {values.shape} does not fit schema arity {self.arity}"
+            )
         return values
 
     def _refuse(self, problem: str, bad: np.ndarray) -> None:

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -225,13 +225,38 @@ def predict_proba(model: LogisticModel, vectors: np.ndarray) -> np.ndarray | flo
     return float(probs) if vectors.ndim == 1 else probs
 
 
+def _feature_sums(fill: Callable[[np.ndarray], object], k: int, n: int) -> np.ndarray:
+    """Each of ``n`` rows' sum of its ``k`` per-feature terms, in schema order.
+
+    ``fill`` writes the terms into a C-order ``(k, n)`` scratch block, one
+    row per feature, and one ``np.add.reduce`` over its rows sums them.
+    numpy adds the rows of such a block one after another, so each sum has
+    the bits of a loop over the features, whatever the layout the terms
+    came from and without BLAS. A lone row gets a second, zero column:
+    numpy sums an axis that is left alone pairwise.
+    """
+    scratch = np.zeros((k, 2)) if n == 1 else np.empty((k, n))
+    fill(scratch[:, :n])
+    return np.add.reduce(scratch, axis=0)[:n]
+
+
 def predict_proba_standardized(model: LogisticModel, design: np.ndarray) -> np.ndarray:
-    """:func:`predict_proba` for vectors already standardized by the model's
-    scaler. The product runs on a C-order copy, so the result has the same
-    bits whatever the memory layout of ``design``."""
-    logits = np.asarray(np.ascontiguousarray(design) @ model.weights)
+    """:func:`predict_proba` for a vector or matrix of rows already
+    standardized by the model's scaler. Only the shape is judged, as
+    :meth:`~procex.features.FeatureSchema.check_rows` judges it; the cells
+    are taken as they are. Each logit is the bias plus the row's products
+    with the weights, summed feature by feature (:func:`_feature_sums`), so
+    its bits depend neither on the layout of ``design`` nor on BLAS, and a
+    row has the same prediction alone as inside a matrix."""
+    design = model.schema._check_shape(design, (1, 2))
+    features = np.atleast_2d(design).T
+    logits = _feature_sums(
+        lambda terms: np.multiply(features, model.weights[:, None], out=terms),
+        *features.shape,
+    )
     logits += model.bias
-    return _sigmoid(logits, out=logits)[()]  # one vector: a scalar, as before
+    probs = _sigmoid(logits, out=logits)
+    return probs[0] if design.ndim == 1 else probs  # one vector: a scalar
 
 
 @dataclass(frozen=True)

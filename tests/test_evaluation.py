@@ -375,8 +375,10 @@ class TestReportFiles:
 
 def comparison_oracle(defn, model, log, config: ComparisonConfig) -> ExperimentReport:
     """``run_comparison`` as a loop over instances, seeds and modes: each
-    instance is encoded alone, and each explanation starts its own generator
-    and draws its own variates."""
+    instance is encoded alone, each explanation starts its own generator
+    and draws its own variates, and the public, judged
+    :func:`conformance_rate` scores the perturbations that ``run_comparison``
+    hands straight to the oracle."""
     schema = model.schema
     instances = [
         t for t in log.traces

@@ -12,7 +12,9 @@ The composition test rebuilds each explanation from ``sample_vanilla`` /
 ``fit_surrogate``, as ``bench/replay.py`` does to time the steps, and
 requires every array to agree bit for bit with ``explain_detailed``. The
 last tests check that ``predict_proba`` ignores the memory layout of its
-input, and that a process without features fails before any sampling.
+input, that an explanation's prediction has the bits of ``predict_proba``
+on its instance alone, and that a process without features fails before
+any sampling.
 """
 
 import hashlib
@@ -37,7 +39,7 @@ from procex.explainer import (
     sample_process_aware,
     sample_vanilla,
 )
-from procex.features import build_schema, encode_trace
+from procex.features import build_schema, encode_log, encode_trace
 from procex.predictor import predict_proba, train
 from procex.process_model import node_successors, parse_process
 from procex.simulation import SimulationConfig, generate_log
@@ -52,19 +54,19 @@ CONFIGS = {
 }
 
 PAYLOAD_DIGESTS = {
-    "vanilla": "1bda130f992a8cab0ab5706637f4f9e818a54c1dd92614d6a0f5ed8f23f38339",
-    "propagate": "61e145b551c8dfc0a2406b8811899efd09e01cc0e69ee8d98be221e8e9249d70",
-    "collapse": "28509fcd886b96141c9ea3c3647febc78a7bb97842437dc00e6d81769d979c40",
-    "reject": "30bef6bafe33e3465ddc776cc167de8b7ea577da734f9bcb559de8f8a29c5532",
+    "vanilla": "a051c483452b4aa687eed6a1d67be34f1385b29f2aa1b201e25ce50b80241ad7",
+    "propagate": "1abb09cbad941501e323a2781874a3a106292d966ce82a777a7b44da4d4e30b3",
+    "collapse": "1552b5cbaff9916ea3c402aa4bb3280c799528a233e87bd0518be9f83f077a22",
+    "reject": "b1077c271cc8a3b82656f205c3a33ebf032e959584ce608240471f01c66f8351",
 }
 
 # ``REJOINING``'s payloads (branches that rejoin across gateways, nested
 # choices), computed under a one-thread BLAS.
 REJOINING_DIGESTS = {
-    "collapse": "28d7d0d872cc0a07393d1856108e9d348409a764f1cf85a73954b6fc200f8728",
-    "propagate": "0863ed2a0ba7101b9219fd91f8a1191d02f14679b9d7c36af11a6ecc41c14460",
-    "reject": "373fc7a3bff7c0b926828ea30e2d3bb2c717b9fcb67e63e8700cdfe6a9fc7f48",
-    "vanilla": "8f0ae1d869c8b544c8d28aa1bb06527a230a6818036d4b758bc37b3e5661ec80",
+    "collapse": "4c57ced4aadd3793d845d1634b71c106f2a7d63da774d0f9a0a233bed760356e",
+    "propagate": "9ae17ad67e81b7dac91b7d9e1fcc64f1b1e24481621a0846610e45649405b677",
+    "reject": "c6ef14c4a3dce96286d192bdb70a8d60cd745dafdc2243638623390146a9d245",
+    "vanilla": "f3a3f0f770d3b3c73610ac0121b105b92a572c6ba8a8e502ead37e33589d5188",
 }
 
 
@@ -107,14 +109,14 @@ def test_explanation_payload_bytes_are_pinned(name, loan, seed42_model, seed42_i
 
 
 def test_comparison_report_bytes_are_pinned(loan, seed42_model, seed42_log, tmp_path):
-    # The README's `procex evaluate` run; its report file starts 9f91d366.
+    # The README's `procex evaluate` run; its report file starts 836ac85e.
     config = ComparisonConfig(
         n_instances=20, seeds=(0, 1, 2, 3, 4), require_activity="skilled_agent_review"
     )
     path = tmp_path / "report.json"
     write_report_json(run_comparison(loan, seed42_model, seed42_log, config), path)
     assert _digest(path.read_bytes()) == (
-        "9f91d366a86105b3561fbb6ca5811e44be43b117d6712722e6a73cfddca9f2fa"
+        "836ac85eac27a695e60baa82eebbc88a2f163f7d97f394ddc6221ae2a0e25bb7"
     )
 
 
@@ -250,6 +252,28 @@ def test_predict_proba_bits_do_not_depend_on_layout(seed42_model, loan, seed42_i
     ):
         assert _bits(predict_proba(seed42_model, layout)) == expected
     assert _bits(perturbations.predictions) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_an_explanation_predicts_what_predict_proba_does(name, loan, seed42_model, seed42_log):
+    """Row 0 of the batch prediction has the bits of the instance alone."""
+    matrix, _ = encode_log(seed42_model.schema, seed42_log.take(np.arange(300)))
+    config = ExplainConfig(n_samples=500, **CONFIGS[name])
+    for vector in matrix:
+        explanation = explain(seed42_model, loan, vector, config)
+        assert _bits(explanation.prediction) == _bits(predict_proba(seed42_model, vector))
+
+
+def test_a_wide_explanation_predicts_what_predict_proba_does():
+    schema = build_schema(CHAIN)
+    log = generate_log(CHAIN, SimulationConfig(n_cases=300, seed=5, label_noise=0.2))
+    model = train(log, schema)
+    matrix, _ = encode_log(schema, log.take(np.arange(20)))
+    for settings in CONFIGS.values():
+        config = ExplainConfig(n_samples=400, flip_p=0.02, **settings)
+        for vector in matrix:
+            explanation = explain(model, CHAIN, vector, config)
+            assert _bits(explanation.prediction) == _bits(predict_proba(model, vector))
 
 
 # ---------------------------------------------------------------------------

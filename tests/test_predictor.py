@@ -18,8 +18,9 @@ from procex.errors import (
     SchemaMismatchError,
     SingleClassLogError,
 )
-from procex.features import Scaler, build_schema, encode_log
+from procex.features import FeatureSchema, Scaler, build_schema, encode_log
 from procex.predictor import (
+    LogisticModel,
     TrainConfig,
     _average_ranks,
     evaluate,
@@ -28,6 +29,7 @@ from procex.predictor import (
     loss_and_gradient,
     model_to_json_dict,
     predict_proba,
+    predict_proba_standardized,
     save_model,
     split_log,
     train,
@@ -35,10 +37,19 @@ from procex.predictor import (
 from procex.process_model import NEGATIVE, POSITIVE, parse_process
 from procex.simulation import EventLog, SimulationConfig, Trace, generate_log
 
+from procgen import CHAIN
+
 TINY = parse_process(
     "process tiny\nattr a: numeric in [-2, 2]\nstart -> fin\nend fin label POSITIVE\n"
 )
 TINY_SCHEMA = build_schema(TINY)
+
+
+@pytest.fixture(scope="module")
+def chain_model():
+    schema = build_schema(CHAIN)
+    log = generate_log(CHAIN, SimulationConfig(n_cases=300, seed=5, label_noise=0.2))
+    return train(log, schema)
 
 
 def tiny_log(points):
@@ -248,6 +259,36 @@ class TestPrediction:
         standard = np.array([700.0, 50000.0, 0.0, 1.0, 1.0])
         assert predict_proba(loan_model, skilled) > 0.5
         assert predict_proba(loan_model, standard) < 0.5
+
+    @pytest.mark.parametrize("process", ["loan", "chain"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 5001])
+    def test_logits_are_summed_feature_by_feature(self, loan_model, chain_model, process, order, n):
+        # The same bits as a loop over the features in schema order, on
+        # either layout, for a lone row too. CHAIN's 82 columns are far past
+        # the 8 terms from which numpy sums a contiguous axis pairwise, and
+        # past the width where a BLAS product reorders its sum.
+        model = loan_model if process == "loan" else chain_model
+        design = np.random.default_rng(n).standard_normal((n, model.schema.arity))
+        design = np.asarray(design, order=order)
+        logits = np.zeros(n)
+        for j in range(model.schema.arity):
+            logits += design[:, j] * model.weights[j]
+        logits += model.bias
+        want = 0.5 * (1.0 + np.tanh(0.5 * logits))
+        got = predict_proba_standardized(model, design)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        alone = np.array([predict_proba_standardized(model, row) for row in design[:2]])
+        np.testing.assert_array_equal(alone.view(np.int64), want[:2].view(np.int64))
+
+    def test_a_featureless_model_predicts_its_bias(self):
+        model = LogisticModel(
+            FeatureSchema("bare", ()), Scaler(np.empty(0), np.empty(0)), np.empty(0),
+            0.25, TrainConfig(), {},
+        )
+        want = 0.5 * (1.0 + math.tanh(0.125))
+        assert predict_proba(model, np.empty(0)) == want
+        np.testing.assert_array_equal(predict_proba(model, np.empty((3, 0))), [want] * 3)
 
 
 class TestEvaluate:

@@ -188,7 +188,8 @@ ROWS = {
 }
 # Steps whose rows come from the encoder or are already standardized: the
 # training matrix `train` has encoded and checked, and the explainer's own
-# standardized samples.
+# standardized samples, whose predictor judges only their shape (an O(1)
+# check; a finite scan would add a pass over every sample set).
 UNJUDGED = ["scaler_from_matrix", "loss_and_gradient", "predict_proba_standardized"]
 # Steps with no schema; their judge names the features by column.
 SCHEMALESS = ["kernel_weights", "fit_surrogate"]
@@ -213,6 +214,8 @@ def _with(cell: int, value) -> list:
     return row
 
 
+RAGGED = [INSTANCE.tolist(), INSTANCE.tolist()[:4]]  # numpy refuses its shape
+
 # Each malformed row: the row, and the problem and features the judge
 # names (None: the shape is refused). numpy reads a string or complex cell
 # into an array of strings or complex numbers, so every feature is named.
@@ -220,6 +223,7 @@ MALFORMED = {
     "0-d": (3.0, None),
     "3-d": (np.tile(INSTANCE, (2, 2, 1)), None),
     "wrong-width": (INSTANCE[:3], None),
+    "ragged": (RAGGED, None),
     "string": (_with(ATTRIBUTE, "x"), ("non-real value(s)", range(5))),
     "complex": (_with(ATTRIBUTE, 1 + 2j), ("non-real value(s)", range(5))),
     "integer-10**400": (
@@ -238,9 +242,10 @@ FORMS = {1: "vector", 2: "matrix"}
 
 def _rows(row, form: str):
     """``row`` as a step's argument: a vector, or row 1 of a matrix (or of a
-    perturbation set's samples) after a valid row 0; a 0-d or 3-d value as
-    it is. numpy reads an integer past the float range into an object array."""
-    if np.ndim(row) == 1:
+    perturbation set's samples) after a valid row 0; a 0-d, 3-d or ragged
+    value as it is. numpy reads an integer past the float range into an
+    object array."""
+    if row is not RAGGED and np.ndim(row) == 1:
         valid = INSTANCE.tolist()[: len(row)]
         row = np.array(list(row) if form == "vector" else [valid, list(row)])
     return PerturbationSet(row, np.zeros(2), np.ones(2)) if form == "PerturbationSet" else row
@@ -285,8 +290,9 @@ def test_a_step_has_its_rows_judged(
     value = _rows(row, form)
     if named is None:
         nouns = " or ".join(FORMS[n] for n in ROWS[parameter])
-        shape = np.shape(getattr(value, "samples", value))
-        want = re.escape(f"{nouns} of shape {shape} does not fit schema arity ") + r"\d+"
+        rows = getattr(value, "samples", value)
+        shape = "ragged shape" if row is RAGGED else f"shape {np.shape(rows)}"
+        want = re.escape(f"{nouns} of {shape} does not fit schema arity ") + r"\d+"
     else:
         problem, cells = named
         names = [f"column {j}" for j in range(5)] if step in SCHEMALESS else loan_schema.names
@@ -298,6 +304,17 @@ def test_a_step_has_its_rows_judged(
         with pytest.raises(SchemaMismatchError) as got:
             _call(step, arguments(**{parameter: value}), module)
     assert re.fullmatch(want, str(got.value)), str(got.value)
+
+
+@pytest.mark.parametrize("form", FORMS.values())
+@pytest.mark.parametrize("which", [which for which, (_, named) in MALFORMED.items() if not named])
+def test_the_standardized_predictor_judges_the_shape_alone(loan_model, form, which):
+    value = _rows(MALFORMED[which][0], form)
+    with pytest.raises(SchemaMismatchError) as want:
+        predictor.predict_proba(loan_model, value)
+    with pytest.raises(SchemaMismatchError) as got:
+        predictor.predict_proba_standardized(loan_model, value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("changed,message", [
